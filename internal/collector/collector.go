@@ -135,6 +135,9 @@ type Stats struct {
 	BatchesRejected uint64
 	RecordsIngested uint64
 	NodesKnown      int
+	// LinksKnown counts distinct observed (tx, rx) links — the length
+	// of Links(0) without materialising it.
+	LinksKnown int
 }
 
 // add accumulates another shard's partial counters.
@@ -143,6 +146,7 @@ func (s *Stats) add(o Stats) {
 	s.BatchesRejected += o.BatchesRejected
 	s.RecordsIngested += o.RecordsIngested
 	s.NodesKnown += o.NodesKnown
+	s.LinksKnown += o.LinksKnown
 }
 
 type nodeState struct {
@@ -351,6 +355,9 @@ type Collector struct {
 	// It is bumped after all of a batch's state mutation completes, so a
 	// reader that observes epoch E sees every batch counted into E.
 	epoch atomic.Uint64
+	// restores counts RestoreSnapshot calls — the only event that can
+	// shrink or replace the node registry and link table.
+	restores atomic.Uint64
 	// notifyMu guards notifyCh, the lazily created broadcast channel
 	// closed on the next epoch advance. Lazy creation keeps ingest
 	// allocation-free when nothing subscribes.
@@ -467,6 +474,7 @@ func (c *Collector) Stats() Stats {
 		s.mu.RLock()
 		part := s.stats
 		part.NodesKnown = len(s.nodes)
+		part.LinksKnown = len(s.links)
 		s.mu.RUnlock()
 		out.add(part)
 	}
@@ -570,6 +578,11 @@ func (c *Collector) setMaxTS(ts float64) {
 // reads at the same epoch with no ingest in between observe identical
 // collector state, which is what the read cache keys on.
 func (c *Collector) Epoch() uint64 { return c.epoch.Load() }
+
+// Restores returns how many times RestoreSnapshot has replaced the
+// collector's state. Between two equal readings the node registry and
+// link table only grow.
+func (c *Collector) Restores() uint64 { return c.restores.Load() }
 
 // Changed returns a channel closed on the next epoch advance. Callers
 // re-arm by calling Changed again after a wake-up; the channel is

@@ -131,6 +131,7 @@ func (c *Collector) RestoreSnapshot(r io.Reader) error {
 
 	c.lockAll()
 	defer c.unlockAll()
+	c.restores.Add(1)
 	for _, sh := range c.shards {
 		sh.nodes = make(map[wire.NodeID]*nodeState)
 		sh.links = make(map[linkKey]*LinkObs)

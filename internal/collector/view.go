@@ -47,6 +47,12 @@ type View interface {
 	// An advance that lands after the Epoch read closes the channel
 	// already held; one that landed before shows up in the re-check.
 	Changed() <-chan struct{}
+	// Restores counts wholesale replacements of the node registry and
+	// link table (snapshot restores). Between two equal readings both
+	// sets only grow, so equal Stats().NodesKnown and LinksKnown imply
+	// the same sets — which lets a fan-in View cache its distinct counts
+	// instead of materialising member sets on every Stats call.
+	Restores() uint64
 	// DB exposes the read side of the backing time-series store for
 	// range queries. It is an interface, not *tsdb.DB, so a federated
 	// View can answer by fanning queries out to member stores.

@@ -26,9 +26,12 @@ type delta struct {
 	Resync bool     `json:"resync,omitempty"`
 }
 
-// fingerprint is the hub's cheap change detector: one snapshot per
-// wake, diffed field-by-field to name the panels that changed. All
-// fields are O(1) or O(nodes) reads — no rendering.
+// fingerprint is the hub's change detector: one snapshot per wake,
+// diffed field-by-field to name the panels that changed. It is built
+// from Epoch, one Stats call and the alert generation — O(shards) on a
+// collector, O(members × shards) on a federation, independent of how
+// many nodes and links the registry holds. Nothing is rendered, copied
+// or sorted.
 type fingerprint struct {
 	epoch   uint64 // ingest epoch → overview, node, chart panels
 	records uint64 // records ingested → traffic panel
@@ -37,20 +40,26 @@ type fingerprint struct {
 	gen     uint64 // alert generation → alerts (and overview banner)
 }
 
+// clock is the composite epoch (ingest epoch + alert generation) the
+// fingerprint was taken at — the epoch deltas carry.
+func (f fingerprint) clock() uint64 { return f.epoch + f.gen }
+
 // subscriber is one connected SSE client. Queue sends are non-blocking:
 // a full queue marks the subscriber lost instead of stalling the hub,
 // and the hub offers a resync delta once the queue has space again —
 // so a slow client can miss intermediate epochs but never the final
 // one.
 type subscriber struct {
-	ch   chan delta
-	lost bool // guarded by hub.mu
+	ch       chan delta
+	greeting delta       // the state the client is first told about
+	last     fingerprint // the state the client was last told about; guarded by hub.mu
+	lost     bool        // guarded by hub.mu
 }
 
 // streamHub fans state-change deltas out to SSE subscribers. One
 // goroutine watches the view's Changed channel (plus a ticker, for
 // alert transitions that happen without ingest), fingerprints the
-// state, and broadcasts the diff.
+// state, and sends each subscriber the diff against what it last heard.
 type streamHub struct {
 	view   collector.View
 	engine *alert.Engine // may be nil
@@ -58,6 +67,9 @@ type streamHub struct {
 	inst   *readcache.Instruments
 	queue  int
 	tick   time.Duration
+	// startHook, when set, runs at the top of the watch loop's
+	// goroutine — tests use it to hold the hub back while they ingest.
+	startHook func()
 
 	start  sync.Once
 	done   chan struct{}
@@ -86,12 +98,17 @@ func newStreamHub(view collector.View, engine *alert.Engine, epoch func() uint64
 	}
 }
 
+// snapshot reads the epoch before Stats: the epoch advances only after
+// a batch's state is visible, so every counter already includes each
+// batch the epoch counts.
 func (h *streamHub) snapshot() fingerprint {
+	epoch := h.view.Epoch()
+	st := h.view.Stats()
 	fp := fingerprint{
-		epoch:   h.view.Epoch(),
-		records: h.view.Stats().RecordsIngested,
-		nodes:   len(h.view.Nodes()),
-		links:   len(h.view.Links(0)),
+		epoch:   epoch,
+		records: st.RecordsIngested,
+		nodes:   st.NodesKnown,
+		links:   st.LinksKnown,
 	}
 	if h.engine != nil {
 		fp.gen = h.engine.Generation()
@@ -125,24 +142,16 @@ func diff(a, b fingerprint) []string {
 // happen on the Check cadence without any ingest to signal them.
 func (h *streamHub) run() {
 	defer h.wg.Done()
-	last := h.snapshot()
+	if h.startHook != nil {
+		h.startHook()
+	}
 	ticker := time.NewTicker(h.tick)
 	defer ticker.Stop()
 	for {
-		// Channel first, then compare — the lost-wakeup-safe pattern
+		// Channel first, then publish — the lost-wakeup-safe pattern
 		// documented on View.Changed.
 		ch := h.view.Changed()
-		cur := h.snapshot()
-		if cur != last {
-			h.broadcast(delta{
-				Epoch:  cur.epoch + cur.gen,
-				MaxTS:  h.view.MaxTS(),
-				Panels: diff(last, cur),
-			})
-			last = cur
-			continue
-		}
-		h.offerResync(cur)
+		h.publish()
 		select {
 		case <-h.done:
 			return
@@ -152,42 +161,45 @@ func (h *streamHub) run() {
 	}
 }
 
-// broadcast enqueues d for every subscriber; a full queue marks the
-// subscriber lost (the event is dropped, not the client).
-func (h *streamHub) broadcast(d delta) {
+// publish brings every subscriber up to the current state: a delta
+// naming the panels changed since the state it last heard, or, for a
+// subscriber whose queue overflowed, a resync once the queue has room
+// (at worst one tick after the client drains — the no-stale-forever
+// guarantee). A full queue marks the subscriber lost; the change is
+// dropped, not the client. The snapshot is taken under h.mu, as
+// subscribe's baseline is, so no subscriber is ever ahead of it.
+//
+// Only a move of the composite clock is published. A batch's counters
+// become visible just before its epoch advance, so a snapshot can catch
+// them early; publishing that would send a delta whose epoch the client
+// already has. The advance follows at once and wakes the hub again.
+func (h *streamHub) publish() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	cur := h.snapshot()
+	maxTS, haveMaxTS := 0.0, false
 	for sub := range h.subs {
-		if sub.lost {
-			// Still behind; the pending resync will cover this change.
-			h.inst.SSEDropped.Inc()
+		moved := cur.clock() != sub.last.clock()
+		if !moved && !sub.lost {
 			continue
+		}
+		if !haveMaxTS {
+			maxTS, haveMaxTS = h.view.MaxTS(), true
+		}
+		d := delta{Epoch: cur.clock(), MaxTS: maxTS, Resync: sub.lost}
+		if !sub.lost {
+			d.Panels = diff(sub.last, cur)
 		}
 		select {
 		case sub.ch <- d:
-		default:
-			sub.lost = true
-			h.inst.SSEDropped.Inc()
-		}
-	}
-}
-
-// offerResync hands lost subscribers a fresh resync delta once their
-// queue has drained. Called on every hub wake (so at worst one tick
-// after the drain), which is what guarantees no subscriber stays
-// stale forever.
-func (h *streamHub) offerResync(cur fingerprint) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for sub := range h.subs {
-		if !sub.lost {
-			continue
-		}
-		select {
-		case sub.ch <- delta{Epoch: cur.epoch + cur.gen, MaxTS: h.view.MaxTS(), Resync: true}:
 			sub.lost = false
 		default:
+			if moved {
+				h.inst.SSEDropped.Inc()
+			}
+			sub.lost = true
 		}
+		sub.last = cur
 	}
 }
 
@@ -202,7 +214,15 @@ func (h *streamHub) subscribe() (*subscriber, bool) {
 		h.wg.Add(1)
 		go h.run()
 	})
-	sub := &subscriber{ch: make(chan delta, h.queue)}
+	// The baseline is taken here, under h.mu, rather than by the watch
+	// loop: a change landing after the greeting is then always diffed
+	// against the greeted state and delivered, never absorbed.
+	cur := h.snapshot()
+	sub := &subscriber{
+		ch:       make(chan delta, h.queue),
+		greeting: delta{Epoch: cur.clock(), MaxTS: h.view.MaxTS()},
+		last:     cur,
+	}
 	h.subs[sub] = struct{}{}
 	h.inst.SSEClients.Set(float64(len(h.subs)))
 	return sub, true
@@ -250,7 +270,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	defer s.hub.unsubscribe(sub)
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-store")
-	s.writeEvent(w, "epoch", delta{Epoch: s.epoch(), MaxTS: s.coll.MaxTS()})
+	s.writeEvent(w, "epoch", sub.greeting)
 	flusher.Flush()
 	for {
 		select {

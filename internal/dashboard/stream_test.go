@@ -9,6 +9,8 @@ import (
 	"net/http/httptest"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,6 +18,7 @@ import (
 	"lorameshmon/internal/metrics"
 	"lorameshmon/internal/readcache"
 	"lorameshmon/internal/tsdb"
+	"lorameshmon/internal/wire"
 )
 
 // sseClient reads Server-Sent Events frames off a live /events stream.
@@ -57,13 +60,23 @@ func (c *sseClient) close() {
 	c.resp.Body.Close()
 }
 
-// next reads one complete SSE frame (blocking until the server sends
-// one or the stream ends).
+// sseReadTimeout bounds how long next waits for a frame, so a missing
+// delta fails the test instead of hanging it.
+const sseReadTimeout = 10 * time.Second
+
+// next reads one complete SSE frame, blocking until the server sends
+// one, the stream ends, or sseReadTimeout passes — which cancels the
+// stream for good.
 func (c *sseClient) next() (sseEvent, error) {
+	timer := time.AfterFunc(sseReadTimeout, c.cancel)
+	defer timer.Stop()
 	var ev sseEvent
 	for {
 		line, err := c.rd.ReadString('\n')
 		if err != nil {
+			if !timer.Stop() {
+				return ev, fmt.Errorf("no SSE frame within %v", sseReadTimeout)
+			}
 			return ev, err
 		}
 		line = strings.TrimRight(line, "\n")
@@ -318,5 +331,155 @@ func TestLongPoll(t *testing.T) {
 		if code, _ := fetch(t, srv.URL+"/events/poll"+bad); code != http.StatusBadRequest {
 			t.Errorf("poll%s = %d, want 400", bad, code)
 		}
+	}
+}
+
+// TestSSEDeltaForIngestBeforeHubStart is the baseline-race regression:
+// the watch loop is held back after the first subscriber's greeting,
+// and a batch is ingested in that gap. The subscriber's baseline is the
+// greeted state, so the batch must still arrive as a delta instead of
+// being absorbed into a baseline taken later by the hub.
+func TestSSEDeltaForIngestBeforeHubStart(t *testing.T) {
+	c := collector.New(tsdb.New(), collector.DefaultConfig())
+	dash := New(c, nil, Config{StreamTick: 10 * time.Millisecond})
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	dash.hub.startHook = func() { <-release }
+	srv := httptest.NewServer(dash.Handler())
+	defer srv.Close()
+	defer dash.Close()
+	defer unblock() // before Close, which waits for the held loop
+
+	cl := dialSSE(t, srv.URL)
+	greet, err := cl.next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if greet.Name != "epoch" || greet.Data.Epoch != 0 {
+		t.Fatalf("greeting = %+v, want epoch 0", greet)
+	}
+	if err := c.Ingest(hammerBatch(1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	unblock()
+	ev, err := cl.next()
+	if err != nil {
+		t.Fatalf("ingest between greeting and hub start never streamed: %v", err)
+	}
+	if ev.Name != "delta" || ev.Data.Epoch != 1 {
+		t.Fatalf("event = %+v, want delta at epoch 1", ev)
+	}
+	want := []string{"overview", "node", "chart", "traffic", "topology"}
+	if !slices.Equal(ev.Data.Panels, want) {
+		t.Fatalf("panels = %v, want %v", ev.Data.Panels, want)
+	}
+}
+
+// TestFingerprintDiff pins the panel names each fingerprint field maps
+// to, in their fixed order.
+func TestFingerprintDiff(t *testing.T) {
+	base := fingerprint{epoch: 5, records: 40, nodes: 3, links: 2, gen: 1}
+	for _, tc := range []struct {
+		name string
+		edit func(*fingerprint)
+		want []string
+	}{
+		{"unchanged", func(*fingerprint) {}, nil},
+		{"epoch", func(f *fingerprint) { f.epoch++ }, []string{"overview", "node", "chart"}},
+		{"records", func(f *fingerprint) { f.records++ }, []string{"traffic"}},
+		{"nodes", func(f *fingerprint) { f.nodes++ }, []string{"topology"}},
+		{"links", func(f *fingerprint) { f.links++ }, []string{"topology"}},
+		{"gen", func(f *fingerprint) { f.gen++ }, []string{"overview", "alerts"}},
+		{"ingest with new link", func(f *fingerprint) { f.epoch++; f.records += 2; f.links++ },
+			[]string{"overview", "node", "chart", "traffic", "topology"}},
+		{"everything", func(f *fingerprint) { f.epoch++; f.records++; f.nodes++; f.links++; f.gen++ },
+			[]string{"overview", "node", "chart", "traffic", "topology", "alerts"}},
+	} {
+		cur := base
+		tc.edit(&cur)
+		if got := diff(base, cur); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: diff = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestFingerprintMatchesMaterialisedCounts checks the counter-based
+// snapshot against the registry and link table it stands in for: after
+// every ingest the fingerprint equals one built from len(Nodes()) and
+// len(Links(0)), so every delta names the same panels it would have
+// named had the hub materialised both lists.
+func TestFingerprintMatchesMaterialisedCounts(t *testing.T) {
+	cfg := collector.DefaultConfig()
+	cfg.Shards = 3
+	c := collector.New(tsdb.New(), cfg)
+	hub := newStreamHub(c, nil, c.Epoch, readcache.NewInstruments(metrics.NewRegistry()), 0, 0)
+	defer hub.Close()
+	for step := uint64(1); step <= 40; step++ {
+		// Nodes 1..8 in rotation; hammerBatch's HELLO source node%4+1
+		// adds links early on and then only re-hears them.
+		node := wire.NodeID(step%8 + 1)
+		if err := c.Ingest(hammerBatch(node, step)); err != nil {
+			t.Fatal(err)
+		}
+		want := fingerprint{
+			epoch:   c.Epoch(),
+			records: c.Stats().RecordsIngested,
+			nodes:   len(c.Nodes()),
+			links:   len(c.Links(0)),
+		}
+		if got := hub.snapshot(); got != want {
+			t.Fatalf("step %d: snapshot %+v, materialised %+v", step, got, want)
+		}
+	}
+}
+
+// countingView counts the reads that copy and sort the whole registry
+// or link table.
+type countingView struct {
+	collector.View
+	nodes, links atomic.Int64
+}
+
+func (v *countingView) Nodes() []collector.NodeInfo {
+	v.nodes.Add(1)
+	return v.View.Nodes()
+}
+
+func (v *countingView) Links(from float64) []collector.LinkObs {
+	v.links.Add(1)
+	return v.View.Links(from)
+}
+
+// TestSSEHubDoesNotMaterialise: streaming a delta per ingest to one
+// subscriber must not call Nodes or Links — the hub's cost per wake is
+// independent of registry and link-table size.
+func TestSSEHubDoesNotMaterialise(t *testing.T) {
+	c := collector.New(tsdb.New(), collector.DefaultConfig())
+	view := &countingView{View: c}
+	dash := New(view, nil, Config{StreamTick: 5 * time.Millisecond})
+	srv := httptest.NewServer(dash.Handler())
+	defer srv.Close()
+	defer dash.Close()
+
+	cl := dialSSE(t, srv.URL)
+	if _, err := cl.next(); err != nil {
+		t.Fatal(err)
+	}
+	const ingests = 20
+	for seq := uint64(1); seq <= ingests; seq++ {
+		if err := c.Ingest(hammerBatch(wire.NodeID(seq%5+1), seq)); err != nil {
+			t.Fatal(err)
+		}
+		ev, err := cl.next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ev.Data.Epoch != seq {
+			t.Fatalf("delta epoch = %d, want %d", ev.Data.Epoch, seq)
+		}
+	}
+	if n, l := view.nodes.Load(), view.links.Load(); n != 0 || l != 0 {
+		t.Fatalf("hub made %d Nodes and %d Links calls over %d ingests, want 0", n, l, ingests)
 	}
 }

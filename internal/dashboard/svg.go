@@ -209,10 +209,9 @@ func (g svgTopology) Render() string {
 	return sb.String()
 }
 
-func xmlEscape(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
-}
+var xmlEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
+
+func xmlEscape(s string) string { return xmlEscaper.Replace(s) }
 
 func min(a, b int) int {
 	if a < b {

@@ -3,6 +3,7 @@ package federate
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -55,6 +56,21 @@ type View struct {
 	watchOnce sync.Once
 	watchMu   sync.Mutex
 	watchCh   chan struct{}
+
+	// distinct caches the federation's distinct node and link counts
+	// (see distinctCounts), keyed per member by the set sizes and
+	// restore count they were materialised at.
+	distinctMu    sync.Mutex
+	distinctKeys  []setsKey
+	distinctNodes int
+	distinctLinks int
+}
+
+// setsKey identifies a member's node and link sets: both only grow
+// between restores, so an equal key means identical sets.
+type setsKey struct {
+	restores     uint64
+	nodes, links int
 }
 
 var _ collector.View = (*View)(nil)
@@ -86,7 +102,7 @@ func NewView(members []MemberView, cfg ViewConfig) (*View, error) {
 		obs: make(map[string]*metrics.Histogram),
 	}
 	for _, op := range []string{"nodes", "node", "links", "recent", "stats",
-		"query", "query_range", "aggregate", "iter", "latest"} {
+		"distinct", "maxts", "epoch", "restores", "query", "query_range", "aggregate", "iter", "latest"} {
 		v.obs[op] = v.fanout.With(op)
 	}
 	return v, nil
@@ -257,34 +273,73 @@ func (v *View) Recent(limit int) []wire.PacketRecord {
 	return all
 }
 
-// Stats sums the members' counters; NodesKnown counts distinct node IDs
-// across the federation (a node handed off appears on two members but
-// is still one node).
+// Stats sums the members' counters; NodesKnown and LinksKnown count
+// distinct node IDs and (tx, rx) links across the federation (a node
+// handed off appears on two members but is still one node). In steady
+// state this fans out only Stats and Restores: member sets are
+// materialised only when some member's key has moved.
 func (v *View) Stats() collector.Stats {
 	parts := make([]collector.Stats, len(v.members))
-	nodeIDs := make([][]collector.NodeInfo, len(v.members))
+	keys := make([]setsKey, len(v.members))
 	v.fan("stats", func(i int, m MemberView) {
 		parts[i] = m.View.Stats()
-		nodeIDs[i] = m.View.Nodes()
+		// Restores after Stats: a restore that lands between the two
+		// reads shows up as a moved key rather than a stale match.
+		keys[i] = setsKey{m.View.Restores(), parts[i].NodesKnown, parts[i].LinksKnown}
 	})
 	var out collector.Stats
-	distinct := make(map[wire.NodeID]bool)
-	for i, p := range parts {
+	for _, p := range parts {
 		out.BatchesIngested += p.BatchesIngested
 		out.BatchesRejected += p.BatchesRejected
 		out.RecordsIngested += p.RecordsIngested
-		for _, n := range nodeIDs[i] {
-			distinct[n.ID] = true
+	}
+	out.NodesKnown, out.LinksKnown = v.distinctCounts(keys)
+	return out
+}
+
+// distinctCounts returns the federation's distinct node and link
+// counts, answering from the cache while every member's key equals the
+// one its sets were last materialised at, and otherwise fanning Nodes
+// and Links out once to rebuild it.
+func (v *View) distinctCounts(keys []setsKey) (nodes, links int) {
+	v.distinctMu.Lock()
+	if slices.Equal(keys, v.distinctKeys) {
+		defer v.distinctMu.Unlock()
+		return v.distinctNodes, v.distinctLinks
+	}
+	v.distinctMu.Unlock()
+
+	fresh := make([]setsKey, len(v.members))
+	nodeSets := make([][]collector.NodeInfo, len(v.members))
+	linkSets := make([][]collector.LinkObs, len(v.members))
+	v.fan("distinct", func(i int, m MemberView) {
+		// Restores before materialising: a restore racing the reads
+		// leaves this key stale, so the next call rebuilds again.
+		fresh[i].restores = m.View.Restores()
+		nodeSets[i], linkSets[i] = m.View.Nodes(), m.View.Links(0)
+		fresh[i].nodes, fresh[i].links = len(nodeSets[i]), len(linkSets[i])
+	})
+	ids := make(map[wire.NodeID]struct{})
+	type key struct{ tx, rx wire.NodeID }
+	pairs := make(map[key]struct{})
+	for i := range v.members {
+		for _, n := range nodeSets[i] {
+			ids[n.ID] = struct{}{}
+		}
+		for _, l := range linkSets[i] {
+			pairs[key{l.Tx, l.Rx}] = struct{}{}
 		}
 	}
-	out.NodesKnown = len(distinct)
-	return out
+	v.distinctMu.Lock()
+	defer v.distinctMu.Unlock()
+	v.distinctKeys, v.distinctNodes, v.distinctLinks = fresh, len(ids), len(pairs)
+	return len(ids), len(pairs)
 }
 
 // MaxTS is the newest record timestamp across the federation.
 func (v *View) MaxTS() float64 {
 	parts := make([]float64, len(v.members))
-	v.fan("stats", func(i int, m MemberView) { parts[i] = m.View.MaxTS() })
+	v.fan("maxts", func(i int, m MemberView) { parts[i] = m.View.MaxTS() })
 	out := 0.0
 	for _, ts := range parts {
 		if ts > out {
@@ -300,7 +355,20 @@ func (v *View) MaxTS() float64 {
 // the read cache needs.
 func (v *View) Epoch() uint64 {
 	parts := make([]uint64, len(v.members))
-	v.fan("stats", func(i int, m MemberView) { parts[i] = m.View.Epoch() })
+	v.fan("epoch", func(i int, m MemberView) { parts[i] = m.View.Epoch() })
+	var sum uint64
+	for _, p := range parts {
+		sum += p
+	}
+	return sum
+}
+
+// Restores sums the members' restore counts. The federation's distinct
+// node and link sets are unions of member sets, so they too only grow
+// while the sum stands still.
+func (v *View) Restores() uint64 {
+	parts := make([]uint64, len(v.members))
+	v.fan("restores", func(i int, m MemberView) { parts[i] = m.View.Restores() })
 	var sum uint64
 	for _, p := range parts {
 		sum += p

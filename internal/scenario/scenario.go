@@ -61,6 +61,10 @@ func (l Layout) String() string {
 	}
 }
 
+// MaxNodes is the largest deployment Build accepts: nodes take radio
+// IDs 1..N, and the 16-bit ID space reserves 0xFFFF for broadcast.
+const MaxNodes = int(radio.Broadcast) - 1
+
 // Spec describes a deployment.
 type Spec struct {
 	Seed int64
@@ -121,6 +125,9 @@ type Deployment struct {
 func Build(spec Spec, sink uplink.Sink) (*Deployment, error) {
 	if spec.N <= 0 {
 		return nil, fmt.Errorf("scenario: need at least one node, got %d", spec.N)
+	}
+	if spec.N > MaxNodes {
+		return nil, fmt.Errorf("scenario: %d nodes exceed the radio ID space (at most %d)", spec.N, MaxNodes)
 	}
 	if spec.Monitor && sink == nil {
 		return nil, fmt.Errorf("scenario: monitoring enabled but no sink provided")

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -43,6 +44,31 @@ func TestBuildValidation(t *testing.T) {
 	bad.SpacingM = 0
 	if _, err := Build(bad, nil); err == nil {
 		t.Fatal("line without spacing accepted")
+	}
+}
+
+// TestBuildNodeIDBound pins the radio ID space: N nodes take IDs 1..N
+// and 0xFFFF is broadcast, so 65534 is the largest deployment. Specs
+// ask for monitoring without a sink, the next check after the bound, so
+// an accepted N fails there without building the mesh.
+func TestBuildNodeIDBound(t *testing.T) {
+	for _, tc := range []struct {
+		n         int
+		overBound bool
+	}{
+		{n: 65534, overBound: false},
+		{n: 65535, overBound: true},
+	} {
+		spec := DefaultSpec()
+		spec.N = tc.n
+		spec.Monitor = true
+		_, err := Build(spec, nil)
+		if err == nil {
+			t.Fatalf("N=%d: accepted without a sink", tc.n)
+		}
+		if got := strings.Contains(err.Error(), "radio ID space"); got != tc.overBound {
+			t.Errorf("N=%d: err = %v, want ID-bound rejection %v", tc.n, err, tc.overBound)
+		}
 	}
 }
 

@@ -62,7 +62,9 @@ stage_federate() {
   # failure paths, federated read merging and membership handoff. The
   # router fans HTTP requests out from multiple goroutines, so -race is
   # load-bearing here, not ceremony.
-  go test -race -count=1 -run 'Federate|Ring|Router|Handoff' \
+  # FederateKnownCounts pins the distinct node/link count cache the SSE
+  # hub reads on every wake against the merged lists.
+  go test -race -count=1 -run 'Federate|Ring|Router|Handoff|FederateKnownCounts' \
     ./internal/federate
 }
 
@@ -87,13 +89,16 @@ stage_read() {
   # and federate stages: cache/bypass byte-equivalence at every epoch
   # (including through a federated view), the SSE protocol contract
   # (one delta per ingest, slow-client drop + resync, shutdown drain),
-  # long-poll semantics, and the cached-panel race hammer. Writers,
-  # HTTP readers and the SSE hub all share state, so -race is
-  # load-bearing here.
+  # long-poll semantics, the cached-panel race hammer, the SSE baseline
+  # race regression (an ingest before the hub starts still streams), and
+  # the counters the hub fingerprints from (Stats().NodesKnown and
+  # LinksKnown == the materialised lists). Writers, HTTP readers and the
+  # SSE hub all share state, so -race is load-bearing here.
   go test -race -count=1 ./internal/readcache
   go test -race -count=1 \
-    -run 'CacheEquivalence|CacheServesStampedEpoch|SSE|LongPoll|CachedReadsAndSSEUnderIngest|ChartQuery|ChartJSON' \
+    -run 'CacheEquivalence|CacheServesStampedEpoch|SSE|LongPoll|CachedReadsAndSSEUnderIngest|ChartQuery|ChartJSON|SSEDeltaForIngestBeforeHubStart|Fingerprint' \
     ./internal/dashboard
+  go test -race -count=1 -run 'KnownCountsMatchMaterialised' ./internal/collector
 }
 
 stage_energy() {
