@@ -168,6 +168,9 @@ type nodeState struct {
 	// energyMetricNames; created lazily on the first stats record that
 	// carries energy fields, so mains-powered fleets pay nothing.
 	energy []*tsdb.Series
+	// routes holds the mesh_route_metric handle per destination in the
+	// node's routing table.
+	routes map[wire.NodeID]*tsdb.Series
 }
 
 // maxMissingTracked bounds the per-node late-reorder window.
@@ -252,8 +255,7 @@ func energyValues(s *wire.NodeStats) [3]float64 {
 type seriesKey struct {
 	metric string
 	node   wire.NodeID
-	dst    wire.NodeID // mesh_route_metric destination
-	a, b   string      // event/type/reason depending on metric
+	a, b   string // event/type/reason depending on metric
 }
 
 // LinkObs aggregates the direct radio link tx→rx as observed from
@@ -448,8 +450,6 @@ func (s *shard) handleFor(key seriesKey) *tsdb.Series {
 		labels["type"] = key.a
 	case "mesh_drops":
 		labels["reason"] = key.a
-	case "mesh_route_metric":
-		labels["dst"] = key.dst.String()
 	}
 	h := s.c.db.Series(key.metric, labels)
 	s.series[key] = h
@@ -842,9 +842,17 @@ func (s *shard) ingestRoutes(st *nodeState, r wire.RouteSnapshot) {
 	if st.info.LastRoutes == nil || r.TS >= st.info.LastRoutes.TS {
 		st.info.LastRoutes = &r
 	}
+	if st.routes == nil {
+		st.routes = make(map[wire.NodeID]*tsdb.Series)
+	}
 	for _, e := range r.Routes {
-		s.handleFor(seriesKey{metric: "mesh_route_metric", node: r.Node, dst: e.Dst}).
-			Append(r.TS, float64(e.Metric))
+		h, ok := st.routes[e.Dst]
+		if !ok {
+			h = s.c.db.Series("mesh_route_metric",
+				tsdb.Labels{"node": r.Node.String(), "dst": e.Dst.String()})
+			st.routes[e.Dst] = h
+		}
+		h.Append(r.TS, float64(e.Metric))
 	}
 }
 

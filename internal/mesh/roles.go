@@ -21,7 +21,24 @@ const (
 func (r *Router) Role() uint8 { return r.cfg.Role }
 
 // RoleOf returns the last role advertised by id (RoleNode when unknown).
-func (r *Router) RoleOf(id radio.ID) uint8 { return r.roles[id] }
+func (r *Router) RoleOf(id radio.ID) uint8 {
+	if int(id) < len(r.roles) {
+		return r.roles[id]
+	}
+	return RoleNode
+}
+
+// setRole records id's advertised role, growing the ID-indexed role
+// vector only when a non-default role must be stored beyond its end.
+func (r *Router) setRole(id radio.ID, role uint8) {
+	if int(id) >= len(r.roles) {
+		if role == RoleNode {
+			return
+		}
+		r.roles = append(r.roles, make([]uint8, int(id)+1-len(r.roles))...)
+	}
+	r.roles[id] = role
+}
 
 // NearestGateway returns the reachable gateway with the lowest hop
 // metric. When this node is itself a gateway it returns its own address.
@@ -32,8 +49,8 @@ func (r *Router) NearestGateway() (radio.ID, bool) {
 	best := radio.ID(0)
 	bestMetric := uint8(MetricInf)
 	found := false
-	for _, route := range r.table.Snapshot() {
-		if r.roles[route.Dst]&RoleGateway == 0 {
+	for _, route := range r.table.routes {
+		if r.RoleOf(route.Dst)&RoleGateway == 0 {
 			continue
 		}
 		if route.Metric < bestMetric {
@@ -55,13 +72,12 @@ func (r *Router) SendToGateway(payload []byte, reliable bool) (uint16, error) {
 // buildAds assembles HELLO advertisements from the routing table plus
 // the roles learned for each destination.
 func (r *Router) buildAds() []RouteAd {
-	routes := r.table.Snapshot()
-	ads := make([]RouteAd, len(routes))
-	for i, route := range routes {
+	ads := make([]RouteAd, len(r.table.routes))
+	for i, route := range r.table.routes {
 		ads[i] = RouteAd{
 			Addr:   route.Dst,
 			Metric: route.Metric,
-			Role:   r.roles[route.Dst],
+			Role:   r.RoleOf(route.Dst),
 			Via:    route.NextHop,
 		}
 	}
@@ -70,11 +86,11 @@ func (r *Router) buildAds() []RouteAd {
 
 // learnRoles records role information from a received HELLO.
 func (r *Router) learnRoles(pkt Packet) {
-	r.roles[pkt.Src] = pkt.SrcRole
+	r.setRole(pkt.Src, pkt.SrcRole)
 	for _, ad := range pkt.Routes {
 		if ad.Addr == r.rad.ID() {
 			continue
 		}
-		r.roles[ad.Addr] = ad.Role
+		r.setRole(ad.Addr, ad.Role)
 	}
 }

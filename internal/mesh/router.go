@@ -127,7 +127,9 @@ type Router struct {
 	inXfers   map[xferKey]*inTransfer
 	doneXfers map[xferKey]simkit.Time
 	frag      FragCounters
-	roles     map[radio.ID]uint8
+	// roles holds the last role advertised by each node, indexed by
+	// radio.ID and grown on demand; IDs beyond its end are RoleNode.
+	roles []uint8
 
 	tap      Tap
 	deliver  ReceiveFunc
@@ -157,7 +159,6 @@ func NewRouter(sim *simkit.Sim, rad *radio.Radio, cfg Config) *Router {
 		outXfers:  make(map[uint16]*outTransfer),
 		inXfers:   make(map[xferKey]*inTransfer),
 		doneXfers: make(map[xferKey]simkit.Time),
-		roles:     make(map[radio.ID]uint8),
 	}
 	r.table.SetSNRTiebreak(r.cfg.SNRTiebreakDB)
 	rad.SetHandler(r.onFrame)
@@ -590,6 +591,7 @@ func (r *Router) onHello(pkt Packet, info radio.RxInfo) {
 		}
 	}
 	changed := r.table.Update(pkt.Src, pkt.Src, reachable(AddMetric(1, pen)), info.SNRdB, now)
+	walk := cursor{t: r.table}
 	for _, ad := range pkt.Routes {
 		if ad.Addr == r.rad.ID() {
 			continue
@@ -603,7 +605,7 @@ func (r *Router) onHello(pkt Packet, info radio.RxInfo) {
 		if pen > 0 && metric < MetricInf {
 			metric = reachable(AddMetric(metric, pen))
 		}
-		if r.table.Update(ad.Addr, pkt.Src, metric, info.SNRdB, now) {
+		if walk.update(ad.Addr, pkt.Src, metric, info.SNRdB, now) {
 			changed = true
 		}
 	}

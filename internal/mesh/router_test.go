@@ -2,6 +2,9 @@ package mesh
 
 import (
 	"bytes"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -460,5 +463,69 @@ func TestSplitHorizonIgnoresReflectedRoutes(t *testing.T) {
 		radio.RxInfo{At: net.sim.Now(), From: 2, SNRdB: 5})
 	if _, ok := net.routers[0].Table().Lookup(9); !ok {
 		t.Fatal("legitimate advertised route rejected")
+	}
+}
+
+// TestHelloMergeMatchesPerAdUpdates feeds onHello ads in ascending,
+// out-of-order and duplicated orders (plus self and split-horizon ads,
+// and an energy penalty) and checks the one-pass merge leaves exactly
+// the table that applying each ad in its own HELLO leaves.
+func TestHelloMergeMatchesPerAdUpdates(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 60; trial++ {
+		merged := newLine(t, 1, 1, Config{EnergyAware: trial%3 == 0}).routers[0]
+		perAd := newLine(t, 1, 1, Config{EnergyAware: trial%3 == 0}).routers[0]
+		self := merged.ID()
+		const src = radio.ID(7)
+		var battery uint8
+		if trial%2 == 0 {
+			battery = EncodeBattery(rng.Float64())
+		}
+		hello := func(seq uint16, ads []RouteAd) Packet {
+			return Packet{Type: TypeHello, Src: src, Dst: radio.Broadcast, Via: radio.Broadcast,
+				Seq: seq, TTL: 1, Routes: ads, SrcBattery: battery}
+		}
+		info := radio.RxInfo{From: src, SNRdB: float64(rng.Intn(20) - 10)}
+		// Identical prior state from another neighbour.
+		for dst := radio.ID(2); dst < 40; dst++ {
+			if dst != src && rng.Intn(2) == 0 {
+				m, hop := uint8(1+rng.Intn(6)), radio.ID(3+rng.Intn(2))
+				merged.table.Update(dst, hop, m, 0, 0)
+				perAd.table.Update(dst, hop, m, 0, 0)
+			}
+		}
+		var ads []RouteAd
+		for i := rng.Intn(40); i > 0; i-- {
+			ad := RouteAd{Addr: radio.ID(rng.Intn(45)), Metric: uint8(rng.Intn(MetricInf + 2))}
+			if ad.Addr == src {
+				continue // a neighbour never advertises itself
+			}
+			if rng.Intn(8) == 0 {
+				ad.Via = self
+			}
+			ads = append(ads, ad)
+		}
+		switch trial % 4 {
+		case 0, 1:
+			sort.Slice(ads, func(i, j int) bool { return ads[i].Addr < ads[j].Addr })
+			if trial%4 == 1 && len(ads) > 2 {
+				i := rng.Intn(len(ads) - 1)
+				ads[i], ads[len(ads)-1] = ads[len(ads)-1], ads[i]
+			}
+		case 2:
+			rng.Shuffle(len(ads), func(i, j int) { ads[i], ads[j] = ads[j], ads[i] })
+		}
+
+		merged.onHello(hello(1, ads), info)
+		perAd.onHello(hello(1, nil), info)
+		for i, ad := range ads {
+			perAd.onHello(hello(uint16(i+2), []RouteAd{ad}), info)
+		}
+		if got, want := merged.Table().Snapshot(), perAd.Table().Snapshot(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: merged table\n %+v\nper-ad table\n %+v\nads %+v", trial, got, want, ads)
+		}
+		if got, want := merged.Counters().RouteChanges > 0, perAd.Counters().RouteChanges > 0; got != want {
+			t.Fatalf("trial %d: merged changed=%v, per-ad changed=%v", trial, got, want)
+		}
 	}
 }

@@ -1,7 +1,8 @@
 package mesh
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"lorameshmon/internal/radio"
@@ -23,8 +24,11 @@ type Route struct {
 // LoRaMesher maintains: routes are learned exclusively from neighbours'
 // periodic HELLO broadcasts and expire when not refreshed.
 type Table struct {
-	self   radio.ID
-	routes map[radio.ID]Route
+	self radio.ID
+	// routes is kept sorted by Dst: lookups binary-search it, Snapshot is
+	// a plain copy, and a HELLO's ascending ads merge against it in one
+	// pass (see cursor).
+	routes []Route
 	// snrTiebreakDB, when positive, lets an equal-metric route through a
 	// different neighbour win if its first-hop SNR is better by at least
 	// this many dB (LoRaMesher's SNR-aware routing refinement).
@@ -45,12 +49,20 @@ func AddMetric(a, b uint8) uint8 {
 // NewTable returns an empty table owned by self. Routes to self are
 // never stored.
 func NewTable(self radio.ID) *Table {
-	return &Table{self: self, routes: make(map[radio.ID]Route)}
+	return &Table{self: self}
 }
 
 // SetSNRTiebreak enables SNR-aware selection between equal-metric
 // routes; db <= 0 disables it.
 func (t *Table) SetSNRTiebreak(db float64) { t.snrTiebreakDB = db }
+
+// search returns the position of dst in routes, or where it would be
+// inserted, and whether it is present.
+func (t *Table) search(dst radio.ID) (int, bool) {
+	return slices.BinarySearchFunc(t.routes, dst, func(r Route, d radio.ID) int {
+		return cmp.Compare(r.Dst, d)
+	})
+}
 
 // Update offers a candidate route and reports whether the table changed.
 // The distance-vector rules are LoRaMesher's:
@@ -62,6 +74,13 @@ func (t *Table) SetSNRTiebreak(db float64) { t.snrTiebreakDB = db }
 //   - metrics at or beyond MetricInf mean unreachable and evict the
 //     entry when learned from its current next hop.
 func (t *Table) Update(dst, nextHop radio.ID, metric uint8, snr float64, now simkit.Time) bool {
+	i, _ := t.search(dst)
+	return t.updateAt(i, dst, nextHop, metric, snr, now)
+}
+
+// updateAt applies Update's rules with i the insertion position of dst
+// in routes.
+func (t *Table) updateAt(i int, dst, nextHop radio.ID, metric uint8, snr float64, now simkit.Time) bool {
 	if dst == t.self {
 		return false
 	}
@@ -70,10 +89,14 @@ func (t *Table) Update(dst, nextHop radio.ID, metric uint8, snr float64, now sim
 		// rather than poison the table.
 		return false
 	}
-	cur, exists := t.routes[dst]
+	exists := i < len(t.routes) && t.routes[i].Dst == dst
+	var cur Route
+	if exists {
+		cur = t.routes[i]
+	}
 	if metric >= MetricInf {
 		if exists && cur.NextHop == nextHop {
-			delete(t.routes, dst)
+			t.routes = slices.Delete(t.routes, i, i+1)
 			return true
 		}
 		return false
@@ -90,39 +113,63 @@ func (t *Table) Update(dst, nextHop radio.ID, metric uint8, snr float64, now sim
 	default:
 		return false
 	}
-	changed := !exists || cur.NextHop != nextHop || cur.Metric != metric
-	t.routes[dst] = Route{
-		Dst: dst, NextHop: nextHop, Metric: metric, LastSeen: now, SNRdB: snr,
+	r := Route{Dst: dst, NextHop: nextHop, Metric: metric, LastSeen: now, SNRdB: snr}
+	if !exists {
+		t.routes = slices.Insert(t.routes, i, r)
+		return true
 	}
-	return changed
+	t.routes[i] = r
+	return cur.NextHop != nextHop || cur.Metric != metric
+}
+
+// cursor applies a sequence of updates whose destinations mostly
+// ascend — a HELLO's ads, which buildAds emits in Dst order — walking
+// the table alongside them instead of searching it per update. An
+// update that arrives out of order falls back to a search.
+type cursor struct {
+	t    *Table
+	i    int // every routes[:i] entry has Dst < last
+	last radio.ID
+}
+
+// update is Table.Update positioned by the walk.
+func (c *cursor) update(dst, nextHop radio.ID, metric uint8, snr float64, now simkit.Time) bool {
+	routes := c.t.routes
+	if dst < c.last {
+		c.i, _ = c.t.search(dst)
+	}
+	for c.i < len(routes) && routes[c.i].Dst < dst {
+		c.i++
+	}
+	c.last = dst
+	return c.t.updateAt(c.i, dst, nextHop, metric, snr, now)
 }
 
 // Lookup returns the route to dst.
 func (t *Table) Lookup(dst radio.ID) (Route, bool) {
-	r, ok := t.routes[dst]
-	return r, ok
+	if i, ok := t.search(dst); ok {
+		return t.routes[i], true
+	}
+	return Route{}, false
 }
 
 // Expire removes entries not refreshed within timeout and returns how
 // many were evicted.
 func (t *Table) Expire(now simkit.Time, timeout time.Duration) int {
-	evicted := 0
-	for dst, r := range t.routes {
-		if now.Sub(r.LastSeen) > timeout {
-			delete(t.routes, dst)
-			evicted++
-		}
-	}
-	return evicted
+	n := len(t.routes)
+	t.routes = slices.DeleteFunc(t.routes, func(r Route) bool {
+		return now.Sub(r.LastSeen) > timeout
+	})
+	return n - len(t.routes)
 }
 
 // Remove deletes the route to dst, reporting whether it existed.
 func (t *Table) Remove(dst radio.ID) bool {
-	if _, ok := t.routes[dst]; !ok {
-		return false
+	i, ok := t.search(dst)
+	if ok {
+		t.routes = slices.Delete(t.routes, i, i+1)
 	}
-	delete(t.routes, dst)
-	return true
+	return ok
 }
 
 // Len returns the number of known destinations.
@@ -131,19 +178,13 @@ func (t *Table) Len() int { return len(t.routes) }
 // Snapshot returns all routes ordered by destination address, suitable
 // for HELLO advertisement and telemetry.
 func (t *Table) Snapshot() []Route {
-	out := make([]Route, 0, len(t.routes))
-	for _, r := range t.routes {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Dst < out[j].Dst })
-	return out
+	return append(make([]Route, 0, len(t.routes)), t.routes...)
 }
 
 // Ads converts the table into HELLO advertisements.
 func (t *Table) Ads() []RouteAd {
-	routes := t.Snapshot()
-	ads := make([]RouteAd, len(routes))
-	for i, r := range routes {
+	ads := make([]RouteAd, len(t.routes))
+	for i, r := range t.routes {
 		ads[i] = RouteAd{Addr: r.Dst, Metric: r.Metric, Via: r.NextHop}
 	}
 	return ads
@@ -152,7 +193,7 @@ func (t *Table) Ads() []RouteAd {
 // Neighbors returns the destinations reachable in one hop.
 func (t *Table) Neighbors() []radio.ID {
 	var out []radio.ID
-	for _, r := range t.Snapshot() {
+	for _, r := range t.routes {
 		if r.Metric == 1 {
 			out = append(out, r.Dst)
 		}

@@ -73,7 +73,7 @@ func (db *DB) Dump() SnapshotDump {
 			s.mu.Lock()
 			s.sortHead()
 			sd := SeriesDump{
-				Labels: s.labels.clone(),
+				Labels: exportLabels(s.labels),
 				Points: append([]Point(nil), s.head...),
 			}
 			for _, c := range s.blocks {
@@ -126,7 +126,8 @@ func (db *DB) Load(dump SnapshotDump) error {
 				return fmt.Errorf("tsdb: restore: duplicate series %s%v", name, sd.Labels)
 			}
 			s := &series{
-				labels: sd.Labels.clone(),
+				labels: compactLabels(sd.Labels),
+				key:    key,
 				head:   append([]Point(nil), sd.Points...),
 			}
 			prevMax := 0.0

@@ -474,7 +474,7 @@ func (db *DB) QueryRange(name string, matcher Labels, from, to, step float64, ag
 			s.mu.Unlock()
 			pts = sn.downsample(from, to, step, agg)
 		}
-		out = append(out, Result{Labels: s.labels.clone(), Points: pts})
+		out = append(out, Result{Labels: exportLabels(s.labels), Points: pts})
 	}
 	return out
 }

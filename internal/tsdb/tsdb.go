@@ -29,6 +29,7 @@ package tsdb
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -69,22 +70,49 @@ func (l Labels) canonical() string {
 	return sb.String()
 }
 
-// clone copies labels so callers cannot mutate stored state.
-func (l Labels) clone() Labels {
+// labelPair is one stored label.
+type labelPair struct{ name, value string }
+
+// compactLabels converts l to the stored form: pairs sorted by name,
+// nil for nil labels and non-nil but empty for an empty set, so the
+// JSON null/{} distinction survives a round trip through the store.
+func compactLabels(l Labels) []labelPair {
 	if l == nil {
 		return nil
 	}
-	out := make(Labels, len(l))
+	pairs := make([]labelPair, 0, len(l))
 	for k, v := range l {
-		out[k] = v
+		pairs = append(pairs, labelPair{k, v})
+	}
+	slices.SortFunc(pairs, func(a, b labelPair) int { return strings.Compare(a.name, b.name) })
+	return pairs
+}
+
+// exportLabels builds a caller-owned map from stored pairs — labels are
+// materialised as maps only where they leave the package.
+func exportLabels(pairs []labelPair) Labels {
+	if pairs == nil {
+		return nil
+	}
+	out := make(Labels, len(pairs))
+	for _, p := range pairs {
+		out[p.name] = p.value
 	}
 	return out
 }
 
-// matches reports whether l contains every pair in m.
-func (l Labels) matches(m Labels) bool {
+// matchLabels reports whether pairs hold every pair in m, an absent
+// label reading as "" (so {"k": ""} matches a series without k).
+func matchLabels(pairs []labelPair, m Labels) bool {
 	for k, v := range m {
-		if l[k] != v {
+		got := ""
+		for _, p := range pairs {
+			if p.name == k {
+				got = p.value
+				break
+			}
+		}
+		if got != v {
 			return false
 		}
 	}
@@ -99,10 +127,12 @@ func (l Labels) String() string { return "{" + l.canonical() + "}" }
 // head copy stays cheap, large enough that chunk overheads amortise.
 const defaultSealEvery = 512
 
-// series owns its blocks under its own lock; labels are immutable
-// after creation and readable without it.
+// series owns its blocks under its own lock; labels and key are
+// immutable after creation and readable without it, so every Series
+// handle to the series shares them.
 type series struct {
-	labels Labels
+	labels []labelPair
+	key    string // canonical form of labels, the index key
 
 	mu sync.Mutex
 	// blocks are the sealed, immutable compressed chunks in seal order
@@ -484,21 +514,28 @@ func (db *DB) CompressionStats() (compressedBytes, sealedSamples int64, bytesPer
 	return
 }
 
-// getOrCreateLocked returns the series for (name, labels), creating it
-// if missing. Callers must hold the index write lock.
-func (db *DB) getOrCreateLocked(name string, labels Labels) *series {
+// getOrCreateLocked returns the series for (name, key), creating it
+// with the stored labels if missing. Callers must hold the index write
+// lock.
+func (db *DB) getOrCreateLocked(name, key string, labels []labelPair) *series {
 	byLabels, ok := db.metrics[name]
 	if !ok {
 		byLabels = make(map[string]*series)
 		db.metrics[name] = byLabels
 	}
-	key := labels.canonical()
 	s, ok := byLabels[key]
 	if !ok {
-		s = &series{labels: labels.clone(), headSorted: true}
+		s = &series{labels: labels, key: key, headSorted: true}
 		byLabels[key] = s
 	}
 	return s
+}
+
+// getOrCreate is getOrCreateLocked under the index write lock.
+func (db *DB) getOrCreate(name string, labels Labels) *series {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.getOrCreateLocked(name, labels.canonical(), compactLabels(labels))
 }
 
 // lookup returns the live series for (name, labels) or nil.
@@ -509,27 +546,29 @@ func (db *DB) lookup(name, key string) *series {
 	return s
 }
 
-// lockLive locks s if it is still in the index, otherwise re-resolves
-// (name, labels) under the index write lock and tries again. It returns
-// the locked, live series.
-func (db *DB) lockLive(s *series, name string, labels Labels) *series {
+// lockLive locks s if it is still in the index, otherwise re-registers
+// s's labels under name and tries again. It returns the locked, live
+// series.
+func (db *DB) lockLive(name string, s *series) *series {
 	for {
-		if s != nil {
-			s.mu.Lock()
-			if !s.dead {
-				return s
-			}
-			s.mu.Unlock()
+		s.mu.Lock()
+		if !s.dead {
+			return s
 		}
+		s.mu.Unlock()
 		db.mu.Lock()
-		s = db.getOrCreateLocked(name, labels)
+		s = db.getOrCreateLocked(name, s.key, s.labels)
 		db.mu.Unlock()
 	}
 }
 
 // Append adds a sample to the series (name, labels).
 func (db *DB) Append(name string, labels Labels, ts, value float64) {
-	s := db.lockLive(db.lookup(name, labels.canonical()), name, labels)
+	s := db.lookup(name, labels.canonical())
+	if s == nil {
+		s = db.getOrCreate(name, labels)
+	}
+	s = db.lockLive(name, s)
 	s.append(db, ts, value)
 	s.mu.Unlock()
 	db.points.Add(1)
@@ -541,31 +580,28 @@ func (db *DB) Append(name string, labels Labels, ts, value float64) {
 // Series is a cached handle to one exact (metric, labels) series: the
 // canonical label key is computed once, so hot ingest paths appending to
 // the same series thousands of times skip the per-call sorting and
-// string building. Handles stay valid across retention — a pruned-away
-// series is transparently re-registered on the next Append — and are
-// safe for concurrent use.
+// string building. The handle holds no labels of its own; it shares the
+// series' stored labels and key. Handles stay valid across retention —
+// a pruned-away series is transparently re-registered on the next
+// Append — and are safe for concurrent use.
 type Series struct {
-	db     *DB
-	name   string
-	labels Labels
-	s      atomic.Pointer[series]
+	db   *DB
+	name string
+	s    atomic.Pointer[series]
 }
 
 // Series returns a cached append handle for the exact series
 // (name, labels), creating the series if it does not exist yet.
 func (db *DB) Series(name string, labels Labels) *Series {
-	db.mu.Lock()
-	s := db.getOrCreateLocked(name, labels)
-	db.mu.Unlock()
-	h := &Series{db: db, name: name, labels: labels.clone()}
-	h.s.Store(s)
+	h := &Series{db: db, name: name}
+	h.s.Store(db.getOrCreate(name, labels))
 	return h
 }
 
 // Append adds a sample to the handle's series. Distinct series append
 // without contending: only the series' own mutex is taken.
 func (h *Series) Append(ts, value float64) {
-	s := h.db.lockLive(h.s.Load(), h.name, h.labels)
+	s := h.db.lockLive(h.name, h.s.Load())
 	h.s.Store(s)
 	s.append(h.db, ts, value)
 	s.mu.Unlock()
@@ -576,7 +612,7 @@ func (h *Series) Append(ts, value float64) {
 }
 
 // Labels returns the handle's label set (a copy).
-func (h *Series) Labels() Labels { return h.labels.clone() }
+func (h *Series) Labels() Labels { return exportLabels(h.s.Load().labels) }
 
 // match collects the metric's series whose labels contain matcher, in
 // canonical label order.
@@ -586,7 +622,7 @@ func (db *DB) match(name string, matcher Labels) []*series {
 	byLabels := db.metrics[name]
 	keys := make([]string, 0, len(byLabels))
 	for k, s := range byLabels {
-		if s.labels.matches(matcher) {
+		if matchLabels(s.labels, matcher) {
 			keys = append(keys, k)
 		}
 	}
@@ -622,7 +658,7 @@ func (db *DB) Query(name string, matcher Labels, from, to float64) []Result {
 	out := make([]Result, 0, len(matched))
 	for _, s := range matched {
 		sn := snap(s)
-		out = append(out, Result{Labels: s.labels.clone(), Points: sn.rangePoints(from, to)})
+		out = append(out, Result{Labels: exportLabels(s.labels), Points: sn.rangePoints(from, to)})
 	}
 	return out
 }
@@ -635,7 +671,7 @@ func (db *DB) QueryOne(name string, labels Labels, from, to float64) (Result, bo
 		return Result{}, false
 	}
 	sn := snap(s)
-	return Result{Labels: s.labels.clone(), Points: sn.rangePoints(from, to)}, true
+	return Result{Labels: exportLabels(s.labels), Points: sn.rangePoints(from, to)}, true
 }
 
 // IterOne returns a streaming iterator over the exact series' raw

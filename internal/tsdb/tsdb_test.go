@@ -398,6 +398,12 @@ func TestConcurrentReadWrite(t *testing.T) {
 				} else {
 					db.Append("m", lbl, ts, float64(i))
 				}
+				// The handle shares its series' stored labels, including
+				// after Prune forces it to re-register.
+				if i%100 == 0 && h.Labels()["node"] != lbl["node"] {
+					t.Errorf("handle labels = %v, want %v", h.Labels(), lbl)
+					return
+				}
 			}
 		}()
 	}

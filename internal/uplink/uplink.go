@@ -109,10 +109,11 @@ func (u *Sim) ScheduleOutage(start simkit.Time, d time.Duration) {
 // (like a timed-out HTTP request), or delivery plus acknowledgement.
 func (u *Sim) Send(batch wire.Batch, done func(err error)) {
 	u.stats.Sent++
-	size, err := wire.EncodedSize(batch)
+	sizeOf := wire.EncodedSize
 	if u.cfg.BinaryCodec {
-		size, err = wire.EncodedSizeBinary(batch)
+		sizeOf = wire.EncodedSizeBinary
 	}
+	size, err := sizeOf(batch)
 	if err != nil {
 		u.stats.Rejected++
 		u.finish(done, err)

@@ -283,14 +283,14 @@ func TestHTTPUplinkBinaryEndToEnd(t *testing.T) {
 }
 
 func TestSimBinaryCodecAccountsSmallerBytes(t *testing.T) {
+	b := testBatch(1)
+	for i := 0; i < 20; i++ {
+		b.Heartbeats = append(b.Heartbeats, wire.Heartbeat{TS: float64(i), Node: 1})
+	}
 	size := func(binary bool) uint64 {
 		sim := simkit.New(1)
 		sink := &captureSink{}
 		u := NewSim(sim, sink, SimConfig{BinaryCodec: binary})
-		b := testBatch(1)
-		for i := 0; i < 20; i++ {
-			b.Heartbeats = append(b.Heartbeats, wire.Heartbeat{TS: float64(i), Node: 1})
-		}
 		u.Send(b, func(error) {})
 		sim.Run()
 		return u.Stats().BytesSent
@@ -298,5 +298,11 @@ func TestSimBinaryCodecAccountsSmallerBytes(t *testing.T) {
 	jsonBytes, binBytes := size(false), size(true)
 	if binBytes*2 >= jsonBytes {
 		t.Fatalf("binary accounting %dB not well below JSON %dB", binBytes, jsonBytes)
+	}
+	// Each codec's own size is what the link accounts.
+	wantJSON, _ := wire.EncodedSize(b)
+	wantBin, _ := wire.EncodedSizeBinary(b)
+	if jsonBytes != uint64(wantJSON) || binBytes != uint64(wantBin) {
+		t.Fatalf("accounted JSON %dB / binary %dB, want %dB / %dB", jsonBytes, binBytes, wantJSON, wantBin)
 	}
 }

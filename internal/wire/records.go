@@ -12,7 +12,6 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -261,10 +260,12 @@ func (b Batch) Validate() error {
 
 // EncodeBatch validates and serialises a batch to JSON.
 func EncodeBatch(b Batch) ([]byte, error) {
-	if err := b.Validate(); err != nil {
+	buf, err := encodeScratch(&b)
+	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(b)
+	defer jsonScratch.Put(buf)
+	return append([]byte(nil), *buf...), nil
 }
 
 // DecodeBatch parses and validates a batch from JSON.
@@ -279,27 +280,34 @@ func DecodeBatch(data []byte) (Batch, error) {
 	return b, nil
 }
 
-// jsonSizeBufs recycles the scratch buffers EncodedSize marshals into:
-// the simulated uplink sizes every batch it ships, so without pooling
-// each Send allocates (and immediately discards) the full JSON encoding.
-var jsonSizeBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// jsonScratch recycles the buffers batches are encoded into, so sizing
+// a batch allocates nothing and encoding one allocates only its result,
+// once a buffer has grown to fit.
+var jsonScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// encodeScratch validates b and encodes it into a pooled buffer, which
+// the caller returns to jsonScratch when done with the bytes.
+func encodeScratch(b *Batch) (*[]byte, error) {
+	if err := b.Validate(); err != nil {
+		return nil, err
+	}
+	buf := jsonScratch.Get().(*[]byte)
+	out, err := AppendBatchJSON((*buf)[:0], b)
+	*buf = out
+	if err != nil {
+		jsonScratch.Put(buf)
+		return nil, err
+	}
+	return buf, nil
+}
 
 // EncodedSize returns the JSON size of the batch in bytes, the quantity
-// the uplink-bandwidth experiments sweep. The encoding is produced in a
-// pooled scratch buffer and discarded, so sizing does not allocate the
-// batch's wire image on every call.
+// the uplink-bandwidth experiments sweep.
 func EncodedSize(b Batch) (int, error) {
-	if err := b.Validate(); err != nil {
+	buf, err := encodeScratch(&b)
+	if err != nil {
 		return 0, err
 	}
-	buf := jsonSizeBufs.Get().(*bytes.Buffer)
-	defer func() {
-		buf.Reset()
-		jsonSizeBufs.Put(buf)
-	}()
-	if err := json.NewEncoder(buf).Encode(b); err != nil {
-		return 0, err
-	}
-	// Encoder appends a trailing newline that Marshal does not produce.
-	return buf.Len() - 1, nil
+	defer jsonScratch.Put(buf)
+	return len(*buf), nil
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -222,7 +223,7 @@ func TestEncodedSizeMatchesMarshal(t *testing.T) {
 		}}, Heartbeats: []Heartbeat{{TS: 2, Node: 5, UptimeS: 2, Firmware: "fw/1 <&>"}}},
 	}
 	for _, b := range batches {
-		data, err := EncodeBatch(b)
+		data, err := json.Marshal(b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +232,7 @@ func TestEncodedSizeMatchesMarshal(t *testing.T) {
 			t.Fatal(err)
 		}
 		if size != len(data) {
-			t.Fatalf("EncodedSize = %d, len(EncodeBatch) = %d", size, len(data))
+			t.Fatalf("EncodedSize = %d, len(json.Marshal) = %d", size, len(data))
 		}
 	}
 }

@@ -10,7 +10,7 @@
 #   scripts/ci.sh scale     # spatial-index suite (grid vs brute, reindex, mobility)
 #   scripts/ci.sh read      # streaming read path (cache equivalence, SSE, long-poll) under -race
 #   scripts/ci.sh energy    # energy-model suite (conservation, depletion/revival, lifetime) under -race
-#   scripts/ci.sh fuzz      # bounded fuzzing: chunk codec round-trip + chart query parser
+#   scripts/ci.sh fuzz      # bounded fuzzing: chunk codec round-trip + chart query parser + batch JSON appender
 #   scripts/ci.sh bench     # perf harness -> BENCH_NEW.json
 #   scripts/ci.sh compare   # perf gate vs committed BENCH_1.json
 #   scripts/ci.sh all       # everything, in order (the default)
@@ -81,6 +81,14 @@ stage_scale() {
     ./internal/radio
   go test -race -count=1 -run 'MobilityPauseExactDwell|CampusPlacement' \
     ./internal/scenario
+  # The route-table telemetry path: the sorted-vector routing table
+  # against its map reference (including the HELLO merge walk and its
+  # out-of-order fallback), and the reflection-free JSON appender
+  # against json.Marshal.
+  go test -race -count=1 -run 'TableMatchesMapReference|HelloMergeMatchesPerAdUpdates' \
+    ./internal/mesh
+  go test -race -count=1 -run 'AppendBatchJSONMatchesMarshal|AppendBatchJSONUnsupportedFloats|EncodedSizeAllocationFree' \
+    ./internal/wire
 }
 
 stage_read() {
@@ -135,6 +143,12 @@ stage_fuzz() {
   # and bucket count, known aggregator).
   go test -fuzz='^FuzzParseChartQuery$' -fuzztime=20s -run '^FuzzParseChartQuery$' \
     ./internal/dashboard
+  echo "== bounded fuzz: batch JSON appender =="
+  # Same budget for the uplink's reflection-free encoder: every input
+  # must encode byte-identically to json.Marshal, or fail exactly where
+  # it fails.
+  go test -fuzz='^FuzzAppendBatchJSON$' -fuzztime=20s -run '^FuzzAppendBatchJSON$' \
+    ./internal/wire
 }
 
 stage_bench() {
