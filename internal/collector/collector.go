@@ -508,27 +508,53 @@ func (c *Collector) Node(id wire.NodeID) (NodeInfo, bool) {
 }
 
 // Recent returns up to limit of the newest packet records, newest
-// first. The per-shard rings are merged on their global sequence
-// stamps, which reconstructs exactly the stream one collector-wide ring
-// of the same capacity would hold.
+// first (limit <= 0 means the whole configured capacity). Sequence
+// stamps increase in ring order within a shard, so each shard
+// contributes only its newest limit entries, walked back from the ring
+// head, and a k-way merge on the stamps reconstructs exactly the
+// stream one collector-wide ring of the same capacity would hold.
 func (c *Collector) Recent(limit int) []wire.PacketRecord {
-	var entries []recentEntry
-	for _, s := range c.shards {
+	want := c.cfg.RecentPackets
+	if limit > 0 && limit < want {
+		want = limit
+	}
+	runs := make([][]recentEntry, len(c.shards))
+	for i, s := range c.shards {
 		s.mu.RLock()
-		entries = append(entries, s.recent...)
+		runs[i] = s.newestRecent(want)
 		s.mu.RUnlock()
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].seq > entries[j].seq })
-	n := c.cfg.RecentPackets
-	if len(entries) < n {
-		n = len(entries)
+	out := make([]wire.PacketRecord, 0, want)
+	for len(out) < want {
+		best := -1
+		for i, r := range runs {
+			if len(r) > 0 && (best < 0 || r[0].seq > runs[best][0].seq) {
+				best = i
+			}
+		}
+		if best < 0 {
+			break
+		}
+		out = append(out, runs[best][0].rec)
+		runs[best] = runs[best][1:]
 	}
-	if limit <= 0 || limit > n {
-		limit = n
+	return out
+}
+
+// newestRecent copies up to n of the ring's newest entries, newest
+// first. Callers hold s.mu.
+func (s *shard) newestRecent(n int) []recentEntry {
+	if n > len(s.recent) {
+		n = len(s.recent)
 	}
-	out := make([]wire.PacketRecord, limit)
-	for i := range out {
-		out[i] = entries[i].rec
+	out := make([]recentEntry, n)
+	i := s.recentHead
+	for k := range out {
+		if i == 0 {
+			i = len(s.recent)
+		}
+		i--
+		out[k] = s.recent[i]
 	}
 	return out
 }
@@ -769,6 +795,8 @@ func (s *shard) ingest(b wire.Batch, persist bool) (bool, error) {
 	for _, h := range b.Heartbeats {
 		s.ingestHeartbeat(st, h)
 	}
+	// Retention runs after every batch; the store walks its series only
+	// when a cutoff has passed its oldest data.
 	if maxTS := c.MaxTS(); c.cfg.tiered() {
 		c.db.Retain(maxTS)
 	} else if c.cfg.RetentionS > 0 && maxTS > c.cfg.RetentionS {

@@ -2,8 +2,11 @@
 // dashboard through which the paper's server "visualizes the
 // information": a network overview, per-node detail pages with charts,
 // a live traffic view, an inferred-topology graph and the active alerts.
-// Everything is rendered server-side with html/template and hand-rolled
-// SVG, so the whole system stays stdlib-only.
+// Everything is rendered server-side, so the whole system stays
+// stdlib-only: page skeletons and small panels with html/template, the
+// two large tables (overview nodes, traffic packets) with typed row
+// appenders (rows.go), and charts and the topology graph as hand-rolled
+// SVG.
 package dashboard
 
 import (
@@ -155,25 +158,10 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-type nodeRow struct {
-	ID         string
-	Up         bool
-	LastBeat   string
-	Uptime     string
-	Firmware   string
-	Routes     int
-	QueueLen   int
-	DutyCycle  string
-	Battery    string // "74% (3.89 V)", or "—" for mains-powered nodes
-	BatteryLow bool
-	BatchesOK  uint64
-	BatchesBad uint64
-}
-
 type overviewData struct {
 	Title   string
 	Now     string
-	Nodes   []nodeRow
+	Rows    template.HTML // node table rows, see appendOverviewRows
 	Alerts  []alert.Alert
 	Stats   collector.Stats
 	PDR     string
@@ -182,36 +170,11 @@ type overviewData struct {
 
 func (s *Server) handleOverview(w http.ResponseWriter, _ *http.Request) {
 	now := s.coll.MaxTS()
-	var rows []nodeRow
-	for _, n := range s.coll.Nodes() {
-		row := nodeRow{
-			ID:         n.ID.String(),
-			Up:         now-n.LastBeatTS <= s.cfg.DownAfterS,
-			LastBeat:   fmt.Sprintf("%.0fs", n.LastBeatTS),
-			Uptime:     fmt.Sprintf("%.0fs", n.UptimeS),
-			Firmware:   n.Firmware,
-			BatchesOK:  n.BatchesOK,
-			BatchesBad: n.BatchesLost,
-		}
-		if n.LastStats != nil {
-			row.Routes = n.LastStats.RouteCount
-			row.QueueLen = n.LastStats.QueueLen
-			row.DutyCycle = fmt.Sprintf("%.3f%%", 100*n.LastStats.DutyCycleUsed)
-			if n.LastStats.Energy {
-				row.Battery = fmt.Sprintf("%.0f%% (%.2f V)",
-					100*n.LastStats.BatteryFrac, n.LastStats.BatteryV)
-				row.BatteryLow = n.LastStats.BatteryFrac <= 0.2
-			}
-		}
-		if row.Battery == "" {
-			row.Battery = "—"
-		}
-		rows = append(rows, row)
-	}
+	nodes := s.coll.Nodes()
 	data := overviewData{
 		Title: s.cfg.Title,
 		Now:   fmt.Sprintf("%.0fs", now),
-		Nodes: rows,
+		Rows:  template.HTML(appendOverviewRows(make([]byte, 0, rowBytes*len(nodes)), nodes, now, s.cfg.DownAfterS)),
 		Stats: s.coll.Stats(),
 	}
 	if s.engine != nil {
@@ -262,12 +225,14 @@ func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
 }
 
 type trafficData struct {
-	Title   string
-	Packets []wire.PacketRecord
+	Title string
+	Rows  template.HTML // packet table rows, see appendTrafficRows
 }
 
 func (s *Server) handleTraffic(w http.ResponseWriter, _ *http.Request) {
-	s.render(w, "traffic", trafficData{Title: s.cfg.Title, Packets: s.coll.Recent(100)})
+	pkts := s.coll.Recent(100)
+	rows := appendTrafficRows(make([]byte, 0, rowBytes*len(pkts)), pkts)
+	s.render(w, "traffic", trafficData{Title: s.cfg.Title, Rows: template.HTML(rows)})
 }
 
 type alertsData struct {
@@ -377,12 +342,7 @@ h1{font-size:20px}h2{font-size:16px}
 {{range .Alerts}}<div class="alert"><b>{{.Kind}}</b> [{{.Severity}}] {{.Message}}</div>{{end}}
 <h2>Nodes</h2>
 <table><tr><th>Node</th><th>Status</th><th>Last beat</th><th>Uptime</th><th>Routes</th><th>Queue</th><th>Duty</th><th>Battery</th><th>Batches</th><th>Lost</th><th>Firmware</th></tr>
-{{range .Nodes}}<tr>
-<td><a href="/node/{{.ID}}">{{.ID}}</a></td>
-<td>{{if .Up}}<span class="up">up</span>{{else}}<span class="down">down</span>{{end}}</td>
-<td>{{.LastBeat}}</td><td>{{.Uptime}}</td><td>{{.Routes}}</td><td>{{.QueueLen}}</td>
-<td>{{.DutyCycle}}</td><td>{{if .BatteryLow}}<span class="down">{{.Battery}}</span>{{else}}{{.Battery}}{{end}}</td><td>{{.BatchesOK}}</td><td>{{.BatchesBad}}</td><td>{{.Firmware}}</td>
-</tr>{{end}}
+{{.Rows}}
 </table>
 {{template "foot" .}}{{end}}
 
@@ -407,13 +367,7 @@ h1{font-size:20px}h2{font-size:16px}
 {{define "traffic"}}{{template "head" .}}
 <h2>Recent LoRa packets</h2>
 <table><tr><th>t</th><th>Node</th><th>Event</th><th>Type</th><th>Src</th><th>Dst</th><th>Via</th><th>Seq</th><th>TTL</th><th>Bytes</th><th>RSSI</th><th>SNR</th><th>Reason</th></tr>
-{{range .Packets}}<tr>
-<td>{{printf "%.1f" .TS}}</td><td>{{.Node}}</td><td>{{.Event}}</td><td>{{.Type}}</td>
-<td>{{.Src}}</td><td>{{.Dst}}</td><td>{{.Via}}</td><td>{{.Seq}}</td><td>{{.TTL}}</td><td>{{.Size}}</td>
-<td>{{if .RSSIdBm}}{{printf "%.0f" .RSSIdBm}}{{end}}</td>
-<td>{{if .SNRdB}}{{printf "%.1f" .SNRdB}}{{end}}</td>
-<td>{{.Reason}}</td>
-</tr>{{end}}
+{{.Rows}}
 </table>
 {{template "foot" .}}{{end}}
 

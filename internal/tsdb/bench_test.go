@@ -40,3 +40,23 @@ func BenchmarkDownsample(b *testing.B) {
 		Downsample(pts, 0, 1000, AggAvg)
 	}
 }
+
+// BenchmarkRetainNothingExpired is the retention call the collector
+// makes after every accepted batch, on a 10 000-series tiered store
+// whose horizons reach far beyond its data.
+func BenchmarkRetainNothingExpired(b *testing.B) {
+	db := New()
+	db.ConfigureTiers(Retention{Rollup1mS: 86400})
+	for s := 0; s < 10_000; s++ {
+		h := db.Series("m", Labels{"node": fmt.Sprintf("N%04X", s)})
+		for i := 0; i < 20; i++ {
+			h.Append(float64(i*60), 1)
+		}
+	}
+	db.Retain(7200)
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		db.Retain(7200)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 )
 
 // Snapshot/Restore persist the whole store, giving the collector binary
@@ -130,6 +131,7 @@ func (db *DB) Load(dump SnapshotDump) error {
 				key:    key,
 				head:   append([]Point(nil), sd.Points...),
 			}
+			s.headNaN = slices.ContainsFunc(s.head, func(p Point) bool { return p.TS != p.TS })
 			prevMax := 0.0
 			for i, c := range sd.Blocks {
 				if c.Cols != 1 {
@@ -206,6 +208,11 @@ func (db *DB) Load(dump SnapshotDump) error {
 	}
 	db.metrics = metrics
 	db.cuts = [1 + tierCount]float64{}
+	// The loaded series are unarmed and their oldest timestamps unknown:
+	// the next Retain/Prune sweeps.
+	db.armed = false
+	db.wm.Store(negInfBits)
+	db.fresh.Store(0)
 	db.mu.Unlock()
 	db.points.Store(int64(points))
 	db.rawBytes.Store(rawBytes)

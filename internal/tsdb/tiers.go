@@ -327,50 +327,11 @@ type Retention struct {
 func (db *DB) ConfigureTiers(r Retention) {
 	db.tiersOn = true
 	db.retain = [1 + tierCount]float64{r.RawS, r.Rollup1mS, r.Rollup1hS}
+	db.wm.Store(negInfBits) // the tiers that can evict changed: sweep next time
 }
 
 // TiersEnabled reports whether rollup tiers are being maintained.
 func (db *DB) TiersEnabled() bool { return db.tiersOn }
-
-// Retain applies every configured retention horizon relative to now
-// (normally the newest ingested timestamp): each tier independently
-// evicts data older than its horizon, and series empty across all tiers
-// are removed. It returns the number of raw samples dropped.
-func (db *DB) Retain(now float64) int {
-	dropped := 0
-	db.mu.Lock()
-	if db.retain[0] > 0 {
-		before := now - db.retain[0]
-		if before > db.cuts[0] {
-			db.cuts[0] = before
-		}
-		dropped = db.pruneRawLocked(before)
-	}
-	for t := 0; t < tierCount; t++ {
-		if db.retain[t+1] <= 0 {
-			continue
-		}
-		before := now - db.retain[t+1]
-		if before > db.cuts[t+1] {
-			db.cuts[t+1] = before
-		}
-		for _, byLabels := range db.metrics {
-			for _, s := range byLabels {
-				s.mu.Lock()
-				s.rolls[t].prune(db, before)
-				s.mu.Unlock()
-			}
-		}
-	}
-	db.removeEmptyLocked()
-	db.mu.Unlock()
-	db.points.Add(int64(-dropped))
-	if m := db.inst.Load(); m != nil {
-		m.pruneRuns.Inc()
-		m.pruneDropped.Add(float64(dropped))
-	}
-	return dropped
-}
 
 // tierCounts returns how many series have data in rollup tier t and the
 // total bucket count across them.

@@ -157,6 +157,10 @@ type series struct {
 	// replaced wholesale by Load); cached Series handles revalidate
 	// against it before appending.
 	dead bool
+	// fresh marks a series registered but never appended to, armed one
+	// whose appends maintain the retention watermark, and headNaN a head
+	// that may hold a NaN timestamp (see retention.go).
+	fresh, armed, headNaN bool
 }
 
 // sortHead restores time order after out-of-order appends. Callers
@@ -176,13 +180,28 @@ func (s *series) append(db *DB, ts, value float64) {
 		s.headSorted = false
 	}
 	s.head = append(s.head, Point{TS: ts, Value: value})
-	if !s.hasLast || ts >= s.lastTS {
+	switch {
+	case !s.hasLast:
 		s.lastTS, s.lastVal, s.hasLast = ts, value, true
+		if ts != ts {
+			s.headNaN = true
+		}
+		if s.fresh {
+			s.fresh = false
+			db.fresh.Add(-1)
+		}
+	case ts >= s.lastTS:
+		s.lastTS, s.lastVal = ts, value
+	case ts != ts:
+		s.headNaN = true
 	}
 	if db.tiersOn {
 		for t := range s.rolls {
 			s.rolls[t].feed(db, tierSteps[t], ts, value)
 		}
+	}
+	if s.armed {
+		db.lowerWatermark(db.evictBound(ts))
 	}
 	if len(s.head) >= db.sealEvery {
 		s.seal(db)
@@ -212,6 +231,7 @@ func (s *series) seal(db *DB) {
 	s.blocks = append(s.blocks, c)
 	s.head = s.head[:0]
 	s.headSorted = true
+	s.headNaN = false
 	db.rawBytes.Add(int64(len(c.Data)))
 	db.rawSealed.Add(int64(c.Count))
 	if inst != nil {
@@ -415,6 +435,14 @@ type DB struct {
 	// what tier selection consults to know how far back each tier still
 	// has data. Guarded by mu.
 	cuts [1 + tierCount]float64
+	// wm is the retention watermark (float64 bits): a lower bound on the
+	// oldest timestamp retention could evict. armed (guarded by mu) is
+	// set once a sweep has run, so new series maintain wm on append;
+	// fresh counts series registered but never appended to. See
+	// retention.go.
+	wm    atomic.Uint64
+	armed bool
+	fresh atomic.Int64
 
 	// Compression accounting (sealed data only; the head is raw).
 	rawBytes  atomic.Int64 // compressed bytes across raw-tier chunks
@@ -428,12 +456,13 @@ type DB struct {
 
 // dbInstruments are the store's own health metrics.
 type dbInstruments struct {
-	appends      *metrics.Counter
-	pruneRuns    *metrics.Counter
-	pruneDropped *metrics.Counter
-	queryLatency *metrics.Histogram
-	sealDuration *metrics.Histogram
-	rollupOOO    *metrics.Counter
+	appends         *metrics.Counter
+	pruneRuns       *metrics.Counter
+	retentionSweeps *metrics.Counter
+	pruneDropped    *metrics.Counter
+	queryLatency    *metrics.Histogram
+	sealDuration    *metrics.Histogram
+	rollupOOO       *metrics.Counter
 }
 
 // Instrument registers the store's self-observability metrics into reg:
@@ -446,7 +475,9 @@ func (db *DB) Instrument(reg *metrics.Registry) {
 		appends: reg.NewCounter("meshmon_tsdb_appends_total",
 			"Samples appended to the time-series store."),
 		pruneRuns: reg.NewCounter("meshmon_tsdb_prune_runs_total",
-			"Retention prune passes executed."),
+			"Retention calls (Retain/Prune), whether or not they walked the store."),
+		retentionSweeps: reg.NewCounter("meshmon_tsdb_retention_sweeps_total",
+			"Retention passes that walked the store (the rest found nothing expired)."),
 		pruneDropped: reg.NewCounter("meshmon_tsdb_prune_dropped_total",
 			"Samples dropped by retention pruning."),
 		queryLatency: reg.NewHistogram("meshmon_tsdb_query_seconds",
@@ -487,10 +518,12 @@ func (db *DB) Instrument(reg *metrics.Registry) {
 
 // New returns an empty store with rollup tiers disabled.
 func New() *DB {
-	return &DB{
+	db := &DB{
 		metrics:   make(map[string]map[string]*series),
 		sealEvery: defaultSealEvery,
 	}
+	db.wm.Store(negInfBits)
+	return db
 }
 
 // SetSealEvery overrides the head-block size that triggers compression
@@ -525,8 +558,9 @@ func (db *DB) getOrCreateLocked(name, key string, labels []labelPair) *series {
 	}
 	s, ok := byLabels[key]
 	if !ok {
-		s = &series{labels: labels, key: key, headSorted: true}
+		s = &series{labels: labels, key: key, headSorted: true, fresh: true, armed: db.armed}
 		byLabels[key] = s
+		db.fresh.Add(1)
 	}
 	return s
 }
@@ -884,6 +918,9 @@ func (s *series) pruneSeriesRaw(db *DB, before float64) int {
 			dropped += cut
 			s.head = append(s.head[:0], s.head[cut:]...)
 		}
+		if len(s.head) == 0 {
+			s.headNaN = false
+		}
 	}
 	return dropped
 }
@@ -898,58 +935,6 @@ func (s *series) hasRollupData() bool {
 		}
 	}
 	return false
-}
-
-// Prune drops every raw sample with TS < before and removes series that
-// are empty across every tier. It returns how many raw samples were
-// dropped. (With rollup tiers configured, prefer Retain, which applies
-// each tier's own horizon.)
-func (db *DB) Prune(before float64) int {
-	db.mu.Lock()
-	if before > db.cuts[0] {
-		db.cuts[0] = before
-	}
-	dropped := db.pruneRawLocked(before)
-	db.removeEmptyLocked()
-	db.mu.Unlock()
-	db.points.Add(int64(-dropped))
-	if m := db.inst.Load(); m != nil {
-		m.pruneRuns.Inc()
-		m.pruneDropped.Add(float64(dropped))
-	}
-	return dropped
-}
-
-// pruneRawLocked applies a raw-tier cutoff across all series. Callers
-// hold the index write lock.
-func (db *DB) pruneRawLocked(before float64) int {
-	dropped := 0
-	for _, byLabels := range db.metrics {
-		for _, s := range byLabels {
-			s.mu.Lock()
-			dropped += s.pruneSeriesRaw(db, before)
-			s.mu.Unlock()
-		}
-	}
-	return dropped
-}
-
-// removeEmptyLocked deletes series that hold no data in any tier, and
-// metric names with no series left. Callers hold the index write lock.
-func (db *DB) removeEmptyLocked() {
-	for name, byLabels := range db.metrics {
-		for key, s := range byLabels {
-			s.mu.Lock()
-			if s.rawCount() == 0 && !s.hasRollupData() {
-				s.dead = true // cached Series handles re-register on next Append
-				delete(byLabels, key)
-			}
-			s.mu.Unlock()
-		}
-		if len(byLabels) == 0 {
-			delete(db.metrics, name)
-		}
-	}
 }
 
 // Agg selects an aggregation function.

@@ -21,7 +21,13 @@ import (
 // NodeID is a mesh node address (16-bit, LoRaMesher-style).
 type NodeID uint16
 
-func (n NodeID) String() string { return fmt.Sprintf("N%04X", uint16(n)) }
+func (n NodeID) String() string { return string(n.Append(make([]byte, 0, 5))) }
+
+// Append appends the String form, N and four upper-case hex digits.
+func (n NodeID) Append(b []byte) []byte {
+	const hex = "0123456789ABCDEF"
+	return append(b, 'N', hex[n>>12], hex[n>>8&0xF], hex[n>>4&0xF], hex[n&0xF])
+}
 
 // BroadcastID mirrors the mesh broadcast address in telemetry.
 const BroadcastID NodeID = 0xFFFF

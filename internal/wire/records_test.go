@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -167,6 +168,11 @@ func TestEncodedSizeMatchesEncoding(t *testing.T) {
 func TestNodeIDString(t *testing.T) {
 	if got := NodeID(0x1A2B).String(); got != "N1A2B" {
 		t.Fatalf("String = %q", got)
+	}
+	for id := 0; id < 1<<16; id++ {
+		if got, want := string(NodeID(id).Append([]byte("x"))), "x"+fmt.Sprintf("N%04X", id); got != want {
+			t.Fatalf("Append(%d) = %q, want %q", id, got, want)
+		}
 	}
 }
 

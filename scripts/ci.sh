@@ -10,7 +10,7 @@
 #   scripts/ci.sh scale     # spatial-index suite (grid vs brute, reindex, mobility)
 #   scripts/ci.sh read      # streaming read path (cache equivalence, SSE, long-poll) under -race
 #   scripts/ci.sh energy    # energy-model suite (conservation, depletion/revival, lifetime) under -race
-#   scripts/ci.sh fuzz      # bounded fuzzing: chunk codec round-trip + chart query parser + batch JSON appender
+#   scripts/ci.sh fuzz      # bounded fuzzing: chunk codec round-trip + chart query parser + batch JSON appender + overview row appender
 #   scripts/ci.sh bench     # perf harness -> BENCH_NEW.json
 #   scripts/ci.sh compare   # perf gate vs committed BENCH_1.json
 #   scripts/ci.sh all       # everything, in order (the default)
@@ -41,8 +41,10 @@ stage_test() {
   # The compression codec's round-trip guarantees run again by name (the
   # quick/adversarial suites plus a bounded pass over the fuzz corpus):
   # a refactor that renames them out of the suite fails here instead of
-  # silently losing the coverage.
-  go test -race -count=1 -run 'ChunkRoundTrip|ChunkTruncated|DBOutOfOrder|FuzzChunkRoundTrip' \
+  # silently losing the coverage. The retention watermark gate runs by
+  # name too: gated vs forced-full-sweep equivalence and the
+  # out-of-order-append race hammer.
+  go test -race -count=1 -run 'ChunkRoundTrip|ChunkTruncated|DBOutOfOrder|FuzzChunkRoundTrip|RetainMatchesFullSweep|RetainRaceOutOfOrderAppends' \
     ./internal/tsdb
 }
 
@@ -100,13 +102,15 @@ stage_read() {
   # long-poll semantics, the cached-panel race hammer, the SSE baseline
   # race regression (an ingest before the hub starts still streams), and
   # the counters the hub fingerprints from (Stats().NodesKnown and
-  # LinksKnown == the materialised lists). Writers, HTTP readers and the
-  # SSE hub all share state, so -race is load-bearing here.
+  # LinksKnown == the materialised lists), the typed row appenders and
+  # every HTML panel against the former templates, and the ring-walk
+  # Recent against copy-and-sort. Writers, HTTP readers and the SSE hub
+  # all share state, so -race is load-bearing here.
   go test -race -count=1 ./internal/readcache
   go test -race -count=1 \
-    -run 'CacheEquivalence|CacheServesStampedEpoch|SSE|LongPoll|CachedReadsAndSSEUnderIngest|ChartQuery|ChartJSON|SSEDeltaForIngestBeforeHubStart|Fingerprint' \
+    -run 'CacheEquivalence|CacheServesStampedEpoch|SSE|LongPoll|CachedReadsAndSSEUnderIngest|ChartQuery|ChartJSON|SSEDeltaForIngestBeforeHubStart|Fingerprint|OverviewRowsMatchTemplate|TrafficRowsMatchTemplate|PagesMatchParentTemplates' \
     ./internal/dashboard
-  go test -race -count=1 -run 'KnownCountsMatchMaterialised' ./internal/collector
+  go test -race -count=1 -run 'KnownCountsMatchMaterialised|RecentMatchesCopyAndSort' ./internal/collector
 }
 
 stage_energy() {
@@ -149,6 +153,11 @@ stage_fuzz() {
   # it fails.
   go test -fuzz='^FuzzAppendBatchJSON$' -fuzztime=20s -run '^FuzzAppendBatchJSON$' \
     ./internal/wire
+  echo "== bounded fuzz: overview row appender =="
+  # Same budget for the dashboard's typed row appender: every input must
+  # render byte-identically to the former html/template row.
+  go test -fuzz='^FuzzOverviewRows$' -fuzztime=20s -run '^FuzzOverviewRows$' \
+    ./internal/dashboard
 }
 
 stage_bench() {
