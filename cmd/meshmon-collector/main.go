@@ -40,7 +40,6 @@ import (
 func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
-		retention   = flag.Float64("retention", 0, "alias for -retain-raw (kept for compatibility)")
 		retainRaw   = flag.Float64("retain-raw", 0, "drop raw samples older than this many seconds behind the newest (0 = keep all)")
 		retain1m    = flag.Float64("retain-1m", 0, "keep 1-minute rollups for this many seconds (0 with -retain-1h set = forever; both 0 = rollups off)")
 		retain1h    = flag.Float64("retain-1h", 0, "keep 1-hour rollups for this many seconds (0 with -retain-1m set = forever; both 0 = rollups off)")
@@ -53,8 +52,7 @@ func main() {
 		fsync       = flag.String("fsync", "batch", "WAL fsync policy: batch (acked = durable), interval, or off")
 		fsyncEvery  = flag.Duration("fsync-every", 100*time.Millisecond, "flush cadence under -fsync interval")
 		segBytes    = flag.Int64("wal-segment-bytes", 8<<20, "rotate WAL segments at this size")
-		snapshot    = flag.String("snapshot", "", "persist only the time-series store to this file (legacy; superseded by -data-dir)")
-		snapEvery   = flag.Duration("snapshot-every", time.Minute, "checkpoint cadence with -data-dir; tsdb snapshot cadence with -snapshot")
+		snapEvery   = flag.Duration("snapshot-every", time.Minute, "checkpoint cadence with -data-dir")
 		enablePprof = flag.Bool("pprof", false, "expose net/http/pprof profiling under /debug/pprof/")
 		noCache     = flag.Bool("no-read-cache", false, "disable the epoch-keyed panel response cache (re-render every request)")
 		cacheSize   = flag.Int("read-cache-entries", 512, "panel response cache capacity")
@@ -67,13 +65,6 @@ func main() {
 	reg := metrics.NewRegistry()
 	db := tsdb.New()
 	db.Instrument(reg)
-	if *snapshot != "" && *dataDir == "" {
-		if err := db.RestoreFile(*snapshot); err == nil {
-			log.Printf("restored time-series store from %s (%d points)", *snapshot, db.PointCount())
-		} else if !os.IsNotExist(errUnwrapAll(err)) {
-			log.Printf("warning: could not restore %s: %v", *snapshot, err)
-		}
-	}
 
 	var wlog *wal.Log
 	if *dataDir != "" {
@@ -91,14 +82,10 @@ func main() {
 			log.Fatalf("open WAL: %v", err)
 		}
 	}
-	rawHorizon := *retainRaw
-	if rawHorizon == 0 {
-		rawHorizon = *retention
-	}
 	coll := collector.New(db, collector.Config{
 		RecentPackets: *recent,
 		Shards:        *shards,
-		RetentionS:    rawHorizon,
+		RetentionS:    *retainRaw,
 		Retain1mS:     *retain1m,
 		Retain1hS:     *retain1h,
 		Metrics:       reg,
@@ -134,22 +121,13 @@ func main() {
 		}
 	}()
 
-	switch {
-	case wlog != nil:
+	if wlog != nil {
 		// Periodic checkpoints bound recovery time: snapshot the collector
 		// and drop the WAL segments the snapshot covers.
 		go func() {
 			for range time.Tick(*snapEvery) {
 				if err := coll.Checkpoint(wlog); err != nil {
 					log.Printf("checkpoint failed: %v", err)
-				}
-			}
-		}()
-	case *snapshot != "":
-		go func() {
-			for range time.Tick(*snapEvery) {
-				if err := db.SnapshotFile(*snapshot); err != nil {
-					log.Printf("snapshot failed: %v", err)
 				}
 			}
 		}()
@@ -215,21 +193,6 @@ func main() {
 		if err := wlog.Seal(); err != nil {
 			log.Printf("seal WAL: %v", err)
 		}
-	} else if *snapshot != "" {
-		if err := db.SnapshotFile(*snapshot); err != nil {
-			log.Printf("final snapshot failed: %v", err)
-		}
 	}
 	log.Printf("meshmon-collector stopped")
-}
-
-// errUnwrapAll unwraps to the innermost error for os.IsNotExist checks.
-func errUnwrapAll(err error) error {
-	for {
-		inner := errors.Unwrap(err)
-		if inner == nil {
-			return err
-		}
-		err = inner
-	}
 }

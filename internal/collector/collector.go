@@ -14,9 +14,10 @@
 // cross-shard state is the record-time high-water mark (an atomic) and
 // the shared WAL appender, which group-commits concurrent shards into
 // one fsync. Read APIs (Nodes, Links, Recent, Stats) merge the shards
-// under sequential read locks and sort, so their output is
-// deterministic but not a single point-in-time cut; snapshot paths that
-// need a consistent cut across every shard briefly stop the world (see
+// under sequential read locks, each shard contributing one sorted run
+// to a k-way merge (tsdb.MergeRuns), so their output is deterministic
+// but not a single point-in-time cut; snapshot paths that need a
+// consistent cut across every shard briefly stop the world (see
 // persist.go).
 //
 // # Metric schema
@@ -52,7 +53,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -483,16 +483,18 @@ func (c *Collector) Stats() Stats {
 
 // Nodes returns the registry merged across shards, sorted by node ID.
 func (c *Collector) Nodes() []NodeInfo {
-	var out []NodeInfo
-	for _, s := range c.shards {
+	runs := make([][]NodeInfo, len(c.shards))
+	for i, s := range c.shards {
 		s.mu.RLock()
+		run := make([]NodeInfo, 0, len(s.nodes))
 		for _, n := range s.nodes {
-			out = append(out, n.info)
+			run = append(run, n.info)
 		}
 		s.mu.RUnlock()
+		sortNodes(run)
+		runs[i] = run
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return MergeNodes(runs)
 }
 
 // Node returns the registry entry for id.
@@ -511,8 +513,8 @@ func (c *Collector) Node(id wire.NodeID) (NodeInfo, bool) {
 // first (limit <= 0 means the whole configured capacity). Sequence
 // stamps increase in ring order within a shard, so each shard
 // contributes only its newest limit entries, walked back from the ring
-// head, and a k-way merge on the stamps reconstructs exactly the
-// stream one collector-wide ring of the same capacity would hold.
+// head, and merging them on the stamps reconstructs exactly the stream
+// one collector-wide ring of the same capacity would hold.
 func (c *Collector) Recent(limit int) []wire.PacketRecord {
 	want := c.cfg.RecentPackets
 	if limit > 0 && limit < want {
@@ -524,21 +526,7 @@ func (c *Collector) Recent(limit int) []wire.PacketRecord {
 		runs[i] = s.newestRecent(want)
 		s.mu.RUnlock()
 	}
-	out := make([]wire.PacketRecord, 0, want)
-	for len(out) < want {
-		best := -1
-		for i, r := range runs {
-			if len(r) > 0 && (best < 0 || r[0].seq > runs[best][0].seq) {
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		out = append(out, runs[best][0].rec)
-		runs[best] = runs[best][1:]
-	}
-	return out
+	return mergeRecent(runs, want)
 }
 
 // newestRecent copies up to n of the ring's newest entries, newest
@@ -846,23 +834,25 @@ func (s *shard) ingestPacket(p wire.PacketRecord) {
 // by (tx, rx). With from > 0, only links heard at or after that
 // timestamp are included.
 func (c *Collector) Links(from float64) []LinkObs {
-	var out []LinkObs
-	for _, s := range c.shards {
+	runs := make([][]LinkObs, len(c.shards))
+	for i, s := range c.shards {
 		s.mu.RLock()
-		for _, l := range s.links {
-			if l.LastTS >= from {
-				out = append(out, *l)
-			}
-		}
+		runs[i] = s.linkRun(func(l *LinkObs) bool { return l.LastTS >= from })
 		s.mu.RUnlock()
+		sortLinks(runs[i])
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Tx != out[j].Tx {
-			return out[i].Tx < out[j].Tx
+	return MergeLinks(runs)
+}
+
+// linkRun copies the shard's links that pass keep. Callers hold s.mu.
+func (s *shard) linkRun(keep func(*LinkObs) bool) []LinkObs {
+	run := make([]LinkObs, 0, len(s.links))
+	for _, l := range s.links {
+		if keep(l) {
+			run = append(run, *l)
 		}
-		return out[i].Rx < out[j].Rx
-	})
-	return out
+	}
+	return run
 }
 
 func (s *shard) ingestRoutes(st *nodeState, r wire.RouteSnapshot) {

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -13,10 +12,6 @@ import (
 	"lorameshmon/internal/tsdb"
 	"lorameshmon/internal/wire"
 )
-
-// maxBodyBytes bounds ingest request bodies (a full batch of 256 packet
-// records is well under 100 KiB).
-const maxBodyBytes = 1 << 20
 
 // APIHandler returns the collector's JSON API:
 //
@@ -96,21 +91,10 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 
 func (c *Collector) handleIngest(w http.ResponseWriter, r *http.Request) {
 	defer r.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	batch, body, err := wire.ReadBatch(r.Body)
+	if errors.Is(err, wire.ErrBatchTooLarge) {
+		writeErr(w, http.StatusRequestEntityTooLarge, fmt.Errorf("collector: %w", err))
 		return
-	}
-	if len(body) > maxBodyBytes {
-		writeErr(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("collector: batch exceeds %d bytes", maxBodyBytes))
-		return
-	}
-	var batch wire.Batch
-	if wire.IsBinaryBatch(body) {
-		batch, err = wire.DecodeBatchBinary(body)
-	} else {
-		batch, err = wire.DecodeBatch(body)
 	}
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)

@@ -99,7 +99,7 @@ func TestHTTPIngestRejectsBadBody(t *testing.T) {
 
 func TestHTTPIngestRejectsOversizedBody(t *testing.T) {
 	_, srv := newServer(t)
-	big := strings.Repeat("x", maxBodyBytes+10)
+	big := strings.Repeat("x", wire.MaxBatchBytes+10)
 	resp, err := http.Post(srv.URL+"/api/v1/ingest", "application/json", strings.NewReader(big))
 	if err != nil {
 		t.Fatal(err)

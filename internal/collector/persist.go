@@ -1,10 +1,11 @@
 package collector
 
 import (
+	"cmp"
 	"encoding/gob"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"lorameshmon/internal/tsdb"
 	"lorameshmon/internal/wal"
@@ -17,11 +18,12 @@ import (
 // exactly on a batch boundary: the snapshot path write-locks every
 // shard (a brief stop-the-world), so the cut is consistent across all
 // of them — no shard contributes a batch the others haven't fully
-// ingested. The snapshot format itself is shard-agnostic (everything is
-// merged and sorted before encoding), so a log written under one shard
-// count recovers under any other. Recovery restores the newest snapshot
-// and replays the WAL tail through the normal dedup state machine, so
-// the rebuilt state is identical to what the collector had acknowledged
+// ingested. The snapshot format itself is shard-agnostic (every list is
+// merged from per-shard sorted runs before encoding), so a log written
+// under one shard count recovers under any other. Recovery restores the
+// newest snapshot and replays the WAL tail through the normal dedup
+// state machine, so the rebuilt state is identical to what the
+// collector had acknowledged
 // before the crash.
 
 // collectorSnapshotVersion guards the snapshot schema.
@@ -57,63 +59,50 @@ func (c *Collector) WriteSnapshot(w io.Writer) error {
 }
 
 // writeSnapshotAllLocked is WriteSnapshot with every shard lock already
-// held (the checkpoint path locks before cutting the WAL). All shard
-// state is merged and sorted, so the encoding is deterministic and
-// carries no trace of the shard layout.
+// held (the checkpoint path locks before cutting the WAL).
 func (c *Collector) writeSnapshotAllLocked(w io.Writer) error {
+	if err := gob.NewEncoder(w).Encode(c.dumpAllLocked()); err != nil {
+		return fmt.Errorf("collector: snapshot: %w", err)
+	}
+	return nil
+}
+
+// dumpAllLocked captures the full state with every shard lock held.
+// Every list is a merge of per-shard sorted runs — the same merges the
+// read APIs use — so the dump is deterministic and carries no trace of
+// the shard layout.
+func (c *Collector) dumpAllLocked() snapshotDump {
+	byID := func(a, b *nodeDump) int { return cmp.Compare(a.Info.ID, b.Info.ID) }
+	nodes := make([][]nodeDump, len(c.shards))
+	links := make([][]LinkObs, len(c.shards))
+	recent := make([][]recentEntry, len(c.shards))
 	dump := snapshotDump{
 		Version: collectorSnapshotVersion,
-		Recent:  c.recentOldestFirstAllLocked(),
 		MaxTS:   c.MaxTS(),
 		DB:      c.db.Dump(),
 	}
-	for _, sh := range c.shards {
+	for i, sh := range c.shards {
 		dump.Stats.add(sh.stats)
 		for _, st := range sh.nodes {
 			nd := nodeDump{Info: st.info, LastSeq: st.lastSeq, Seen: st.seen}
 			for s := range st.missing {
 				nd.Missing = append(nd.Missing, s)
 			}
-			sort.Slice(nd.Missing, func(i, j int) bool { return nd.Missing[i] < nd.Missing[j] })
-			dump.Nodes = append(dump.Nodes, nd)
+			slices.Sort(nd.Missing)
+			nodes[i] = append(nodes[i], nd)
 		}
-		for _, l := range sh.links {
-			dump.Links = append(dump.Links, *l)
-		}
+		slices.SortFunc(nodes[i], func(a, b nodeDump) int { return byID(&a, &b) })
+		links[i] = sh.linkRun(func(*LinkObs) bool { return true })
+		sortLinks(links[i])
+		recent[i] = sh.newestRecent(c.cfg.RecentPackets)
 	}
-	sort.Slice(dump.Nodes, func(i, j int) bool { return dump.Nodes[i].Info.ID < dump.Nodes[j].Info.ID })
-	sort.Slice(dump.Links, func(i, j int) bool {
-		if dump.Links[i].Tx != dump.Links[j].Tx {
-			return dump.Links[i].Tx < dump.Links[j].Tx
-		}
-		return dump.Links[i].Rx < dump.Links[j].Rx
-	})
-	if err := gob.NewEncoder(w).Encode(dump); err != nil {
-		return fmt.Errorf("collector: snapshot: %w", err)
-	}
-	return nil
-}
-
-// recentOldestFirstAllLocked linearises the recent-packet stream across
-// all shard rings, oldest first, trimmed to the configured capacity —
-// exactly what a single collector-wide ring would hold.
-func (c *Collector) recentOldestFirstAllLocked() []wire.PacketRecord {
-	var entries []recentEntry
-	for _, sh := range c.shards {
-		entries = append(entries, sh.recent...)
-	}
-	if len(entries) == 0 {
-		return nil
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].seq < entries[j].seq })
-	if len(entries) > c.cfg.RecentPackets {
-		entries = entries[len(entries)-c.cfg.RecentPackets:]
-	}
-	out := make([]wire.PacketRecord, len(entries))
-	for i, e := range entries {
-		out[i] = e.rec
-	}
-	return out
+	dump.Nodes = tsdb.MergeRuns(nil, nodes, byID, nil, 0)
+	dump.Links = MergeLinks(links)
+	// The checkpoint keeps the ring oldest first: the full-capacity
+	// Recent merge, reversed.
+	dump.Recent = mergeRecent(recent, c.cfg.RecentPackets)
+	slices.Reverse(dump.Recent)
+	return dump
 }
 
 // RestoreSnapshot replaces the collector's state with the snapshot read

@@ -3,8 +3,9 @@ package collector
 import (
 	"fmt"
 	"net/http"
-	"sort"
 	"strings"
+
+	"lorameshmon/internal/metrics"
 )
 
 // Prometheus text exposition (format 0.0.4) of the collector's state, so
@@ -23,46 +24,52 @@ func (c *Collector) prometheusHandler(w http.ResponseWriter, _ *http.Request) {
 }
 
 // PrometheusExposition renders the current state in Prometheus text
-// format.
+// format, through the metrics package's header, label escaping and
+// value formatting.
 func (c *Collector) PrometheusExposition() string {
+	// Writes to a strings.Builder cannot fail, so their errors are not
+	// checked.
 	var sb strings.Builder
+	single := func(name, help string, kind metrics.Kind, v float64) {
+		metrics.WriteHeader(&sb, name, help, kind)
+		metrics.WriteSample(&sb, name, nil, nil, v)
+	}
 	stats := c.Stats()
-	writeMetric(&sb, "meshmon_batches_ingested_total", "counter",
-		"Telemetry batches accepted by the collector.",
-		sample{value: float64(stats.BatchesIngested)})
-	writeMetric(&sb, "meshmon_batches_rejected_total", "counter",
-		"Telemetry batches rejected as invalid.",
-		sample{value: float64(stats.BatchesRejected)})
-	writeMetric(&sb, "meshmon_records_ingested_total", "counter",
-		"Telemetry records materialised into the store.",
-		sample{value: float64(stats.RecordsIngested)})
-	writeMetric(&sb, "meshmon_nodes_known", "gauge",
-		"Mesh nodes present in the registry.",
-		sample{value: float64(stats.NodesKnown)})
+	single("meshmon_batches_ingested_total", "Telemetry batches accepted by the collector.",
+		metrics.KindCounter, float64(stats.BatchesIngested))
+	single("meshmon_batches_rejected_total", "Telemetry batches rejected as invalid.",
+		metrics.KindCounter, float64(stats.BatchesRejected))
+	single("meshmon_records_ingested_total", "Telemetry records materialised into the store.",
+		metrics.KindCounter, float64(stats.RecordsIngested))
+	single("meshmon_nodes_known", "Mesh nodes present in the registry.",
+		metrics.KindGauge, float64(stats.NodesKnown))
 
 	nodes := c.Nodes()
-	perNode := func(name, help, typ string, get func(NodeInfo) (float64, bool)) {
-		var samples []sample
+	nodeLabel := []string{"node"}
+	// perNode writes one family with a sample per node get reports; a
+	// family without samples is left out entirely.
+	perNode := func(name, help string, kind metrics.Kind, get func(NodeInfo) (float64, bool)) {
+		header := false
 		for _, n := range nodes {
-			if v, ok := get(n); ok {
-				samples = append(samples, sample{
-					labels: map[string]string{"node": n.ID.String()},
-					value:  v,
-				})
+			v, ok := get(n)
+			if !ok {
+				continue
 			}
-		}
-		if len(samples) > 0 {
-			writeMetric(&sb, name, typ, help, samples...)
+			if !header {
+				metrics.WriteHeader(&sb, name, help, kind)
+				header = true
+			}
+			metrics.WriteSample(&sb, name, nodeLabel, []string{n.ID.String()}, v)
 		}
 	}
-	perNode("meshmon_node_last_heartbeat_seconds", "Record time of the node's newest heartbeat.", "gauge",
+	perNode("meshmon_node_last_heartbeat_seconds", "Record time of the node's newest heartbeat.", metrics.KindGauge,
 		func(n NodeInfo) (float64, bool) { return n.LastBeatTS, true })
-	perNode("meshmon_node_uptime_seconds", "Node uptime from its newest heartbeat.", "gauge",
+	perNode("meshmon_node_uptime_seconds", "Node uptime from its newest heartbeat.", metrics.KindGauge,
 		func(n NodeInfo) (float64, bool) { return n.UptimeS, true })
-	perNode("meshmon_node_batches_lost_total", "Upload batches lost per node (sequence gaps).", "counter",
+	perNode("meshmon_node_batches_lost_total", "Upload batches lost per node (sequence gaps).", metrics.KindCounter,
 		func(n NodeInfo) (float64, bool) { return float64(n.BatchesLost), true })
 	statGauge := func(name, help string, get func(NodeInfo) float64) {
-		perNode(name, help, "gauge", func(n NodeInfo) (float64, bool) {
+		perNode(name, help, metrics.KindGauge, func(n NodeInfo) (float64, bool) {
 			if n.LastStats == nil {
 				return 0, false
 			}
@@ -83,42 +90,19 @@ func (c *Collector) PrometheusExposition() string {
 		func(n NodeInfo) float64 { return float64(n.LastStats.Delivered) })
 
 	links := c.Links(0)
-	if len(links) > 0 {
-		var rssi, cnt []sample
+	if len(links) == 0 {
+		return sb.String()
+	}
+	linkLabels := []string{"rx", "tx"}
+	perLink := func(name, help string, kind metrics.Kind, get func(LinkObs) float64) {
+		metrics.WriteHeader(&sb, name, help, kind)
 		for _, l := range links {
-			lbl := map[string]string{"tx": l.Tx.String(), "rx": l.Rx.String()}
-			rssi = append(rssi, sample{labels: lbl, value: l.MeanRSSI})
-			cnt = append(cnt, sample{labels: lbl, value: float64(l.Count)})
+			metrics.WriteSample(&sb, name, linkLabels, []string{l.Rx.String(), l.Tx.String()}, get(l))
 		}
-		writeMetric(&sb, "meshmon_link_rssi_dbm", "gauge",
-			"Mean RSSI of the observed direct link.", rssi...)
-		writeMetric(&sb, "meshmon_link_observations_total", "counter",
-			"HELLO receptions observed on the direct link.", cnt...)
 	}
+	perLink("meshmon_link_rssi_dbm", "Mean RSSI of the observed direct link.", metrics.KindGauge,
+		func(l LinkObs) float64 { return l.MeanRSSI })
+	perLink("meshmon_link_observations_total", "HELLO receptions observed on the direct link.", metrics.KindCounter,
+		func(l LinkObs) float64 { return float64(l.Count) })
 	return sb.String()
-}
-
-type sample struct {
-	labels map[string]string
-	value  float64
-}
-
-func writeMetric(sb *strings.Builder, name, typ, help string, samples ...sample) {
-	fmt.Fprintf(sb, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-	for _, s := range samples {
-		if len(s.labels) == 0 {
-			fmt.Fprintf(sb, "%s %g\n", name, s.value)
-			continue
-		}
-		keys := make([]string, 0, len(s.labels))
-		for k := range s.labels {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		var parts []string
-		for _, k := range keys {
-			parts = append(parts, fmt.Sprintf(`%s=%q`, k, s.labels[k]))
-		}
-		fmt.Fprintf(sb, "%s{%s} %g\n", name, strings.Join(parts, ","), s.value)
-	}
 }

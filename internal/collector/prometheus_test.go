@@ -1,13 +1,17 @@
 package collector
 
 import (
+	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
+	"lorameshmon/internal/tsdb"
 	"lorameshmon/internal/wire"
 )
 
@@ -150,5 +154,127 @@ func TestPrometheusEmptyCollector(t *testing.T) {
 	}
 	if strings.Contains(out, "meshmon_link_rssi_dbm{") {
 		t.Fatal("link metrics emitted without links")
+	}
+}
+
+// TestPrometheusExpositionMatchesParent pins the mesh-domain exposition
+// to the hand-rolled writer it replaced (parentExposition), byte for
+// byte, on the seeded collector above and on a random 50-node fleet.
+func TestPrometheusExpositionMatchesParent(t *testing.T) {
+	fleet := New(tsdb.New(), DefaultConfig())
+	rng := rand.New(rand.NewSource(50))
+	seq := make(map[wire.NodeID]uint64)
+	for step := 1; step <= 400; step++ {
+		if err := fleet.Ingest(randomFleetBatch(rng, seq, step, 50)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, c := range map[string]*Collector{
+		"seeded": seededForProm(t), "fleet": fleet, "empty": newCollector(),
+	} {
+		if got, want := c.PrometheusExposition(), parentExposition(c); got != want {
+			t.Fatalf("%s: exposition differs from the parent writer:\n got %q\nwant %q", name, got, want)
+		}
+	}
+}
+
+// parentExposition is the writer PrometheusExposition replaced: %g
+// values and %q-quoted labels, sorted per sample.
+func parentExposition(c *Collector) string {
+	var sb strings.Builder
+	stats := c.Stats()
+	parentWriteMetric(&sb, "meshmon_batches_ingested_total", "counter",
+		"Telemetry batches accepted by the collector.",
+		parentSample{value: float64(stats.BatchesIngested)})
+	parentWriteMetric(&sb, "meshmon_batches_rejected_total", "counter",
+		"Telemetry batches rejected as invalid.",
+		parentSample{value: float64(stats.BatchesRejected)})
+	parentWriteMetric(&sb, "meshmon_records_ingested_total", "counter",
+		"Telemetry records materialised into the store.",
+		parentSample{value: float64(stats.RecordsIngested)})
+	parentWriteMetric(&sb, "meshmon_nodes_known", "gauge",
+		"Mesh nodes present in the registry.",
+		parentSample{value: float64(stats.NodesKnown)})
+
+	nodes := c.Nodes()
+	perNode := func(name, help, typ string, get func(NodeInfo) (float64, bool)) {
+		var samples []parentSample
+		for _, n := range nodes {
+			if v, ok := get(n); ok {
+				samples = append(samples, parentSample{
+					labels: map[string]string{"node": n.ID.String()},
+					value:  v,
+				})
+			}
+		}
+		if len(samples) > 0 {
+			parentWriteMetric(&sb, name, typ, help, samples...)
+		}
+	}
+	perNode("meshmon_node_last_heartbeat_seconds", "Record time of the node's newest heartbeat.", "gauge",
+		func(n NodeInfo) (float64, bool) { return n.LastBeatTS, true })
+	perNode("meshmon_node_uptime_seconds", "Node uptime from its newest heartbeat.", "gauge",
+		func(n NodeInfo) (float64, bool) { return n.UptimeS, true })
+	perNode("meshmon_node_batches_lost_total", "Upload batches lost per node (sequence gaps).", "counter",
+		func(n NodeInfo) (float64, bool) { return float64(n.BatchesLost), true })
+	statGauge := func(name, help string, get func(NodeInfo) float64) {
+		perNode(name, help, "gauge", func(n NodeInfo) (float64, bool) {
+			if n.LastStats == nil {
+				return 0, false
+			}
+			return get(n), true
+		})
+	}
+	statGauge("meshmon_node_routes", "Destinations in the node's routing table.",
+		func(n NodeInfo) float64 { return float64(n.LastStats.RouteCount) })
+	statGauge("meshmon_node_queue_depth", "Packets waiting in the node's transmit queue.",
+		func(n NodeInfo) float64 { return float64(n.LastStats.QueueLen) })
+	statGauge("meshmon_node_duty_cycle", "Fraction of time spent transmitting.",
+		func(n NodeInfo) float64 { return n.LastStats.DutyCycleUsed })
+	statGauge("meshmon_node_data_sent_total", "Application data packets originated.",
+		func(n NodeInfo) float64 { return float64(n.LastStats.DataSent) })
+	statGauge("meshmon_node_forwarded_total", "Packets relayed for other nodes.",
+		func(n NodeInfo) float64 { return float64(n.LastStats.Forwarded) })
+	statGauge("meshmon_node_delivered_total", "Payloads delivered to the node's application.",
+		func(n NodeInfo) float64 { return float64(n.LastStats.Delivered) })
+
+	links := c.Links(0)
+	if len(links) > 0 {
+		var rssi, cnt []parentSample
+		for _, l := range links {
+			lbl := map[string]string{"tx": l.Tx.String(), "rx": l.Rx.String()}
+			rssi = append(rssi, parentSample{labels: lbl, value: l.MeanRSSI})
+			cnt = append(cnt, parentSample{labels: lbl, value: float64(l.Count)})
+		}
+		parentWriteMetric(&sb, "meshmon_link_rssi_dbm", "gauge",
+			"Mean RSSI of the observed direct link.", rssi...)
+		parentWriteMetric(&sb, "meshmon_link_observations_total", "counter",
+			"HELLO receptions observed on the direct link.", cnt...)
+	}
+	return sb.String()
+}
+
+type parentSample struct {
+	labels map[string]string
+	value  float64
+}
+
+func parentWriteMetric(sb *strings.Builder, name, typ, help string, samples ...parentSample) {
+	fmt.Fprintf(sb, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+	for _, s := range samples {
+		if len(s.labels) == 0 {
+			fmt.Fprintf(sb, "%s %g\n", name, s.value)
+			continue
+		}
+		keys := make([]string, 0, len(s.labels))
+		for k := range s.labels {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		var parts []string
+		for _, k := range keys {
+			parts = append(parts, fmt.Sprintf(`%s=%q`, k, s.labels[k]))
+		}
+		fmt.Fprintf(sb, "%s{%s} %g\n", name, strings.Join(parts, ","), s.value)
 	}
 }

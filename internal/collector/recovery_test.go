@@ -67,7 +67,7 @@ func assertCollectorsEqual(t *testing.T, want, got *Collector) {
 		t.Fatalf("recent ring differs: want %d records, got %d",
 			len(want.Recent(0)), len(got.Recent(0)))
 	}
-	a, b := want.DB(), got.DB()
+	a, b := want.TSDB(), got.TSDB()
 	if a.PointCount() != b.PointCount() || a.SeriesCount() != b.SeriesCount() {
 		t.Fatalf("tsdb size differs: %d/%d vs %d/%d points/series",
 			a.PointCount(), a.SeriesCount(), b.PointCount(), b.SeriesCount())

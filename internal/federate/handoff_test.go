@@ -132,12 +132,12 @@ func TestHandoffReplaysTailThroughNewOwners(t *testing.T) {
 	if !reflect.DeepEqual(wantRecent, fed.Recent(0)) {
 		t.Fatalf("recent differs: want %d records, got %d", len(wantRecent), len(fed.Recent(0)))
 	}
-	a, b := ref.DB(), fed.DB()
-	if a.PointCount() != b.PointCount() {
-		t.Fatalf("point count differs: want %d, got %d", a.PointCount(), b.PointCount())
+	a, b := ref.TSDB(), fed.DB()
+	if got := memberPoints(fed); a.PointCount() != got {
+		t.Fatalf("point count differs: want %d, got %d", a.PointCount(), got)
 	}
-	if !reflect.DeepEqual(a.MetricNames(), b.MetricNames()) {
-		t.Fatalf("metric names differ: %v vs %v", a.MetricNames(), b.MetricNames())
+	if got := memberMetricNames(fed); !reflect.DeepEqual(a.MetricNames(), got) {
+		t.Fatalf("metric names differ: %v vs %v", a.MetricNames(), got)
 	}
 	for _, name := range a.MetricNames() {
 		if !reflect.DeepEqual(a.Query(name, nil, 0, math.MaxFloat64), b.Query(name, nil, 0, math.MaxFloat64)) {
@@ -163,7 +163,7 @@ func TestHandoffIdempotentOnRerun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pointsAfterFirst := owners["m1"].DB().PointCount() + owners["m2"].DB().PointCount()
+	pointsAfterFirst := owners["m1"].TSDB().PointCount() + owners["m2"].TSDB().PointCount()
 
 	second, err := Handoff(log, route, collector.DefaultConfig())
 	if err != nil {
@@ -172,7 +172,7 @@ func TestHandoffIdempotentOnRerun(t *testing.T) {
 	if second.Replay.Batches != first.Replay.Batches {
 		t.Fatalf("reruns replayed different tails: %d vs %d", second.Replay.Batches, first.Replay.Batches)
 	}
-	if got := owners["m1"].DB().PointCount() + owners["m2"].DB().PointCount(); got != pointsAfterFirst {
+	if got := owners["m1"].TSDB().PointCount() + owners["m2"].TSDB().PointCount(); got != pointsAfterFirst {
 		t.Fatalf("rerun changed stored points: %d -> %d", pointsAfterFirst, got)
 	}
 	for id := wire.NodeID(1); id <= nodes; id++ {
@@ -190,7 +190,7 @@ func TestHandoffIdempotentOnRerun(t *testing.T) {
 		}
 	}
 	// The second legacy is equivalent to the first: same snapshot.
-	w, g := first.Legacy.DB(), second.Legacy.DB()
+	w, g := first.Legacy.TSDB(), second.Legacy.TSDB()
 	if w.PointCount() != g.PointCount() || w.SeriesCount() != g.SeriesCount() {
 		t.Fatalf("legacy reruns differ: %d/%d vs %d/%d points/series",
 			w.PointCount(), w.SeriesCount(), g.PointCount(), g.SeriesCount())

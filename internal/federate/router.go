@@ -2,6 +2,7 @@ package federate
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,10 +11,6 @@ import (
 	"lorameshmon/internal/metrics"
 	"lorameshmon/internal/wire"
 )
-
-// maxBodyBytes bounds forwarded ingest bodies, matching the collector's
-// own limit so the router never accepts what the member would reject.
-const maxBodyBytes = 1 << 20
 
 // Member names one federation member and its ingest endpoint. Name is
 // the ring identity (stable across URL changes); URL is the full ingest
@@ -164,27 +161,18 @@ func writeJSONError(w http.ResponseWriter, status int, err error) {
 
 func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 	defer req.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(req.Body, maxBodyBytes+1))
-	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, err)
-		return
-	}
-	if len(body) > maxBodyBytes {
-		writeJSONError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("federate: batch exceeds %d bytes", maxBodyBytes))
-		return
-	}
 	// Decode only to learn the owner; the member re-validates on ingest.
 	// The original bytes are forwarded untouched, so JSON stays JSON and
 	// binary stays binary all the way to the owning collector.
-	var batch wire.Batch
-	if wire.IsBinaryBatch(body) {
-		batch, err = wire.DecodeBatchBinary(body)
-	} else {
-		batch, err = wire.DecodeBatch(body)
-	}
-	if err != nil {
-		r.inst.rejected.Inc()
+	batch, body, err := wire.ReadBatch(req.Body)
+	switch {
+	case errors.Is(err, wire.ErrBatchTooLarge):
+		writeJSONError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("federate: %w", err))
+		return
+	case err != nil:
+		if body != nil { // read fully, then failed to decode
+			r.inst.rejected.Inc()
+		}
 		writeJSONError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -243,7 +231,7 @@ func (r *Router) forward(owner string, body []byte, contentType string) (int, []
 			lastErr = err
 			continue
 		}
-		respBody, _ := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
+		respBody, _ := io.ReadAll(io.LimitReader(resp.Body, wire.MaxBatchBytes))
 		resp.Body.Close()
 		if resp.StatusCode >= 500 {
 			lastErr = fmt.Errorf("member answered %s", resp.Status)

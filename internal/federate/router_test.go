@@ -381,7 +381,7 @@ func TestRouterRejectsAtTheEdge(t *testing.T) {
 		t.Fatalf("garbage status = %v, want 400", resp.Status)
 	}
 
-	big := strings.Repeat("x", maxBodyBytes+10)
+	big := strings.Repeat("x", wire.MaxBatchBytes+10)
 	resp2, err := http.Post(srv.URL+"/api/v1/ingest", "application/json", strings.NewReader(big))
 	if err != nil {
 		t.Fatal(err)

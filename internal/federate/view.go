@@ -1,10 +1,10 @@
 package federate
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -28,11 +28,13 @@ type ViewConfig struct {
 }
 
 // View implements collector.View over a set of member collectors: every
-// read fans out to all members concurrently and merges with the same
-// deterministic ordering the single-process collector guarantees
-// (Nodes by ID, Links by (tx, rx), Recent newest-first, query results
-// by canonical label string), so the dashboard, the alert engine and
-// all analysis functions run unchanged on a federation.
+// read fans out to all members concurrently, and the members' sorted
+// answers go through the same k-way merge (tsdb.MergeRuns) the
+// collector runs over its shards, in the order the single-process
+// collector guarantees (Nodes by ID, Links by (tx, rx), Recent
+// newest-first, query results by canonical label string), so the
+// dashboard, the alert engine and all analysis functions run unchanged
+// on a federation.
 //
 // Merge semantics assume members hold *disjoint* samples — the
 // steady-state guarantee of ring partitioning, preserved across
@@ -130,82 +132,25 @@ func (v *View) fan(op string, fn func(i int, m MemberView)) {
 	v.obs[op].Observe(time.Since(start).Seconds())
 }
 
-// mergeNodeInfo folds b into a: counters sum (members hold disjoint
-// batches), first-seen takes the earliest, and descriptive last-*
-// fields follow the newest timestamp, with a (the earlier member)
-// winning exact ties.
-func mergeNodeInfo(a, b collector.NodeInfo) collector.NodeInfo {
-	out := a
-	if b.LastSeenTS > a.LastSeenTS {
-		out.LastSeenTS = b.LastSeenTS
-	}
-	if b.FirstSeenTS < a.FirstSeenTS {
-		out.FirstSeenTS = b.FirstSeenTS
-	}
-	if b.LastBeatTS > a.LastBeatTS {
-		out.LastBeatTS = b.LastBeatTS
-		out.UptimeS = b.UptimeS
-		if b.Firmware != "" {
-			out.Firmware = b.Firmware
-		}
-	}
-	out.BatchesOK += b.BatchesOK
-	out.BatchesLost += b.BatchesLost
-	out.BatchesDup += b.BatchesDup
-	out.BatchesLate += b.BatchesLate
-	out.Records += b.Records
-	if b.LastStats != nil && (out.LastStats == nil || b.LastStats.TS > out.LastStats.TS) {
-		out.LastStats = b.LastStats
-	}
-	if b.LastRoutes != nil && (out.LastRoutes == nil || b.LastRoutes.TS > out.LastRoutes.TS) {
-		out.LastRoutes = b.LastRoutes
-	}
-	return out
-}
-
 // Nodes returns the merged registry, sorted by node ID.
 func (v *View) Nodes() []collector.NodeInfo {
 	parts := make([][]collector.NodeInfo, len(v.members))
 	v.fan("nodes", func(i int, m MemberView) { parts[i] = m.View.Nodes() })
-	merged := make(map[wire.NodeID]collector.NodeInfo)
-	for _, part := range parts {
-		for _, n := range part {
-			if have, ok := merged[n.ID]; ok {
-				merged[n.ID] = mergeNodeInfo(have, n)
-			} else {
-				merged[n.ID] = n
-			}
-		}
-	}
-	out := make([]collector.NodeInfo, 0, len(merged))
-	for _, n := range merged {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return collector.MergeNodes(parts)
 }
 
 // Node returns the merged registry entry for one node.
 func (v *View) Node(id wire.NodeID) (collector.NodeInfo, bool) {
-	infos := make([]*collector.NodeInfo, len(v.members))
+	parts := make([][]collector.NodeInfo, len(v.members))
 	v.fan("node", func(i int, m MemberView) {
 		if n, ok := m.View.Node(id); ok {
-			infos[i] = &n
+			parts[i] = []collector.NodeInfo{n}
 		}
 	})
-	var out collector.NodeInfo
-	found := false
-	for _, n := range infos {
-		if n == nil {
-			continue
-		}
-		if !found {
-			out, found = *n, true
-		} else {
-			out = mergeNodeInfo(out, *n)
-		}
+	if merged := collector.MergeNodes(parts); len(merged) > 0 {
+		return merged[0], true
 	}
-	return out, found
+	return collector.NodeInfo{}, false
 }
 
 // Links returns the merged link observations, sorted by (tx, rx).
@@ -215,62 +160,22 @@ func (v *View) Node(id wire.NodeID) (collector.NodeInfo, bool) {
 func (v *View) Links(from float64) []collector.LinkObs {
 	parts := make([][]collector.LinkObs, len(v.members))
 	v.fan("links", func(i int, m MemberView) { parts[i] = m.View.Links(from) })
-	type key struct{ tx, rx wire.NodeID }
-	merged := make(map[key]collector.LinkObs)
-	for _, part := range parts {
-		for _, l := range part {
-			k := key{l.Tx, l.Rx}
-			have, ok := merged[k]
-			if !ok {
-				merged[k] = l
-				continue
-			}
-			total := have.Count + l.Count
-			if total > 0 {
-				have.MeanRSSI = (have.MeanRSSI*float64(have.Count) + l.MeanRSSI*float64(l.Count)) / float64(total)
-				have.MeanSNR = (have.MeanSNR*float64(have.Count) + l.MeanSNR*float64(l.Count)) / float64(total)
-			}
-			have.Count = total
-			if l.FirstTS < have.FirstTS {
-				have.FirstTS = l.FirstTS
-			}
-			if l.LastTS > have.LastTS {
-				have.LastTS = l.LastTS
-				have.LastRSSI = l.LastRSSI
-				have.LastSNR = l.LastSNR
-			}
-			merged[k] = have
-		}
-	}
-	out := make([]collector.LinkObs, 0, len(merged))
-	for _, l := range merged {
-		out = append(out, l)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Tx != out[j].Tx {
-			return out[i].Tx < out[j].Tx
-		}
-		return out[i].Rx < out[j].Rx
-	})
-	return out
+	return collector.MergeLinks(parts)
 }
 
 // Recent merges the members' newest packet records, newest first.
 // Cross-member order is by record timestamp (there is no global
-// sequence across processes); ties keep member order, so the merge is
-// deterministic.
+// sequence across processes): each member's run is stably sorted by
+// timestamp, newest first, and the runs merge with ties going to the
+// earlier member, so the merge is deterministic.
 func (v *View) Recent(limit int) []wire.PacketRecord {
 	parts := make([][]wire.PacketRecord, len(v.members))
 	v.fan("recent", func(i int, m MemberView) { parts[i] = m.View.Recent(limit) })
-	var all []wire.PacketRecord
+	newestFirst := func(a, b *wire.PacketRecord) int { return cmp.Compare(b.TS, a.TS) }
 	for _, part := range parts {
-		all = append(all, part...)
+		slices.SortStableFunc(part, func(a, b wire.PacketRecord) int { return newestFirst(&a, &b) })
 	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].TS > all[j].TS })
-	if limit > 0 && len(all) > limit {
-		all = all[:limit]
-	}
-	return all
+	return tsdb.MergeRuns(nil, parts, newestFirst, nil, limit)
 }
 
 // Stats sums the members' counters; NodesKnown and LinksKnown count
@@ -319,21 +224,11 @@ func (v *View) distinctCounts(keys []setsKey) (nodes, links int) {
 		nodeSets[i], linkSets[i] = m.View.Nodes(), m.View.Links(0)
 		fresh[i].nodes, fresh[i].links = len(nodeSets[i]), len(linkSets[i])
 	})
-	ids := make(map[wire.NodeID]struct{})
-	type key struct{ tx, rx wire.NodeID }
-	pairs := make(map[key]struct{})
-	for i := range v.members {
-		for _, n := range nodeSets[i] {
-			ids[n.ID] = struct{}{}
-		}
-		for _, l := range linkSets[i] {
-			pairs[key{l.Tx, l.Rx}] = struct{}{}
-		}
-	}
+	nodes, links = len(collector.MergeNodes(nodeSets)), len(collector.MergeLinks(linkSets))
 	v.distinctMu.Lock()
 	defer v.distinctMu.Unlock()
-	v.distinctKeys, v.distinctNodes, v.distinctLinks = fresh, len(ids), len(pairs)
-	return len(ids), len(pairs)
+	v.distinctKeys, v.distinctNodes, v.distinctLinks = fresh, nodes, links
+	return nodes, links
 }
 
 // MaxTS is the newest record timestamp across the federation.
@@ -418,201 +313,74 @@ func (v *View) DB() tsdb.Querier { return &fanQuerier{v: v} }
 
 // --- federated querier ---
 
-// fanQuerier merges member store reads. Series are keyed by canonical
-// label string; within a series, member points concatenate in member
-// order and stable-sort by timestamp, so equal-timestamp samples from
-// different members keep member priority. No dedup is attempted:
-// partitioning keeps member samples disjoint, and Handoff's time-split
-// preserves that across membership changes.
+// fanQuerier merges member store reads with the tsdb result merges:
+// series are keyed by canonical label string (the order *DB answers
+// in), and within a series member points merge by timestamp, equal
+// timestamps in member order. No dedup is attempted: partitioning keeps
+// member samples disjoint, and Handoff's time-split preserves that
+// across membership changes.
 type fanQuerier struct {
 	v *View
 }
 
-func (q *fanQuerier) fanResults(op, name string, run func(tsdb.Querier) []tsdb.Result) [][]tsdb.Result {
+func (q *fanQuerier) fanResults(op string, run func(tsdb.Querier) []tsdb.Result) [][]tsdb.Result {
 	parts := make([][]tsdb.Result, len(q.v.members))
 	q.v.fan(op, func(i int, m MemberView) { parts[i] = run(m.View.DB()) })
 	return parts
 }
 
-// mergeResults groups per-member result sets by label identity and
-// merges each group's points with mergePts.
-func mergeResults(parts [][]tsdb.Result, mergePts func(existing, add []tsdb.Point) []tsdb.Point) []tsdb.Result {
-	keys := make([]string, 0, 8)
-	merged := make(map[string]*tsdb.Result)
-	for _, part := range parts {
-		for _, r := range part {
-			k := r.Labels.String()
-			have, ok := merged[k]
-			if !ok {
-				cp := r
-				cp.Points = append([]tsdb.Point(nil), r.Points...)
-				merged[k] = &cp
-				keys = append(keys, k)
-				continue
-			}
-			have.Points = mergePts(have.Points, r.Points)
-		}
-	}
-	sort.Strings(keys)
-	out := make([]tsdb.Result, len(keys))
-	for i, k := range keys {
-		out[i] = *merged[k]
-	}
-	return out
-}
-
-// concatSortPts merges raw points: concatenate (member order) and
-// stable-sort by timestamp.
-func concatSortPts(existing, add []tsdb.Point) []tsdb.Point {
-	out := append(existing, add...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].TS < out[j].TS })
-	return out
-}
-
 func (q *fanQuerier) Query(name string, matcher tsdb.Labels, from, to float64) []tsdb.Result {
-	parts := q.fanResults("query", name, func(db tsdb.Querier) []tsdb.Result {
+	return tsdb.MergeQuery(q.fanResults("query", func(db tsdb.Querier) []tsdb.Result {
 		return db.Query(name, matcher, from, to)
-	})
-	return mergeResults(parts, concatSortPts)
+	}))
 }
 
 func (q *fanQuerier) QueryOne(name string, labels tsdb.Labels, from, to float64) (tsdb.Result, bool) {
-	type res struct {
-		r  tsdb.Result
-		ok bool
-	}
-	parts := make([]res, len(q.v.members))
-	q.v.fan("query", func(i int, m MemberView) {
-		parts[i].r, parts[i].ok = m.View.DB().QueryOne(name, labels, from, to)
-	})
-	var out tsdb.Result
-	found := false
-	for _, p := range parts {
-		if !p.ok {
-			continue
+	return q.queryOne("query", name, labels, from, to)
+}
+
+// queryOne fans QueryOne out under op and merges the members holding
+// the series.
+func (q *fanQuerier) queryOne(op, name string, labels tsdb.Labels, from, to float64) (tsdb.Result, bool) {
+	merged := tsdb.MergeQuery(q.fanResults(op, func(db tsdb.Querier) []tsdb.Result {
+		if r, ok := db.QueryOne(name, labels, from, to); ok {
+			return []tsdb.Result{r}
 		}
-		if !found {
-			out, found = p.r, true
-			out.Points = append([]tsdb.Point(nil), p.r.Points...)
-		} else {
-			out.Points = concatSortPts(out.Points, p.r.Points)
-		}
+		return nil
+	}))
+	if len(merged) == 0 {
+		return tsdb.Result{}, false
 	}
-	return out, found
+	return merged[0], true
 }
 
 // QueryRange fans the bucketed query out — each member routes to its
 // own coarsest satisfying tier — and merges aligned buckets (every
-// member computes the same from-aligned grid). A bucket normally comes
-// wholly from one member; where a handoff boundary splits a bucket's
-// samples across two, the merge recombines exactly for sum, count, min
-// and max. avg recombines count-weighted (a second count-fan supplies
-// the weights), and last takes the member whose series has the newest
-// sample — exact under Handoff's time-split.
+// member computes the same from-aligned grid) with tsdb.MergeRange. A
+// bucket normally comes wholly from one member; where a handoff
+// boundary splits a bucket's samples across two, the merge recombines
+// exactly for sum, count, min and max. avg recombines count-weighted (a
+// second count fan-out supplies the weights), and last takes the member
+// whose series has the newest sample — exact under Handoff's
+// time-split.
 func (q *fanQuerier) QueryRange(name string, matcher tsdb.Labels, from, to, step float64, agg tsdb.Agg) []tsdb.Result {
 	if step <= 0 {
 		return q.Query(name, matcher, from, to)
 	}
-	parts := q.fanResults("query_range", name, func(db tsdb.Querier) []tsdb.Result {
-		return db.QueryRange(name, matcher, from, to, step, agg)
-	})
+	rangeOf := func(agg tsdb.Agg) func(tsdb.Querier) []tsdb.Result {
+		return func(db tsdb.Querier) []tsdb.Result { return db.QueryRange(name, matcher, from, to, step, agg) }
+	}
+	parts := q.fanResults("query_range", rangeOf(agg))
 	var weights [][]tsdb.Result
 	if agg == tsdb.AggAvg {
-		weights = q.fanResults("query_range", name, func(db tsdb.Querier) []tsdb.Result {
-			return db.QueryRange(name, matcher, from, to, step, tsdb.AggCount)
-		})
+		weights = q.fanResults("query_range", rangeOf(tsdb.AggCount))
 	}
-	countAt := func(labelKey string, ts float64, memberIdx int) float64 {
-		if weights == nil || memberIdx >= len(weights) {
-			return 1
-		}
-		for _, r := range weights[memberIdx] {
-			if r.Labels.String() != labelKey {
-				continue
-			}
-			for _, p := range r.Points {
-				if p.TS == ts {
-					return p.Value
-				}
-			}
-		}
-		return 1
-	}
-	latestTS := func(labels tsdb.Labels, memberIdx int) float64 {
-		if p, ok := q.v.members[memberIdx].View.DB().Latest(name, labels); ok {
+	return tsdb.MergeRange(parts, weights, agg, func(member int, labels tsdb.Labels) float64 {
+		if p, ok := q.v.members[member].View.DB().Latest(name, labels); ok {
 			return p.TS
 		}
 		return math.Inf(-1)
-	}
-
-	type cell struct {
-		value  float64
-		weight float64 // samples behind value (avg merging only)
-		member int
-	}
-	keys := make([]string, 0, 8)
-	merged := make(map[string]*tsdb.Result)
-	cells := make(map[string]map[float64]cell)
-	for mi, part := range parts {
-		for _, r := range part {
-			k := r.Labels.String()
-			if _, ok := merged[k]; !ok {
-				merged[k] = &tsdb.Result{Labels: r.Labels}
-				cells[k] = make(map[float64]cell)
-				keys = append(keys, k)
-			}
-			byTS := cells[k]
-			for _, p := range r.Points {
-				have, dup := byTS[p.TS]
-				if !dup {
-					byTS[p.TS] = cell{value: p.Value, weight: countAt(k, p.TS, mi), member: mi}
-					continue
-				}
-				switch agg {
-				case tsdb.AggSum, tsdb.AggCount:
-					have.value += p.Value
-				case tsdb.AggMin:
-					if p.Value < have.value {
-						have.value = p.Value
-					}
-				case tsdb.AggMax:
-					if p.Value > have.value {
-						have.value = p.Value
-					}
-				case tsdb.AggAvg:
-					// have.weight accumulates across members, so a bucket
-					// split three ways (owner + stacked legacies) still
-					// recombines to the exact overall mean.
-					wb := countAt(k, p.TS, mi)
-					if have.weight+wb > 0 {
-						have.value = (have.value*have.weight + p.Value*wb) / (have.weight + wb)
-						have.weight += wb
-					}
-				case tsdb.AggLast:
-					if latestTS(merged[k].Labels, mi) > latestTS(merged[k].Labels, have.member) {
-						have.value, have.member = p.Value, mi
-					}
-				}
-				byTS[p.TS] = have
-			}
-		}
-	}
-	sort.Strings(keys)
-	out := make([]tsdb.Result, len(keys))
-	for i, k := range keys {
-		r := *merged[k]
-		tss := make([]float64, 0, len(cells[k]))
-		for ts := range cells[k] {
-			tss = append(tss, ts)
-		}
-		sort.Float64s(tss)
-		r.Points = make([]tsdb.Point, len(tss))
-		for j, ts := range tss {
-			r.Points[j] = tsdb.Point{TS: ts, Value: cells[k][ts].value}
-		}
-		out[i] = r
-	}
-	return out
+	})
 }
 
 func (q *fanQuerier) AggregateRange(name string, matcher tsdb.Labels, from, to float64, agg tsdb.Agg) float64 {
@@ -677,36 +445,14 @@ func (q *fanQuerier) fanAgg(name string, matcher tsdb.Labels, from, to float64, 
 	return parts
 }
 
-// IterOne merges the members' streaming iterators by materialising
-// each member's in-range points and handing the time-sorted union back
-// through tsdb.PointsIter.
+// IterOne streams the merged points of QueryOne through
+// tsdb.PointsIter.
 func (q *fanQuerier) IterOne(name string, labels tsdb.Labels, from, to float64) (tsdb.Iter, bool) {
-	parts := make([][]tsdb.Point, len(q.v.members))
-	found := make([]bool, len(q.v.members))
-	q.v.fan("iter", func(i int, m MemberView) {
-		it, ok := m.View.DB().IterOne(name, labels, from, to)
-		if !ok {
-			return
-		}
-		found[i] = true
-		for it.Next() {
-			ts, val := it.At()
-			parts[i] = append(parts[i], tsdb.Point{TS: ts, Value: val})
-		}
-	})
-	var pts []tsdb.Point
-	any := false
-	for i, part := range parts {
-		if found[i] {
-			any = true
-		}
-		pts = append(pts, part...)
-	}
-	if !any {
+	r, ok := q.queryOne("iter", name, labels, from, to)
+	if !ok {
 		return tsdb.Iter{}, false
 	}
-	sort.SliceStable(pts, func(i, j int) bool { return pts[i].TS < pts[j].TS })
-	return tsdb.PointsIter(pts), true
+	return tsdb.PointsIter(r.Points), true
 }
 
 func (q *fanQuerier) Latest(name string, labels tsdb.Labels) (tsdb.Point, bool) {
@@ -727,45 +473,4 @@ func (q *fanQuerier) Latest(name string, labels tsdb.Labels) (tsdb.Point, bool) 
 		}
 	}
 	return out, found
-}
-
-func (q *fanQuerier) MetricNames() []string {
-	parts := make([][]string, len(q.v.members))
-	q.v.fan("query", func(i int, m MemberView) { parts[i] = m.View.DB().MetricNames() })
-	seen := make(map[string]bool)
-	var out []string
-	for _, part := range parts {
-		for _, n := range part {
-			if !seen[n] {
-				seen[n] = true
-				out = append(out, n)
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// SeriesCount sums member series counts. A series split across members
-// by a handoff counts once per member holding samples of it.
-func (q *fanQuerier) SeriesCount() int {
-	parts := make([]int, len(q.v.members))
-	q.v.fan("stats", func(i int, m MemberView) { parts[i] = m.View.DB().SeriesCount() })
-	n := 0
-	for _, c := range parts {
-		n += c
-	}
-	return n
-}
-
-// PointCount sums member point counts — exact, since members hold
-// disjoint samples.
-func (q *fanQuerier) PointCount() int {
-	parts := make([]int, len(q.v.members))
-	q.v.fan("stats", func(i int, m MemberView) { parts[i] = m.View.DB().PointCount() })
-	n := 0
-	for _, c := range parts {
-		n += c
-	}
-	return n
 }

@@ -37,23 +37,19 @@ func (r *Registry) Handler() http.Handler {
 }
 
 func (f *family) writeText(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n",
-		f.name, escapeHelp(f.help), f.name, f.kind); err != nil {
+	if err := WriteHeader(w, f.name, f.help, f.kind); err != nil {
 		return err
 	}
 	if f.fn != nil {
-		_, err := fmt.Fprintf(w, "%s %s\n", f.name, fmtValue(f.fn()))
-		return err
+		return WriteSample(w, f.name, nil, nil, f.fn())
 	}
 	for _, m := range f.sortedChildren() {
 		var err error
 		switch inst := m.(type) {
 		case *Counter:
-			_, err = fmt.Fprintf(w, "%s%s %s\n",
-				f.name, labelString(f.labelNames, inst.labelValues(), ""), fmtValue(inst.Value()))
+			err = WriteSample(w, f.name, f.labelNames, inst.labelValues(), inst.Value())
 		case *Gauge:
-			_, err = fmt.Fprintf(w, "%s%s %s\n",
-				f.name, labelString(f.labelNames, inst.labelValues(), ""), fmtValue(inst.Value()))
+			err = WriteSample(w, f.name, f.labelNames, inst.labelValues(), inst.Value())
 		case *Histogram:
 			err = inst.writeText(w, f.name, f.labelNames)
 		}
@@ -62,6 +58,23 @@ func (f *family) writeText(w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// WriteHeader writes a family's "# HELP" and "# TYPE" exposition lines.
+// Families kept outside a Registry (state rendered on demand, like the
+// collector's mesh-domain gauges) render through WriteHeader and
+// WriteSample, so every exposition in the process shares one escaping
+// and value format.
+func WriteHeader(w io.Writer, name, help string, kind Kind) error {
+	_, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, escapeHelp(help), name, kind)
+	return err
+}
+
+// WriteSample writes one exposition sample line: name, the label pairs
+// names[i]="values[i]" in the given order (none: no braces), and v.
+func WriteSample(w io.Writer, name string, names, values []string, v float64) error {
+	_, err := fmt.Fprintf(w, "%s%s %s\n", name, labelString(names, values, ""), fmtValue(v))
+	return err
 }
 
 // writeText renders the histogram's cumulative buckets, sum and count.

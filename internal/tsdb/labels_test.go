@@ -1,7 +1,6 @@
 package tsdb
 
 import (
-	"bytes"
 	"encoding/json"
 	"math"
 	"reflect"
@@ -101,15 +100,11 @@ func TestNilAndEmptyLabelsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("Dump/Load", loaded, nil, nil)
-	var buf bytes.Buffer
-	if err := db.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
 	restored := New()
-	if err := restored.Restore(&buf); err != nil {
+	if err := restored.Load(gobDump(t, db)); err != nil {
 		t.Fatal(err)
 	}
-	check("Snapshot/Restore", restored, nil, nil)
+	check("gob Dump/Load", restored, nil, nil)
 
 	// A nil and an empty set name the same series: whichever created it
 	// decides what is reported.
@@ -180,11 +175,7 @@ func TestSnapshotRestorePreservesLabelsAndHandles(t *testing.T) {
 		h.Append(float64(i), float64(i))
 		handles = append(handles, h)
 	}
-	var buf bytes.Buffer
-	if err := db.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Restore(&buf); err != nil {
+	if err := db.Load(gobDump(t, db)); err != nil {
 		t.Fatal(err)
 	}
 	for i, l := range sets {

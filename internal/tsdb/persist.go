@@ -1,21 +1,18 @@
 package tsdb
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"slices"
 )
 
-// Snapshot/Restore persist the whole store, giving the collector binary
+// Dump/Load persist the whole store: the collector's WAL checkpoints
+// embed a SnapshotDump in their gob stream, giving the collector binary
 // durability across restarts (the stdlib stand-in for InfluxDB's disk
-// storage). The format is a versioned gob stream. Since v2, sealed
-// chunks are persisted in compressed form — a checkpoint costs bytes
-// proportional to the compressed store, not to the raw point count —
-// and rollup tiers round-trip alongside the raw data so a restart does
-// not forget downsampled history.
+// storage). The dump is versioned. Since v2, sealed chunks are
+// persisted in compressed form — a checkpoint costs bytes proportional
+// to the compressed store, not to the raw point count — and rollup
+// tiers round-trip alongside the raw data so a restart does not forget
+// downsampled history.
 
 // snapshotVersion guards format evolution. v1 held raw []Point per
 // series; v2 adds compressed blocks, last-sample tracking and rollup
@@ -219,51 +216,4 @@ func (db *DB) Load(dump SnapshotDump) error {
 	db.rawSealed.Store(rawSealed)
 	db.rollBytes.Store(rollBytes)
 	return nil
-}
-
-// Snapshot writes the full store to w.
-func (db *DB) Snapshot(w io.Writer) error {
-	if err := gob.NewEncoder(w).Encode(db.Dump()); err != nil {
-		return fmt.Errorf("tsdb: snapshot: %w", err)
-	}
-	return nil
-}
-
-// Restore replaces the store's contents with the snapshot read from r.
-func (db *DB) Restore(r io.Reader) error {
-	var dump SnapshotDump
-	if err := gob.NewDecoder(r).Decode(&dump); err != nil {
-		return fmt.Errorf("tsdb: restore: %w", err)
-	}
-	return db.Load(dump)
-}
-
-// SnapshotFile atomically writes the snapshot to path (tmp + rename).
-func (db *DB) SnapshotFile(path string) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tsdb-snapshot-*")
-	if err != nil {
-		return fmt.Errorf("tsdb: snapshot file: %w", err)
-	}
-	defer os.Remove(tmp.Name()) //nolint:errcheck // best-effort cleanup
-	if err := db.Snapshot(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("tsdb: snapshot file: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("tsdb: snapshot file: %w", err)
-	}
-	return nil
-}
-
-// RestoreFile loads a snapshot written by SnapshotFile.
-func (db *DB) RestoreFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("tsdb: restore file: %w", err)
-	}
-	defer f.Close()
-	return db.Restore(f)
 }

@@ -2,8 +2,8 @@ package tsdb
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
-	"path/filepath"
 	"testing"
 )
 
@@ -52,14 +52,25 @@ func assertEqualDBs(t *testing.T, a, b *DB) {
 	}
 }
 
-func TestSnapshotRestoreRoundTrip(t *testing.T) {
-	orig := populated()
+// gobDump round-trips db.Dump() through gob, the encoding the
+// collector's WAL checkpoints embed it in.
+func gobDump(t *testing.T, db *DB) SnapshotDump {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := orig.Snapshot(&buf); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(db.Dump()); err != nil {
 		t.Fatal(err)
 	}
+	var dump SnapshotDump
+	if err := gob.NewDecoder(&buf).Decode(&dump); err != nil {
+		t.Fatal(err)
+	}
+	return dump
+}
+
+func TestSnapshotRestoreRoundTrip(t *testing.T) {
+	orig := populated()
 	restored := New()
-	if err := restored.Restore(&buf); err != nil {
+	if err := restored.Load(gobDump(t, orig)); err != nil {
 		t.Fatal(err)
 	}
 	assertEqualDBs(t, orig, restored)
@@ -71,50 +82,48 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 }
 
 func TestRestoreReplacesExistingContents(t *testing.T) {
-	var buf bytes.Buffer
-	if err := populated().Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
 	db := New()
 	db.Append("junk", Labels{"old": "1"}, 1, 1)
-	if err := db.Restore(&buf); err != nil {
+	if err := db.Load(populated().Dump()); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := db.QueryOne("junk", Labels{"old": "1"}, 0, 10); ok {
 		t.Fatal("pre-restore contents survived")
 	}
+	assertEqualDBs(t, populated(), db)
 }
 
+// TestRestoreGarbageFails: bytes that are not a gob SnapshotDump fail to
+// decode, and a decoded dump Load cannot trust — unknown version,
+// duplicate series, a raw chunk with the wrong column count — is
+// refused without touching the store.
 func TestRestoreGarbageFails(t *testing.T) {
-	db := New()
-	if err := db.Restore(bytes.NewReader([]byte("not a gob"))); err == nil {
-		t.Fatal("garbage restored")
+	var dump SnapshotDump
+	if err := gob.NewDecoder(bytes.NewReader([]byte("not a gob"))).Decode(&dump); err == nil {
+		t.Fatal("garbage decoded")
 	}
-}
-
-func TestSnapshotFileRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "state.tsdb")
-	orig := populated()
-	if err := orig.SnapshotFile(path); err != nil {
-		t.Fatal(err)
+	bad := map[string]SnapshotDump{
+		"version 0": {Version: 0},
+		"version 3": {Version: snapshotVersion + 1},
+		"duplicate series": {Version: snapshotVersion, Metrics: map[string][]SeriesDump{
+			"m": {{Labels: Labels{"a": "1"}}, {Labels: Labels{"a": "1"}}},
+		}},
+		"raw chunk columns": {Version: snapshotVersion, Metrics: map[string][]SeriesDump{
+			"m": {{Labels: Labels{"a": "1"}, Blocks: []Chunk{{Cols: rollupCols}}}},
+		}},
 	}
-	restored := New()
-	if err := restored.RestoreFile(path); err != nil {
-		t.Fatal(err)
-	}
-	assertEqualDBs(t, orig, restored)
-	if err := New().RestoreFile(filepath.Join(t.TempDir(), "missing")); err == nil {
-		t.Fatal("missing file restored")
+	for name, dump := range bad {
+		db := populated()
+		if err := db.Load(dump); err == nil {
+			t.Fatalf("%s: loaded", name)
+		}
+		assertEqualDBs(t, populated(), db)
 	}
 }
 
 func TestSnapshotEmptyDB(t *testing.T) {
-	var buf bytes.Buffer
-	if err := New().Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	db := New()
-	if err := db.Restore(&buf); err != nil {
+	db := populated()
+	if err := db.Load(gobDump(t, New())); err != nil {
 		t.Fatal(err)
 	}
 	if db.PointCount() != 0 || db.SeriesCount() != 0 {

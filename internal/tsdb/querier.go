@@ -8,7 +8,8 @@ package tsdb
 //
 // Implementations must order deterministically wherever *DB does:
 // Query/QueryRange results by canonical label string, points by
-// timestamp, MetricNames sorted.
+// timestamp. MergeQuery and MergeRange build that order from per-store
+// answers.
 type Querier interface {
 	// Query returns every series of the metric whose labels contain
 	// matcher, restricted to from <= TS <= to.
@@ -25,12 +26,6 @@ type Querier interface {
 	IterOne(name string, labels Labels, from, to float64) (Iter, bool)
 	// Latest returns the most recent sample of the exact series.
 	Latest(name string, labels Labels) (Point, bool)
-	// MetricNames returns all metric names, sorted.
-	MetricNames() []string
-	// SeriesCount returns the number of distinct series.
-	SeriesCount() int
-	// PointCount returns the number of stored raw samples.
-	PointCount() int
 }
 
 var _ Querier = (*DB)(nil)

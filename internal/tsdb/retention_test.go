@@ -1,7 +1,6 @@
 package tsdb
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -57,9 +56,10 @@ func requireSameStore(t *testing.T, where string, gated, full *DB, now float64) 
 // sweep on every call through the same seeded operations — ascending,
 // out-of-order and older-than-everything appends, NaN and ±Inf
 // timestamps, registered-but-empty handles, interleaved Retain and
-// Prune (including NaN and lowered cutoffs) and mid-sequence
-// Snapshot/Restore — and requires every call to drop the same count and
-// leave the same store. It also requires the gate to have skipped.
+// Prune (including NaN and lowered cutoffs) and mid-sequence gob
+// Dump/Load round trips — and requires every call to drop the same
+// count and leave the same store. It also requires the gate to have
+// skipped.
 func TestRetainMatchesFullSweep(t *testing.T) {
 	var runs, sweeps float64
 	for seed := int64(1); seed <= 16; seed++ {
@@ -151,11 +151,7 @@ func TestRetainMatchesFullSweep(t *testing.T) {
 				requireSameStore(t, where, gated, full, now)
 			case op < 95: // snapshot/restore both stores
 				for _, db := range []*DB{gated, full} {
-					var buf bytes.Buffer
-					if err := db.Snapshot(&buf); err != nil {
-						t.Fatal(err)
-					}
-					if err := db.Restore(&buf); err != nil {
+					if err := db.Load(gobDump(t, db)); err != nil {
 						t.Fatal(err)
 					}
 				}

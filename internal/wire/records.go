@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 )
 
@@ -284,6 +285,37 @@ func DecodeBatch(data []byte) (Batch, error) {
 		return Batch{}, err
 	}
 	return b, nil
+}
+
+// MaxBatchBytes bounds one uploaded batch body on every ingest hop (a
+// full batch of 256 packet records is well under 100 KiB), so a router
+// never accepts what its member would reject.
+const MaxBatchBytes = 1 << 20
+
+// ErrBatchTooLarge reports an upload body over MaxBatchBytes.
+var ErrBatchTooLarge = fmt.Errorf("batch exceeds %d bytes", MaxBatchBytes)
+
+// ReadBatch reads one uploaded batch body of at most MaxBatchBytes from
+// r and decodes it, binary or JSON by its leading magic bytes. It also
+// returns the body, so a router can forward the exact bytes. A failed
+// read returns the reader's error and a nil body, an oversized body
+// ErrBatchTooLarge and a nil body; a body that fails to decode comes
+// back with the decoder's error.
+func ReadBatch(r io.Reader) (Batch, []byte, error) {
+	body, err := io.ReadAll(io.LimitReader(r, MaxBatchBytes+1))
+	if err != nil {
+		return Batch{}, nil, err
+	}
+	if len(body) > MaxBatchBytes {
+		return Batch{}, nil, ErrBatchTooLarge
+	}
+	var b Batch
+	if IsBinaryBatch(body) {
+		b, err = DecodeBatchBinary(body)
+	} else {
+		b, err = DecodeBatch(body)
+	}
+	return b, body, err
 }
 
 // jsonScratch recycles the buffers batches are encoded into, so sizing

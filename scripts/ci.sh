@@ -66,7 +66,11 @@ stage_federate() {
   # load-bearing here, not ceremony.
   # FederateKnownCounts pins the distinct node/link count cache the SSE
   # hub reads on every wake against the merged lists.
-  go test -race -count=1 -run 'Federate|Ring|Router|Handoff|FederateKnownCounts' \
+  # FederatedMergeMatchesParent pins every federated read on the shared
+  # sorted-run merge to the map-and-sort merge it replaced (order and
+  # float bits), and FederatedQueryOrderMatchesDB the canonical result
+  # order a single store answers in.
+  go test -race -count=1 -run 'Federate|Ring|Router|Handoff|FederateKnownCounts|FederatedMergeMatchesParent|FederatedQueryOrderMatchesDB' \
     ./internal/federate
 }
 
@@ -103,14 +107,17 @@ stage_read() {
   # race regression (an ingest before the hub starts still streams), and
   # the counters the hub fingerprints from (Stats().NodesKnown and
   # LinksKnown == the materialised lists), the typed row appenders and
-  # every HTML panel against the former templates, and the ring-walk
-  # Recent against copy-and-sort. Writers, HTTP readers and the SSE hub
-  # all share state, so -race is load-bearing here.
+  # every HTML panel against the former templates, the ring-walk
+  # Recent against copy-and-sort, and the shard merge (Nodes, Links,
+  # Recent, checkpoint dump) and Prometheus text against the code they
+  # replaced. Writers, HTTP readers and the SSE hub all share state, so
+  # -race is load-bearing here.
   go test -race -count=1 ./internal/readcache
   go test -race -count=1 \
     -run 'CacheEquivalence|CacheServesStampedEpoch|SSE|LongPoll|CachedReadsAndSSEUnderIngest|ChartQuery|ChartJSON|SSEDeltaForIngestBeforeHubStart|Fingerprint|OverviewRowsMatchTemplate|TrafficRowsMatchTemplate|PagesMatchParentTemplates' \
     ./internal/dashboard
-  go test -race -count=1 -run 'KnownCountsMatchMaterialised|RecentMatchesCopyAndSort' ./internal/collector
+  go test -race -count=1 -run 'KnownCountsMatchMaterialised|RecentMatchesCopyAndSort|ShardMergeMatchesParent|PrometheusExpositionMatchesParent' ./internal/collector
+  go test -race -count=1 -run 'MergeRuns' ./internal/tsdb
 }
 
 stage_energy() {
