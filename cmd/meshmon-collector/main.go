@@ -10,7 +10,7 @@
 // acknowledged before the previous process died.
 //
 // The dashboard serves reads through an epoch-keyed per-panel cache
-// (-read-cache-entries bounds it, -no-read-cache disables it) and
+// (-read-cache-entries bounds it) and
 // pushes incremental updates over GET /events (Server-Sent Events;
 // -sse-queue bounds each subscriber's delta queue) with a long-poll
 // fallback at GET /events/poll.
@@ -54,7 +54,6 @@ func main() {
 		segBytes    = flag.Int64("wal-segment-bytes", 8<<20, "rotate WAL segments at this size")
 		snapEvery   = flag.Duration("snapshot-every", time.Minute, "checkpoint cadence with -data-dir")
 		enablePprof = flag.Bool("pprof", false, "expose net/http/pprof profiling under /debug/pprof/")
-		noCache     = flag.Bool("no-read-cache", false, "disable the epoch-keyed panel response cache (re-render every request)")
 		cacheSize   = flag.Int("read-cache-entries", 512, "panel response cache capacity")
 		sseQueue    = flag.Int("sse-queue", 16, "per-subscriber SSE event queue; overflow coalesces into a resync")
 	)
@@ -105,7 +104,6 @@ func main() {
 	dash := dashboard.New(coll, engine, dashboard.Config{
 		Title:        *title,
 		Metrics:      reg, // meshmon_read_* on /metrics and the health panel
-		DisableCache: *noCache,
 		CacheEntries: *cacheSize,
 		SSEQueue:     *sseQueue,
 	})

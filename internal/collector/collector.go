@@ -569,11 +569,12 @@ func (c *Collector) MaxTS() float64 {
 }
 
 // bump raises the record-time high-water mark with a CAS loop; shards
-// call it concurrently without holding each other's locks.
+// call it concurrently without holding each other's locks. A NaN, which
+// only a batch logged before ingest refused it can carry, is ignored.
 func (c *Collector) bump(ts float64) {
 	for {
 		old := c.maxTS.Load()
-		if ts <= math.Float64frombits(old) {
+		if ts != ts || ts <= math.Float64frombits(old) {
 			return
 		}
 		if c.maxTS.CompareAndSwap(old, math.Float64bits(ts)) {

@@ -231,9 +231,7 @@ func (c *Collector) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if agg == "" {
 			agg = tsdb.AggAvg
 		}
-		switch agg {
-		case tsdb.AggSum, tsdb.AggAvg, tsdb.AggMin, tsdb.AggMax, tsdb.AggCount, tsdb.AggLast:
-		default:
+		if !agg.Valid() {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("collector: unknown agg %q", agg))
 			return
 		}

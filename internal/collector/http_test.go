@@ -1,7 +1,9 @@
 package collector
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -201,6 +203,45 @@ func TestHTTPIngestBinaryBatch(t *testing.T) {
 	n, _ := c.Node(1)
 	if n.LastBeatTS != 5 {
 		t.Fatalf("node info = %+v", n)
+	}
+}
+
+// TestHTTPIngestRejectsNonFiniteTimestamp: JSON cannot carry a
+// non-finite timestamp but the binary codec can; ingest answers 400
+// and the batch moves neither the collector's record-time clock nor,
+// through retention measured from it, another node's data.
+func TestHTTPIngestRejectsNonFiniteTimestamp(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.RetentionS = 3600
+	c := New(tsdb.New(), cfg)
+	srv := httptest.NewServer(c.APIHandler())
+	t.Cleanup(srv.Close)
+	for i := 1; i <= 10; i++ {
+		ts := float64(100 * i)
+		if err := c.Ingest(wire.Batch{Node: 2, SeqNo: uint64(i), SentAt: ts,
+			Heartbeats: []wire.Heartbeat{{TS: ts, Node: 2, UptimeS: ts}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const marker = 12345.5 // replaced by +Inf in the encoded body
+	data, err := wire.EncodeBatchBinary(wire.Batch{Node: 1, SeqNo: 1, SentAt: 1000,
+		Heartbeats: []wire.Heartbeat{{TS: marker, Node: 1, UptimeS: 5}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	le := func(v float64) string { return string(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v))) }
+	body := strings.Replace(string(data), le(marker), le(math.Inf(1)), 1)
+	resp, err := http.Post(srv.URL+"/api/v1/ingest", "application/octet-stream", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %v, want 400", resp.Status)
+	}
+	uptime, _ := c.TSDB().QueryOne("node_uptime", tsdb.Labels{"node": "N0002"}, math.Inf(-1), math.Inf(1))
+	if c.MaxTS() != 1000 || len(uptime.Points) != 10 {
+		t.Fatalf("MaxTS %v and N0002 holds %d uptime points, want 1000 and 10", c.MaxTS(), len(uptime.Points))
 	}
 }
 

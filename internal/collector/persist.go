@@ -191,10 +191,8 @@ func (c *Collector) Recover(log *wal.Log) (wal.ReplayStats, error) {
 			return wal.ReplayStats{}, err
 		}
 	}
+	// Replay hands over batches its decoder has validated.
 	return log.Replay(func(b wire.Batch) error {
-		if err := b.Validate(); err != nil {
-			return fmt.Errorf("collector: recover: %w", err)
-		}
 		_, err := c.ingest(b, false)
 		return err
 	})

@@ -82,10 +82,7 @@ func parseChartQuery(q url.Values, metric string, maxTS float64) (chartQuery, er
 		cq.Width = min(max(w, minChartWidth), maxChartWidth)
 	}
 	if v := q.Get("agg"); v != "" {
-		switch agg := tsdb.Agg(v); agg {
-		case tsdb.AggSum, tsdb.AggAvg, tsdb.AggMin, tsdb.AggMax, tsdb.AggCount, tsdb.AggLast:
-			cq.Agg = agg
-		default:
+		if cq.Agg = tsdb.Agg(v); !cq.Agg.Valid() {
 			return cq, fmt.Errorf("dashboard: unknown agg %q", v)
 		}
 	}
@@ -170,9 +167,7 @@ func (s *Server) handleChartJSON(w http.ResponseWriter, r *http.Request, metric 
 	}
 	if v := r.URL.Query().Get("reduce"); v != "" {
 		agg := tsdb.Agg(v)
-		switch agg {
-		case tsdb.AggSum, tsdb.AggAvg, tsdb.AggMin, tsdb.AggMax, tsdb.AggCount, tsdb.AggLast:
-		default:
+		if !agg.Valid() {
 			http.Error(w, fmt.Sprintf("dashboard: unknown reduce %q", v), http.StatusBadRequest)
 			return
 		}

@@ -73,9 +73,7 @@ func (db *DB) Dump() SnapshotDump {
 			sd := SeriesDump{
 				Labels: exportLabels(s.labels),
 				Points: append([]Point(nil), s.head...),
-			}
-			for _, c := range s.blocks {
-				sd.Blocks = append(sd.Blocks, *c)
+				Blocks: s.sealed.dump(),
 			}
 			if s.hasLast {
 				sd.Last = Point{TS: s.lastTS, Value: s.lastVal}
@@ -83,20 +81,17 @@ func (db *DB) Dump() SnapshotDump {
 			}
 			for t := range s.rolls {
 				rs := &s.rolls[t]
-				if len(rs.blocks) == 0 && len(rs.head) == 0 && !rs.hasOpen {
+				if rs.empty() {
 					continue
 				}
-				rd := RollupDump{
+				sd.Rollups = append(sd.Rollups, RollupDump{
 					Step:       tierSteps[t],
+					Blocks:     rs.sealed.dump(),
 					Head:       append([]RollupSample(nil), rs.head...),
 					Open:       rs.open,
 					HasOpen:    rs.hasOpen,
 					OpenLastTS: rs.openLastTS,
-				}
-				for _, c := range rs.blocks {
-					rd.Blocks = append(rd.Blocks, *c)
-				}
-				sd.Rollups = append(sd.Rollups, rd)
+				})
 			}
 			dump.Metrics[name] = append(dump.Metrics[name], sd)
 			s.mu.Unlock()
@@ -108,14 +103,16 @@ func (db *DB) Dump() SnapshotDump {
 // Load replaces the store's contents with the dump. Both the current
 // (v2, compressed blocks) and legacy (v1, raw points) formats load;
 // retention/tier configuration is not part of a dump and is preserved
-// as configured on db.
+// as configured on db. Head points with a NaN timestamp, which dumps
+// taken before Append refused them may hold, are dropped.
 func (db *DB) Load(dump SnapshotDump) error {
 	if dump.Version < 1 || dump.Version > snapshotVersion {
 		return fmt.Errorf("tsdb: restore: unsupported snapshot version %d", dump.Version)
 	}
 	metrics := make(map[string]map[string]*series, len(dump.Metrics))
 	points := 0
-	var rawBytes, rawSealed, rollBytes int64
+	var raw, roll chunkKind
+	raw.cols, roll.cols = db.raw.cols, db.roll.cols
 	for name, dumps := range dump.Metrics {
 		byLabels := make(map[string]*series, len(dumps))
 		for _, sd := range dumps {
@@ -126,41 +123,21 @@ func (db *DB) Load(dump SnapshotDump) error {
 			s := &series{
 				labels: compactLabels(sd.Labels),
 				key:    key,
-				head:   append([]Point(nil), sd.Points...),
+				head:   slices.DeleteFunc(append([]Point(nil), sd.Points...), func(p Point) bool { return p.TS != p.TS }),
 			}
-			s.headNaN = slices.ContainsFunc(s.head, func(p Point) bool { return p.TS != p.TS })
-			prevMax := 0.0
-			for i, c := range sd.Blocks {
-				if c.Cols != 1 {
-					return fmt.Errorf("tsdb: restore: series %s%v: raw chunk with %d columns", name, sd.Labels, c.Cols)
+			for _, c := range sd.Blocks {
+				if err := s.sealed.attach(&raw, c); err != nil {
+					return fmt.Errorf("tsdb: restore: series %s%v: raw %w", name, sd.Labels, err)
 				}
-				cc := c // own copy; chunks are immutable once attached
-				s.blocks = append(s.blocks, &cc)
-				if i > 0 && cc.MinTS < prevMax {
-					s.sealedOverlap = true
-				}
-				if cc.MaxTS > prevMax || i == 0 {
-					prevMax = cc.MaxTS
-				}
-				rawBytes += int64(len(cc.Data))
-				rawSealed += int64(cc.Count)
-				points += cc.Count
 			}
-			points += len(sd.Points)
+			points += s.rawCount()
 			// headSorted starts false: snapshots are written sorted but the
 			// first read re-checks defensively, as the old store did.
 			if sd.HasLast {
 				s.lastTS, s.lastVal, s.hasLast = sd.Last.TS, sd.Last.Value, true
 			} else {
-				// v1 dump: recover the newest sample by scanning.
-				for _, c := range s.blocks {
-					it := c.Iter()
-					for it.Next() {
-						if ts, v := it.At(); !s.hasLast || ts >= s.lastTS {
-							s.lastTS, s.lastVal, s.hasLast = ts, v, true
-						}
-					}
-				}
+				// v1 dump, whose points are all in the head: recover the
+				// newest sample by scanning.
 				for _, p := range s.head {
 					if !s.hasLast || p.TS >= s.lastTS {
 						s.lastTS, s.lastVal, s.hasLast = p.TS, p.Value, true
@@ -181,12 +158,9 @@ func (db *DB) Load(dump SnapshotDump) error {
 				rs.head = append([]RollupSample(nil), rd.Head...)
 				rs.open, rs.hasOpen, rs.openLastTS = rd.Open, rd.HasOpen, rd.OpenLastTS
 				for _, c := range rd.Blocks {
-					if c.Cols != rollupCols {
-						return fmt.Errorf("tsdb: restore: series %s%v: rollup chunk with %d columns", name, sd.Labels, c.Cols)
+					if err := rs.sealed.attach(&roll, c); err != nil {
+						return fmt.Errorf("tsdb: restore: series %s%v: rollup %w", name, sd.Labels, err)
 					}
-					cc := c
-					rs.blocks = append(rs.blocks, &cc)
-					rollBytes += int64(len(cc.Data))
 				}
 			}
 			byLabels[key] = s
@@ -212,8 +186,9 @@ func (db *DB) Load(dump SnapshotDump) error {
 	db.fresh.Store(0)
 	db.mu.Unlock()
 	db.points.Store(int64(points))
-	db.rawBytes.Store(rawBytes)
-	db.rawSealed.Store(rawSealed)
-	db.rollBytes.Store(rollBytes)
+	db.raw.bytes.Store(raw.bytes.Load())
+	db.raw.samples.Store(raw.samples.Load())
+	db.roll.bytes.Store(roll.bytes.Load())
+	db.roll.samples.Store(roll.samples.Load())
 	return nil
 }

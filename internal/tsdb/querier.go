@@ -35,5 +35,5 @@ var _ Querier = (*DB)(nil)
 // points from several stores and must hand them back through the
 // streaming interface.
 func PointsIter(pts []Point) Iter {
-	return Iter{flat: pts, flatMode: true}
+	return Iter{flat: pts}
 }

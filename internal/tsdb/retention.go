@@ -20,9 +20,9 @@ import "math"
 // out-of-order append landing mid-walk is never lost. Stores that never
 // evict must not pay for this on append, so a series maintains the
 // watermark only once armed, by the first sweep that visits it (series
-// created later are armed at birth). A NaN timestamp counts as -Inf,
-// and -Inf is also the "unknown" value New, ConfigureTiers and Load
-// start from: a watermark of -Inf always sweeps.
+// created later are armed at birth). -Inf is the "unknown" value New,
+// ConfigureTiers and Load start from: a watermark of -Inf always
+// sweeps.
 
 // negInfBits is the watermark's unknown value.
 var negInfBits = math.Float64bits(math.Inf(-1))
@@ -116,7 +116,7 @@ func (db *DB) sweepLocked(req evictAt) int {
 			s.mu.Lock()
 			s.armed = true
 			if req.on[0] {
-				dropped += s.pruneSeriesRaw(db, req.before[0])
+				dropped += s.pruneRaw(db, req.before[0])
 			}
 			for t := range s.rolls {
 				if req.on[t+1] {
@@ -142,41 +142,25 @@ func (db *DB) sweepLocked(req evictAt) int {
 
 // oldest returns the smallest timestamp a cutoff could still evict from
 // the series: the raw tier's, and the bucket starts of every rollup
-// tier with a horizon. It is -Inf when the head may hold a NaN
-// timestamp, which sorting cannot place, so that any raw cutoff may
-// drop samples. A NaN chunk bound or open bucket is skipped: a cutoff
-// never evicts on it alone. Callers hold s.mu.
+// tier with a horizon. Callers hold s.mu.
 func (s *series) oldest(db *DB) float64 {
 	low := math.Inf(1)
 	if len(s.head) > 0 {
-		if s.headNaN {
-			return math.Inf(-1)
-		}
 		s.sortHead()
 		low = s.head[0].TS
 	}
-	low = minChunkTS(low, s.blocks)
+	low = s.sealed.oldest(low)
 	for t := range s.rolls {
 		if db.retain[t+1] <= 0 {
 			continue
 		}
 		rs := &s.rolls[t]
-		low = minChunkTS(low, rs.blocks)
+		low = rs.sealed.oldest(low)
 		if len(rs.head) > 0 && rs.head[0].TS < low {
 			low = rs.head[0].TS
 		}
 		if rs.hasOpen && rs.open.TS < low {
 			low = rs.open.TS
-		}
-	}
-	return low
-}
-
-// minChunkTS folds the chunks' MinTS into low.
-func minChunkTS(low float64, chunks []*Chunk) float64 {
-	for _, c := range chunks {
-		if c.MinTS < low {
-			low = c.MinTS
 		}
 	}
 	return low
@@ -197,11 +181,8 @@ func (db *DB) evictBound(ts float64) float64 {
 	return low
 }
 
-// lowerWatermark CAS-mins v into the watermark, NaN counting as -Inf.
+// lowerWatermark CAS-mins v into the watermark.
 func (db *DB) lowerWatermark(v float64) {
-	if v != v {
-		v = math.Inf(-1)
-	}
 	for {
 		cur := db.wm.Load()
 		if !(v < math.Float64frombits(cur)) || db.wm.CompareAndSwap(cur, math.Float64bits(v)) {

@@ -304,3 +304,98 @@ func TestRetainRaceOutOfOrderAppends(t *testing.T) {
 		}
 	}
 }
+
+// TestNaNTimestampNeverStored: a sample with a NaN timestamp has no
+// place in time order, so Append refuses it — every read then agrees
+// on the samples that are stored, retention drops exactly those below
+// its cutoff, and no count or metric sees the refused sample. Load
+// drops NaN-timestamp head points that older dumps may hold.
+func TestNaNTimestampNeverStored(t *testing.T) {
+	nan := math.NaN()
+	db := New()
+	db.ConfigureTiers(Retention{})
+	db.Instrument(metrics.NewRegistry())
+	m := db.inst.Load()
+	lbl := Labels{"node": "a"}
+	for _, ts := range []float64{3, nan, 1, 2} {
+		db.Append("m", lbl, ts, ts)
+	}
+	want := []Point{{1, 1}, {2, 2}}
+	if r, _ := db.QueryOne("m", lbl, 0, 2.5); !reflect.DeepEqual(r.Points, want) {
+		t.Fatalf("QueryOne = %v, want %v", r.Points, want)
+	}
+	it, _ := db.IterOne("m", lbl, 0, 2.5)
+	var got []Point
+	for it.Next() {
+		ts, v := it.At()
+		got = append(got, Point{ts, v})
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("IterOne = %v, want %v", got, want)
+	}
+	if n, sum := db.AggregateRange("m", nil, 0, 2.5, AggCount), db.AggregateRange("m", nil, 0, 2.5, AggSum); n != 2 || sum != 3 {
+		t.Fatalf("AggregateRange count %v sum %v, want 2 and 3", n, sum)
+	}
+	if r := db.QueryRange("m", nil, 0, 2.5, 1, AggSum); len(r) != 1 || !reflect.DeepEqual(r[0].Points, want) {
+		t.Fatalf("QueryRange = %v, want one series %v", r, want)
+	}
+	if db.PointCount() != 3 || m.appends.Value() != 3 || m.rollupOOO.Value() != 0 {
+		t.Fatalf("PointCount %d, appends %v, rollup OOO %v; want 3, 3, 0", db.PointCount(), m.appends.Value(), m.rollupOOO.Value())
+	}
+
+	for _, ts := range []float64{nan, 1, 2} {
+		db.Append("n", nil, ts, ts)
+	}
+	if p, _ := db.Latest("n", nil); p != (Point{2, 2}) {
+		t.Fatalf("Latest = %v, want {2 2}", p)
+	}
+	db.Append("new", nil, nan, 1)
+	h := db.Series("h", nil)
+	h.Append(nan, 1)
+	if r, ok := db.QueryOne("h", nil, math.Inf(-1), math.Inf(1)); !ok || len(r.Points) != 0 || db.SeriesCount() != 3 {
+		t.Fatalf("NaN-only handle holds %v (ok %v), %d series; want none, true, 3", r.Points, ok, db.SeriesCount())
+	}
+
+	if got := db.Prune(2.5); got != 4 {
+		t.Fatalf("Prune(2.5) dropped %d, want 4 (1 and 2 of both series)", got)
+	}
+	if r, _ := db.QueryOne("m", lbl, math.Inf(-1), math.Inf(1)); !reflect.DeepEqual(r.Points, []Point{{3, 3}}) {
+		t.Fatalf("after Prune(2.5) m holds %v, want [{3 3}]", r.Points)
+	}
+	// n keeps its rollup buckets; the NaN-only handle's series is gone.
+	if names := db.MetricNames(); !reflect.DeepEqual(names, []string{"m", "n"}) || db.PointCount() != 1 {
+		t.Fatalf("after Prune(2.5): metrics %v, %d points; want [m n] and 1", names, db.PointCount())
+	}
+
+	dump := SnapshotDump{Version: snapshotVersion, Metrics: map[string][]SeriesDump{
+		"m": {{Labels: lbl, Points: []Point{{1, 1}, {nan, 9}, {2, 2}}, Last: Point{2, 2}, HasLast: true}},
+	}}
+	if err := db.Load(dump); err != nil {
+		t.Fatal(err)
+	}
+	if r, _ := db.QueryOne("m", lbl, math.Inf(-1), math.Inf(1)); !reflect.DeepEqual(r.Points, want) || db.PointCount() != 2 {
+		t.Fatalf("Load kept %v (%d points), want %v", r.Points, db.PointCount(), want)
+	}
+}
+
+// TestNaNCutoffEvictsNothing: a cutoff drops exactly the samples with
+// TS < before, which for a NaN cutoff is none — in chunks, heads and
+// rollup tiers alike.
+func TestNaNCutoffEvictsNothing(t *testing.T) {
+	db := New()
+	db.SetSealEvery(8)
+	db.ConfigureTiers(Retention{RawS: 100, Rollup1mS: 1000, Rollup1hS: 10000})
+	for i := 0; i < 300; i++ {
+		db.Append("m", Labels{"node": fmt.Sprint(i % 3)}, float64(i*7%500), float64(i))
+	}
+	before := dumpString(db)
+	for name, evict := range map[string]func() int{
+		"Prune(NaN)":  func() int { return db.Prune(math.NaN()) },
+		"Retain(NaN)": func() int { return db.Retain(math.NaN()) },
+	} {
+		db.forceSweep()
+		if got := evict(); got != 0 || dumpString(db) != before {
+			t.Fatalf("%s dropped %d samples, want 0 and an unchanged store", name, got)
+		}
+	}
+}

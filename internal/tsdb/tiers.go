@@ -87,7 +87,7 @@ func (acc RollupSample) value(agg Agg) float64 {
 // uncompressed head of closed buckets, and the single open bucket that
 // the append path folds into. Guarded by the owning series' mutex.
 type rollState struct {
-	blocks []*Chunk
+	sealed chunkList
 	head   []RollupSample
 	// open is the in-progress bucket; openLastTS is the timestamp of
 	// the newest sample folded into it (tracks which value is Last).
@@ -131,96 +131,46 @@ func (rs *rollState) feed(db *DB, step, ts, value float64) {
 	case bucket > rs.open.TS:
 		rs.head = append(rs.head, rs.open)
 		if len(rs.head) >= rollupSealEvery {
-			rs.seal(db)
+			rs.sealed.seal(db, &db.roll, func() *Chunk {
+				var enc Encoder
+				enc.Reset(rollupCols, len(rs.head))
+				for _, b := range rs.head {
+					vals := [rollupCols]float64{b.Count, b.Sum, b.Min, b.Max, b.Last}
+					enc.AppendVals(b.TS, vals[:])
+				}
+				return enc.Chunk()
+			})
+			rs.head = rs.head[:0]
 		}
 		rs.open = RollupSample{TS: bucket, Count: 1, Sum: value, Min: value, Max: value, Last: value}
 		rs.openLastTS = ts
 	default:
-		// Too old for the open bucket (includes NaN timestamps).
+		// Too old for the open bucket.
 		if m := db.inst.Load(); m != nil {
 			m.rollupOOO.Inc()
 		}
 	}
 }
 
-// seal compresses the head buckets into a five-column chunk. Callers
-// hold the series mutex.
-func (rs *rollState) seal(db *DB) {
-	if len(rs.head) == 0 {
-		return
-	}
-	var start time.Time
-	inst := db.inst.Load()
-	if inst != nil {
-		start = time.Now()
-	}
-	var enc Encoder
-	enc.Reset(rollupCols, len(rs.head))
-	for _, b := range rs.head {
-		vals := [rollupCols]float64{b.Count, b.Sum, b.Min, b.Max, b.Last}
-		enc.AppendVals(b.TS, vals[:])
-	}
-	c := enc.Chunk()
-	rs.blocks = append(rs.blocks, c)
-	rs.head = rs.head[:0]
-	db.rollBytes.Add(int64(len(c.Data)))
-	if inst != nil {
-		inst.sealDuration.Observe(time.Since(start).Seconds())
-	}
-}
-
 // count returns the number of buckets held by the tier. Callers hold
 // the series mutex.
 func (rs *rollState) count() int {
-	n := len(rs.head)
-	for _, c := range rs.blocks {
-		n += c.Count
-	}
+	n := len(rs.head) + rs.sealed.count()
 	if rs.hasOpen {
 		n++
 	}
 	return n
 }
 
+// empty reports whether the tier holds no bucket. Callers hold the
+// series mutex.
+func (rs *rollState) empty() bool {
+	return len(rs.sealed.chunks) == 0 && len(rs.head) == 0 && !rs.hasOpen
+}
+
 // prune drops buckets with TS < before. Callers hold the series mutex.
 func (rs *rollState) prune(db *DB, before float64) {
-	affected := false
-	for _, c := range rs.blocks {
-		if c.MinTS < before {
-			affected = true
-			break
-		}
-	}
-	if affected {
-		// As with the raw tier, snapshots share this backing array with
-		// lock-free readers — compact into a fresh slice.
-		kept := make([]*Chunk, 0, len(rs.blocks))
-		for _, c := range rs.blocks {
-			switch {
-			case c.MaxTS < before:
-				db.rollBytes.Add(int64(-len(c.Data)))
-			case c.MinTS >= before:
-				kept = append(kept, c)
-			default:
-				var enc Encoder
-				enc.Reset(rollupCols, c.Count)
-				it := c.Iter()
-				for it.Next() {
-					if it.TS() >= before {
-						vals := [rollupCols]float64{it.Value(0), it.Value(1), it.Value(2), it.Value(3), it.Value(4)}
-						enc.AppendVals(it.TS(), vals[:])
-					}
-				}
-				db.rollBytes.Add(int64(-len(c.Data)))
-				if enc.Count() > 0 {
-					nc := enc.Chunk()
-					db.rollBytes.Add(int64(len(nc.Data)))
-					kept = append(kept, nc)
-				}
-			}
-		}
-		rs.blocks = kept
-	}
+	rs.sealed.prune(&db.roll, before)
 	if len(rs.head) > 0 {
 		cut := 0
 		for cut < len(rs.head) && rs.head[cut].TS < before {
@@ -246,7 +196,7 @@ type rollSnap struct {
 
 // snapshot captures the tier under the series mutex.
 func (rs *rollState) snapshot() rollSnap {
-	sn := rollSnap{blocks: rs.blocks, open: rs.open, hasOpen: rs.hasOpen}
+	sn := rollSnap{blocks: rs.sealed.chunks, open: rs.open, hasOpen: rs.hasOpen}
 	if len(rs.head) > 0 {
 		sn.head = append(sn.head, rs.head...)
 	}

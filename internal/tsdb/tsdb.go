@@ -127,6 +127,133 @@ func (l Labels) String() string { return "{" + l.canonical() + "}" }
 // head copy stays cheap, large enough that chunk overheads amortise.
 const defaultSealEvery = 512
 
+// chunkKind is what the sealed chunks of one kind of tier share across
+// the store: the value columns per sample (1 raw, rollupCols rollup)
+// and the compressed bytes and samples they hold.
+type chunkKind struct {
+	cols           int
+	bytes, samples atomic.Int64
+}
+
+// chunkList is one tier's sealed, immutable chunks of one series, in
+// seal order — the one implementation of sealing, eviction, counting
+// and snapshot attach behind the raw tier and every rollup tier.
+// Snapshots share the chunks slice with lock-free readers, so it is
+// only appended to or replaced, never rewritten in place. Guarded by
+// the owning series' mutex.
+type chunkList struct {
+	chunks []*Chunk
+	// overlap marks that out-of-order appends produced chunks whose time
+	// ranges overlap; readers then merge-sort instead of concatenating.
+	overlap bool
+}
+
+// add appends a sealed chunk of kind k.
+func (l *chunkList) add(k *chunkKind, c *Chunk) {
+	if n := len(l.chunks); n > 0 && c.MinTS < l.chunks[n-1].MaxTS {
+		l.overlap = true
+	}
+	l.chunks = append(l.chunks, c)
+	k.bytes.Add(int64(len(c.Data)))
+	k.samples.Add(int64(c.Count))
+}
+
+// seal appends the chunk of kind k that encode compresses a head into,
+// timing the compression when the store is instrumented.
+func (l *chunkList) seal(db *DB, k *chunkKind, encode func() *Chunk) {
+	var start time.Time
+	inst := db.inst.Load()
+	if inst != nil {
+		start = time.Now()
+	}
+	l.add(k, encode())
+	if inst != nil {
+		inst.sealDuration.Observe(time.Since(start).Seconds())
+	}
+}
+
+// attach adds a chunk read from a snapshot, refusing one whose column
+// count is not k's.
+func (l *chunkList) attach(k *chunkKind, c Chunk) error {
+	if c.Cols != k.cols {
+		return fmt.Errorf("chunk with %d columns, want %d", c.Cols, k.cols)
+	}
+	l.add(k, &c)
+	return nil
+}
+
+// prune drops exactly the samples with TS < before: chunks wholly below
+// the cutoff go whole, a straddling chunk is decoded, filtered and
+// re-encoded. It returns how many samples it dropped.
+func (l *chunkList) prune(k *chunkKind, before float64) int {
+	if !slices.ContainsFunc(l.chunks, func(c *Chunk) bool { return c.MinTS < before }) {
+		return 0
+	}
+	dropped := 0
+	kept := make([]*Chunk, 0, len(l.chunks))
+	for _, c := range l.chunks {
+		if c.MinTS >= before {
+			kept = append(kept, c)
+			continue
+		}
+		k.bytes.Add(int64(-len(c.Data)))
+		k.samples.Add(int64(-c.Count))
+		if c.MaxTS < before {
+			dropped += c.Count
+			continue
+		}
+		var enc Encoder
+		enc.Reset(c.Cols, c.Count)
+		it := c.Iter()
+		for it.Next() {
+			if it.TS() < before {
+				dropped++
+			} else {
+				enc.AppendVals(it.TS(), it.vals[:c.Cols])
+			}
+		}
+		if enc.Count() > 0 {
+			nc := enc.Chunk()
+			kept = append(kept, nc)
+			k.bytes.Add(int64(len(nc.Data)))
+			k.samples.Add(int64(nc.Count))
+		}
+	}
+	l.chunks = kept
+	if len(kept) == 0 {
+		l.overlap = false
+	}
+	return dropped
+}
+
+// count returns the samples the chunks hold.
+func (l *chunkList) count() int {
+	n := 0
+	for _, c := range l.chunks {
+		n += c.Count
+	}
+	return n
+}
+
+// oldest folds the chunks' smallest timestamps into low.
+func (l *chunkList) oldest(low float64) float64 {
+	for _, c := range l.chunks {
+		if c.MinTS < low {
+			low = c.MinTS
+		}
+	}
+	return low
+}
+
+// dump copies the chunks for a snapshot, sharing their immutable bytes.
+func (l *chunkList) dump() []Chunk {
+	var out []Chunk
+	for _, c := range l.chunks {
+		out = append(out, *c)
+	}
+	return out
+}
+
 // series owns its blocks under its own lock; labels and key are
 // immutable after creation and readable without it, so every Series
 // handle to the series shares them.
@@ -135,13 +262,8 @@ type series struct {
 	key    string // canonical form of labels, the index key
 
 	mu sync.Mutex
-	// blocks are the sealed, immutable compressed chunks in seal order
-	// (ascending MinTS unless sealedOverlap is set).
-	blocks []*Chunk
-	// sealedOverlap marks that out-of-order appends produced chunks
-	// whose time ranges overlap; readers then merge-sort instead of
-	// concatenating.
-	sealedOverlap bool
+	// sealed is the raw tier's compressed chunks.
+	sealed chunkList
 	// head is the mutable tail of recent raw points.
 	head       []Point
 	headSorted bool
@@ -157,10 +279,10 @@ type series struct {
 	// replaced wholesale by Load); cached Series handles revalidate
 	// against it before appending.
 	dead bool
-	// fresh marks a series registered but never appended to, armed one
-	// whose appends maintain the retention watermark, and headNaN a head
-	// that may hold a NaN timestamp (see retention.go).
-	fresh, armed, headNaN bool
+	// fresh marks a series registered but never appended to, and armed
+	// one whose appends maintain the retention watermark (see
+	// retention.go).
+	fresh, armed bool
 }
 
 // sortHead restores time order after out-of-order appends. Callers
@@ -173,8 +295,8 @@ func (s *series) sortHead() {
 	s.headSorted = true
 }
 
-// append adds one sample, sealing the head into a compressed chunk when
-// it fills. Callers hold s.mu.
+// append adds one sample, whose timestamp is not NaN, sealing the head
+// into a compressed chunk when it fills. Callers hold s.mu.
 func (s *series) append(db *DB, ts, value float64) {
 	if s.headSorted && len(s.head) > 0 && ts < s.head[len(s.head)-1].TS {
 		s.headSorted = false
@@ -183,17 +305,12 @@ func (s *series) append(db *DB, ts, value float64) {
 	switch {
 	case !s.hasLast:
 		s.lastTS, s.lastVal, s.hasLast = ts, value, true
-		if ts != ts {
-			s.headNaN = true
-		}
 		if s.fresh {
 			s.fresh = false
 			db.fresh.Add(-1)
 		}
 	case ts >= s.lastTS:
 		s.lastTS, s.lastVal = ts, value
-	case ts != ts:
-		s.headNaN = true
 	}
 	if db.tiersOn {
 		for t := range s.rolls {
@@ -204,48 +321,22 @@ func (s *series) append(db *DB, ts, value float64) {
 		db.lowerWatermark(db.evictBound(ts))
 	}
 	if len(s.head) >= db.sealEvery {
-		s.seal(db)
-	}
-}
-
-// seal compresses the head into an immutable chunk. Callers hold s.mu.
-func (s *series) seal(db *DB) {
-	if len(s.head) == 0 {
-		return
-	}
-	var start time.Time
-	inst := db.inst.Load()
-	if inst != nil {
-		start = time.Now()
-	}
-	s.sortHead()
-	var enc Encoder
-	enc.Reset(1, len(s.head))
-	for _, p := range s.head {
-		enc.Append(p.TS, p.Value)
-	}
-	c := enc.Chunk()
-	if n := len(s.blocks); n > 0 && c.MinTS < s.blocks[n-1].MaxTS {
-		s.sealedOverlap = true
-	}
-	s.blocks = append(s.blocks, c)
-	s.head = s.head[:0]
-	s.headSorted = true
-	s.headNaN = false
-	db.rawBytes.Add(int64(len(c.Data)))
-	db.rawSealed.Add(int64(c.Count))
-	if inst != nil {
-		inst.sealDuration.Observe(time.Since(start).Seconds())
+		s.sealed.seal(db, &db.raw, func() *Chunk {
+			s.sortHead()
+			var enc Encoder
+			enc.Reset(1, len(s.head))
+			for _, p := range s.head {
+				enc.Append(p.TS, p.Value)
+			}
+			return enc.Chunk()
+		})
+		s.head = s.head[:0]
 	}
 }
 
 // rawCount returns the series' raw sample count. Callers hold s.mu.
 func (s *series) rawCount() int {
-	n := len(s.head)
-	for _, c := range s.blocks {
-		n += c.Count
-	}
-	return n
+	return len(s.head) + s.sealed.count()
 }
 
 // snapshot captures the series' raw data for lock-free reading: the
@@ -253,10 +344,10 @@ func (s *series) rawCount() int {
 // Callers hold s.mu.
 func (s *series) snapshot() seriesSnap {
 	s.sortHead()
-	sn := seriesSnap{blocks: s.blocks, overlap: s.sealedOverlap}
+	sn := seriesSnap{blocks: s.sealed.chunks, overlap: s.sealed.overlap}
 	if len(s.head) > 0 {
 		sn.head = append(sn.head, s.head...)
-		if n := len(s.blocks); n > 0 && sn.head[0].TS < s.blocks[n-1].MaxTS {
+		if n := len(sn.blocks); n > 0 && sn.head[0].TS < sn.blocks[n-1].MaxTS {
 			sn.overlap = true
 		}
 	}
@@ -275,13 +366,7 @@ type seriesSnap struct {
 // [from, to], in time order.
 func (sn seriesSnap) Iter(from, to float64) Iter {
 	if sn.overlap {
-		// Rare out-of-order fallback: materialise, stably sort (seal
-		// order preserves append order for equal timestamps), iterate.
-		flat := sn.materialize(math.Inf(-1), math.Inf(1))
-		sort.SliceStable(flat, func(i, j int) bool { return flat[i].TS < flat[j].TS })
-		lo := sort.Search(len(flat), func(i int) bool { return flat[i].TS >= from })
-		hi := sort.Search(len(flat), func(i int) bool { return flat[i].TS > to })
-		return Iter{flat: flat[lo:hi], flatMode: true, from: from, to: to}
+		return PointsIter(sn.rangePoints(from, to))
 	}
 	return Iter{blocks: sn.blocks, head: sn.head, from: from, to: to}
 }
@@ -317,7 +402,9 @@ func (sn seriesSnap) materialize(from, to float64) []Point {
 }
 
 // rangePoints returns the snapshot's points within [from, to] in time
-// order — the materialising read used by Query/QueryOne.
+// order — the materialising read behind Query, QueryOne and, when
+// chunks overlap, Iter. The sort is stable: seal order preserves
+// append order for equal timestamps.
 func (sn seriesSnap) rangePoints(from, to float64) []Point {
 	if !sn.overlap {
 		return sn.materialize(from, to)
@@ -340,10 +427,10 @@ type Iter struct {
 	from    float64
 	to      float64
 
-	// flat is the pre-merged overlap fallback.
-	flat     []Point
-	fi       int
-	flatMode bool
+	// flat is a PointsIter's already time-ordered points; such an Iter
+	// has no blocks or head.
+	flat []Point
+	fi   int
 
 	ts  float64
 	val float64
@@ -352,10 +439,7 @@ type Iter struct {
 // Next advances to the next point in [from, to]; it returns false when
 // the range is exhausted.
 func (it *Iter) Next() bool {
-	if it.flatMode {
-		if it.fi >= len(it.flat) {
-			return false
-		}
+	if it.fi < len(it.flat) {
 		p := it.flat[it.fi]
 		it.fi++
 		it.ts, it.val = p.TS, p.Value
@@ -444,10 +528,9 @@ type DB struct {
 	armed bool
 	fresh atomic.Int64
 
-	// Compression accounting (sealed data only; the head is raw).
-	rawBytes  atomic.Int64 // compressed bytes across raw-tier chunks
-	rawSealed atomic.Int64 // samples inside raw-tier chunks
-	rollBytes atomic.Int64 // compressed bytes across rollup chunks
+	// raw and roll account for the sealed chunks of the raw tier and of
+	// every rollup tier (the heads are uncompressed and not counted).
+	raw, roll chunkKind
 
 	// inst holds the optional self-observability instruments; an atomic
 	// pointer so readers on the append fast path never take an extra lock.
@@ -495,15 +578,15 @@ func (db *DB) Instrument(reg *metrics.Registry) {
 		func() float64 { return float64(db.PointCount()) })
 	reg.NewGaugeFunc("meshmon_tsdb_compressed_bytes",
 		"Bytes held in sealed compressed chunks across all tiers.",
-		func() float64 { return float64(db.rawBytes.Load() + db.rollBytes.Load()) })
+		func() float64 { return float64(db.raw.bytes.Load() + db.roll.bytes.Load()) })
 	reg.NewGaugeFunc("meshmon_tsdb_bytes_per_sample",
 		"Compressed bytes per sealed raw sample (16 uncompressed).",
 		func() float64 {
-			n := db.rawSealed.Load()
+			n := db.raw.samples.Load()
 			if n == 0 {
 				return 0
 			}
-			return float64(db.rawBytes.Load()) / float64(n)
+			return float64(db.raw.bytes.Load()) / float64(n)
 		})
 	for t := 0; t < tierCount; t++ {
 		t := t
@@ -522,6 +605,7 @@ func New() *DB {
 		metrics:   make(map[string]map[string]*series),
 		sealEvery: defaultSealEvery,
 	}
+	db.raw.cols, db.roll.cols = 1, rollupCols
 	db.wm.Store(negInfBits)
 	return db
 }
@@ -539,10 +623,10 @@ func (db *DB) SetSealEvery(n int) {
 // bytes across all tiers, samples inside sealed raw chunks, and the
 // raw-tier bytes per sample (0 until something seals).
 func (db *DB) CompressionStats() (compressedBytes, sealedSamples int64, bytesPerSample float64) {
-	compressedBytes = db.rawBytes.Load() + db.rollBytes.Load()
-	sealedSamples = db.rawSealed.Load()
+	compressedBytes = db.raw.bytes.Load() + db.roll.bytes.Load()
+	sealedSamples = db.raw.samples.Load()
 	if sealedSamples > 0 {
-		bytesPerSample = float64(db.rawBytes.Load()) / float64(sealedSamples)
+		bytesPerSample = float64(db.raw.bytes.Load()) / float64(sealedSamples)
 	}
 	return
 }
@@ -596,11 +680,25 @@ func (db *DB) lockLive(name string, s *series) *series {
 	}
 }
 
-// Append adds a sample to the series (name, labels).
+// Append adds a sample to the series (name, labels). A sample whose
+// timestamp is NaN is ignored: it has no place in time order.
 func (db *DB) Append(name string, labels Labels, ts, value float64) {
-	s := db.lookup(name, labels.canonical())
+	db.append(name, nil, labels, ts, value)
+}
+
+// append is DB.Append and Series.Append: it adds one sample to s, or,
+// when s is nil, to the series (name, labels), registering it if need
+// be, and returns the live series it appended to. A sample whose
+// timestamp is NaN never enters the store: it creates no series, and
+// no count or metric sees it.
+func (db *DB) append(name string, s *series, labels Labels, ts, value float64) *series {
+	if ts != ts {
+		return s
+	}
 	if s == nil {
-		s = db.getOrCreate(name, labels)
+		if s = db.lookup(name, labels.canonical()); s == nil {
+			s = db.getOrCreate(name, labels)
+		}
 	}
 	s = db.lockLive(name, s)
 	s.append(db, ts, value)
@@ -609,6 +707,7 @@ func (db *DB) Append(name string, labels Labels, ts, value float64) {
 	if m := db.inst.Load(); m != nil {
 		m.appends.Inc()
 	}
+	return s
 }
 
 // Series is a cached handle to one exact (metric, labels) series: the
@@ -632,17 +731,11 @@ func (db *DB) Series(name string, labels Labels) *Series {
 	return h
 }
 
-// Append adds a sample to the handle's series. Distinct series append
+// Append adds a sample to the handle's series, ignoring it, as
+// DB.Append does, when its timestamp is NaN. Distinct series append
 // without contending: only the series' own mutex is taken.
 func (h *Series) Append(ts, value float64) {
-	s := h.db.lockLive(h.name, h.s.Load())
-	h.s.Store(s)
-	s.append(h.db, ts, value)
-	s.mu.Unlock()
-	h.db.points.Add(1)
-	if m := h.db.inst.Load(); m != nil {
-		m.appends.Inc()
-	}
+	h.s.Store(h.db.append(h.name, h.s.Load(), nil, ts, value))
 }
 
 // Labels returns the handle's label set (a copy).
@@ -856,81 +949,24 @@ func (db *DB) observeQuery(start time.Time) {
 	}
 }
 
-// pruneSeriesRaw drops the series' raw samples with TS < before:
-// whole chunks below the cutoff are dropped in O(1), a straddling chunk
-// is decoded, filtered and re-sealed, and the head is filtered in
-// place. Callers hold s.mu. Returns how many samples were dropped.
-func (s *series) pruneSeriesRaw(db *DB, before float64) int {
-	dropped := 0
-	affected := false
-	for _, c := range s.blocks {
-		if c.MinTS < before {
-			affected = true
-			break
-		}
+// pruneRaw drops the series' raw samples with TS < before, from its
+// chunks and its head. Callers hold s.mu. Returns how many samples were
+// dropped.
+func (s *series) pruneRaw(db *DB, before float64) int {
+	dropped := s.sealed.prune(&db.raw, before)
+	s.sortHead()
+	cut := sort.Search(len(s.head), func(i int) bool { return !(s.head[i].TS < before) })
+	if cut > 0 {
+		s.head = append(s.head[:0], s.head[cut:]...)
 	}
-	if affected {
-		// Snapshots share the blocks backing array with lock-free
-		// readers, so compaction must build a fresh slice rather than
-		// rewrite it in place; in-flight readers keep the old array
-		// alive until they finish.
-		kept := make([]*Chunk, 0, len(s.blocks))
-		for _, c := range s.blocks {
-			switch {
-			case c.MaxTS < before:
-				dropped += c.Count
-				db.rawBytes.Add(int64(-len(c.Data)))
-				db.rawSealed.Add(int64(-c.Count))
-			case c.MinTS >= before:
-				kept = append(kept, c)
-			default:
-				// Straddling chunk: decode, filter, re-seal.
-				var enc Encoder
-				enc.Reset(1, c.Count)
-				it := c.Iter()
-				for it.Next() {
-					ts, v := it.At()
-					if ts >= before {
-						enc.Append(ts, v)
-					} else {
-						dropped++
-					}
-				}
-				db.rawBytes.Add(int64(-len(c.Data)))
-				db.rawSealed.Add(int64(-c.Count))
-				if enc.Count() > 0 {
-					nc := enc.Chunk()
-					db.rawBytes.Add(int64(len(nc.Data)))
-					db.rawSealed.Add(int64(nc.Count))
-					kept = append(kept, nc)
-				}
-			}
-		}
-		s.blocks = kept
-		if len(s.blocks) == 0 {
-			s.sealedOverlap = false
-		}
-	}
-	if len(s.head) > 0 {
-		s.sortHead()
-		cut := sort.Search(len(s.head), func(i int) bool { return s.head[i].TS >= before })
-		if cut > 0 {
-			dropped += cut
-			s.head = append(s.head[:0], s.head[cut:]...)
-		}
-		if len(s.head) == 0 {
-			s.headNaN = false
-		}
-	}
-	return dropped
+	return dropped + cut
 }
 
 // hasRollupData reports whether any rollup tier still holds buckets.
 // Callers hold s.mu.
 func (s *series) hasRollupData() bool {
 	for t := range s.rolls {
-		rs := &s.rolls[t]
-		if len(rs.blocks) > 0 || len(rs.head) > 0 || rs.hasOpen {
+		if !s.rolls[t].empty() {
 			return true
 		}
 	}
@@ -949,6 +985,15 @@ const (
 	AggCount Agg = "count"
 	AggLast  Agg = "last"
 )
+
+// Valid reports whether a is one of the aggregations above.
+func (a Agg) Valid() bool {
+	switch a {
+	case AggSum, AggAvg, AggMin, AggMax, AggCount, AggLast:
+		return true
+	}
+	return false
+}
 
 // Aggregate reduces points to a single value. NaN is returned for an
 // empty input (except count, which is 0).
@@ -1016,30 +1061,8 @@ func Rate(points []Point) float64 {
 // Downsample buckets points into fixed step windows aligned to from and
 // aggregates each bucket. Empty buckets are omitted.
 func Downsample(points []Point, from, step float64, agg Agg) []Point {
-	if step <= 0 || len(points) == 0 {
+	if step <= 0 {
 		return nil
 	}
-	var out []Point
-	var bucket []Point
-	bucketIdx := math.Floor((points[0].TS - from) / step)
-	flush := func() {
-		if len(bucket) == 0 {
-			return
-		}
-		out = append(out, Point{
-			TS:    from + bucketIdx*step,
-			Value: Aggregate(bucket, agg),
-		})
-		bucket = bucket[:0]
-	}
-	for _, p := range points {
-		idx := math.Floor((p.TS - from) / step)
-		if idx != bucketIdx {
-			flush()
-			bucketIdx = idx
-		}
-		bucket = append(bucket, p)
-	}
-	flush()
-	return out
+	return downsampleIter(PointsIter(points), from, step, agg)
 }

@@ -419,7 +419,7 @@ func (l *Log) Replay(fn func(wire.Batch) error) (ReplayStats, error) {
 	stats := ReplayStats{Truncated: truncated}
 	for _, s := range segs {
 		_, torn, err := scanSegment(s.path, func(payload []byte) error {
-			b, err := wire.DecodeBatchBinary(payload)
+			b, err := wire.DecodeLoggedBatch(payload)
 			if err != nil {
 				return fmt.Errorf("wal: replay %s: %w", filepath.Base(s.path), err)
 			}

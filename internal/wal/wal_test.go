@@ -2,9 +2,12 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -503,5 +506,52 @@ func TestReplayFnErrorPropagates(t *testing.T) {
 	boom := fmt.Errorf("boom")
 	if _, err := l2.Replay(func(wire.Batch) error { return boom }); !errors.Is(err, boom) {
 		t.Fatalf("replay error = %v, want boom", err)
+	}
+}
+
+// TestReplayKeepsNonFiniteTimestamps: ingest now refuses non-finite
+// timestamps, but a log written before it did may hold one, and that
+// log still replays in full.
+func TestReplayKeepsNonFiniteTimestamps(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(testBatch(1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	const marker = 12345.5
+	legacy := testBatch(1, 2)
+	legacy.Heartbeats[0].TS = marker
+	payload, err := wire.EncodeBatchBinary(legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	le := func(v float64) []byte { return binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)) }
+	payload = bytes.Replace(payload, le(marker), le(math.Inf(1)), 1)
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
+	segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	f, err := os.OpenFile(segs[len(segs)-1], os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(append(frame, payload...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := replayAll(t, l2)
+	if len(got) != 2 || !math.IsInf(got[1].Heartbeats[0].TS, 1) {
+		t.Fatalf("replayed %d batches, want 2 ending in a +Inf heartbeat", len(got))
 	}
 }

@@ -285,7 +285,16 @@ func IsBinaryBatch(data []byte) bool {
 }
 
 // DecodeBatchBinary parses and validates a binary batch.
-func DecodeBatchBinary(data []byte) (Batch, error) {
+func DecodeBatchBinary(data []byte) (Batch, error) { return decodeBinary(data, false) }
+
+// DecodeLoggedBatch is DecodeBatchBinary for a batch read back from a
+// write-ahead log: it accepts the NaN and +Inf timestamps that logs
+// written before Validate refused them may hold.
+func DecodeLoggedBatch(data []byte) (Batch, error) { return decodeBinary(data, true) }
+
+// decodeBinary parses a binary batch and validates it, leniently for
+// logged batches (see Batch.validate).
+func decodeBinary(data []byte, logged bool) (Batch, error) {
 	r := &binReader{buf: data}
 	if r.u8() != binMagic0 || r.u8() != binMagic1 {
 		return Batch{}, fmt.Errorf("%w: bad magic", ErrBinaryFormat)
@@ -400,7 +409,7 @@ func DecodeBatchBinary(data []byte) (Batch, error) {
 	if r.off != len(data) {
 		return Batch{}, fmt.Errorf("%w: %d trailing bytes", ErrBinaryFormat, len(data)-r.off)
 	}
-	if err := b.Validate(); err != nil {
+	if err := b.validate(logged); err != nil {
 		return Batch{}, err
 	}
 	return b, nil

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 )
 
@@ -76,9 +77,17 @@ type PacketRecord struct {
 	Reason string `json:"reason,omitempty"`
 }
 
+// finite reports whether a timestamp is neither NaN nor ±Inf. The
+// collector's record-time clock, and retention measured from it, take
+// the newest timestamp ingested, so one non-finite record would move
+// them for every node.
+func finite(ts float64) bool { return !math.IsNaN(ts) && !math.IsInf(ts, 0) }
+
 // Validate reports structural problems.
 func (r PacketRecord) Validate() error {
 	switch {
+	case !finite(r.TS):
+		return fmt.Errorf("wire: packet record: non-finite timestamp %v", r.TS)
 	case r.TS < 0:
 		return fmt.Errorf("wire: packet record: negative timestamp %v", r.TS)
 	case !r.Event.Valid():
@@ -112,6 +121,9 @@ type RouteSnapshot struct {
 
 // Validate reports structural problems.
 func (s RouteSnapshot) Validate() error {
+	if !finite(s.TS) {
+		return fmt.Errorf("wire: route snapshot: non-finite timestamp %v", s.TS)
+	}
 	if s.TS < 0 {
 		return fmt.Errorf("wire: route snapshot: negative timestamp %v", s.TS)
 	}
@@ -175,6 +187,8 @@ type NodeStats struct {
 // Validate reports structural problems.
 func (s NodeStats) Validate() error {
 	switch {
+	case !finite(s.TS):
+		return fmt.Errorf("wire: node stats: non-finite timestamp %v", s.TS)
 	case s.TS < 0:
 		return fmt.Errorf("wire: node stats: negative timestamp %v", s.TS)
 	case s.UptimeS < 0:
@@ -200,7 +214,10 @@ type Heartbeat struct {
 
 // Validate reports structural problems.
 func (h Heartbeat) Validate() error {
-	if h.TS < 0 {
+	switch {
+	case !finite(h.TS):
+		return fmt.Errorf("wire: heartbeat: non-finite timestamp %v", h.TS)
+	case h.TS < 0:
 		return fmt.Errorf("wire: heartbeat: negative timestamp %v", h.TS)
 	}
 	return nil
@@ -226,11 +243,27 @@ func (b Batch) Len() int {
 }
 
 // Validate checks the envelope and every record.
-func (b Batch) Validate() error {
-	if b.SentAt < 0 {
+func (b Batch) Validate() error { return b.validate(false) }
+
+// validate is Validate, except that with logged set a timestamp only
+// has to be non-negative, so NaN and +Inf pass: that was the rule before
+// Validate refused non-finite timestamps, write-ahead logs written
+// under it may hold such batches, and those logs replay as they did.
+func (b Batch) validate(logged bool) error {
+	ts := func(v float64) float64 {
+		if logged && !(v < 0) {
+			return 0
+		}
+		return v
+	}
+	switch sent := ts(b.SentAt); {
+	case !finite(sent):
+		return fmt.Errorf("wire: batch: non-finite sent_at %v", b.SentAt)
+	case sent < 0:
 		return fmt.Errorf("wire: batch: negative sent_at %v", b.SentAt)
 	}
 	for _, p := range b.Packets {
+		p.TS = ts(p.TS)
 		if err := p.Validate(); err != nil {
 			return err
 		}
@@ -239,6 +272,7 @@ func (b Batch) Validate() error {
 		}
 	}
 	for _, r := range b.Routes {
+		r.TS = ts(r.TS)
 		if err := r.Validate(); err != nil {
 			return err
 		}
@@ -247,6 +281,7 @@ func (b Batch) Validate() error {
 		}
 	}
 	for _, s := range b.Stats {
+		s.TS = ts(s.TS)
 		if err := s.Validate(); err != nil {
 			return err
 		}
@@ -255,6 +290,7 @@ func (b Batch) Validate() error {
 		}
 	}
 	for _, h := range b.Heartbeats {
+		h.TS = ts(h.TS)
 		if err := h.Validate(); err != nil {
 			return err
 		}

@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -26,6 +27,9 @@ func TestPacketRecordValidate(t *testing.T) {
 		mutate func(*PacketRecord)
 	}{
 		{"negative ts", func(r *PacketRecord) { r.TS = -1 }},
+		{"NaN ts", func(r *PacketRecord) { r.TS = math.NaN() }},
+		{"+Inf ts", func(r *PacketRecord) { r.TS = math.Inf(1) }},
+		{"-Inf ts", func(r *PacketRecord) { r.TS = math.Inf(-1) }},
 		{"bad event", func(r *PacketRecord) { r.Event = "teleport" }},
 		{"empty type", func(r *PacketRecord) { r.Type = "" }},
 		{"negative size", func(r *PacketRecord) { r.Size = -1 }},
@@ -36,6 +40,57 @@ func TestPacketRecordValidate(t *testing.T) {
 		tc.mutate(&r)
 		if err := r.Validate(); err == nil {
 			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	// Every other timestamp a batch carries is refused non-finite too.
+	for _, ts := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for name, err := range map[string]error{
+			"route snapshot": RouteSnapshot{TS: ts, Node: 1}.Validate(),
+			"node stats":     NodeStats{TS: ts, Node: 1}.Validate(),
+			"heartbeat":      Heartbeat{TS: ts, Node: 1}.Validate(),
+			"sent_at":        Batch{Node: 1, SentAt: ts}.Validate(),
+		} {
+			if err == nil {
+				t.Errorf("%s with timestamp %v: accepted", name, ts)
+			}
+		}
+	}
+}
+
+// TestLoggedBatchKeepsNonFiniteTimestamps: write-ahead logs written
+// before Validate refused non-finite timestamps may hold NaN and +Inf
+// ones (-Inf was refused as negative), and DecodeLoggedBatch still
+// replays such a batch, while DecodeBatchBinary refuses it and a
+// logged batch with a negative timestamp is refused as before.
+func TestLoggedBatchKeepsNonFiniteTimestamps(t *testing.T) {
+	b := Batch{Node: 1, SeqNo: 3, SentAt: math.Inf(1),
+		Packets:    []PacketRecord{validPacket()},
+		Routes:     []RouteSnapshot{{TS: math.NaN(), Node: 1}},
+		Stats:      []NodeStats{{TS: math.Inf(1), Node: 1}},
+		Heartbeats: []Heartbeat{{TS: math.NaN(), Node: 1}},
+	}
+	b.Packets[0].TS = math.NaN()
+	var w binWriter
+	w.encode(b)
+	if _, err := DecodeBatchBinary(w.buf); err == nil {
+		t.Fatal("DecodeBatchBinary accepted non-finite timestamps")
+	}
+	got, err := DecodeLoggedBatch(w.buf)
+	if err != nil {
+		t.Fatalf("DecodeLoggedBatch: %v", err)
+	}
+	stamps := func(b Batch) string {
+		return fmt.Sprint(b.SentAt, b.Packets[0].TS, b.Routes[0].TS, b.Stats[0].TS, b.Heartbeats[0].TS)
+	}
+	if stamps(got) != stamps(b) {
+		t.Fatalf("DecodeLoggedBatch timestamps %s, want %s", stamps(got), stamps(b))
+	}
+	for _, neg := range []float64{-1, math.Inf(-1)} {
+		b.Heartbeats[0].TS = neg
+		w = binWriter{}
+		w.encode(b)
+		if _, err := DecodeLoggedBatch(w.buf); err == nil {
+			t.Fatalf("DecodeLoggedBatch accepted timestamp %v", neg)
 		}
 	}
 }

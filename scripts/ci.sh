@@ -43,9 +43,16 @@ stage_test() {
   # a refactor that renames them out of the suite fails here instead of
   # silently losing the coverage. The retention watermark gate runs by
   # name too: gated vs forced-full-sweep equivalence and the
-  # out-of-order-append race hammer.
-  go test -race -count=1 -run 'ChunkRoundTrip|ChunkTruncated|DBOutOfOrder|FuzzChunkRoundTrip|RetainMatchesFullSweep|RetainRaceOutOfOrderAppends' \
+  # out-of-order-append race hammer. So do the NaN rules (a NaN timestamp
+  # never enters the store, a NaN cutoff evicts nothing) and the digest
+  # of every read pinned to the store before its sealed blocks shared
+  # one implementation.
+  go test -race -count=1 -run 'ChunkRoundTrip|ChunkTruncated|DBOutOfOrder|FuzzChunkRoundTrip|RetainMatchesFullSweep|RetainRaceOutOfOrderAppends|NaNTimestampNeverStored|NaNCutoffEvictsNothing|StoreMatchesParentDigest' \
     ./internal/tsdb
+  # Non-finite timestamps are refused at the wire (every record type and
+  # sent_at, and over HTTP ingest), yet logs holding them still replay.
+  go test -race -count=1 -run 'PacketRecordValidate|LoggedBatchKeepsNonFiniteTimestamps|HTTPIngestRejectsNonFiniteTimestamp|ReplayKeepsNonFiniteTimestamps' \
+    ./internal/wire ./internal/collector ./internal/wal
 }
 
 stage_recover() {
