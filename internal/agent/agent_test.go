@@ -190,6 +190,28 @@ func TestStatsAndRouteSnapshotsReported(t *testing.T) {
 	}
 }
 
+// TestRouteSnapshotsSortedAndUnique: every route snapshot an agent
+// reports lists each destination once, in ascending order — the form
+// the collector diffs without copying.
+func TestRouteSnapshotsSortedAndUnique(t *testing.T) {
+	r := newRig(t, 7, 6, Config{}, uplink.SimConfig{})
+	r.sim.RunFor(15 * time.Minute)
+	widest := 0
+	for _, b := range r.sink.batches {
+		for _, s := range b.Routes {
+			for i := 1; i < len(s.Routes); i++ {
+				if s.Routes[i-1].Dst >= s.Routes[i].Dst {
+					t.Fatalf("node %v snapshot at %v not sorted and unique: %+v", s.Node, s.TS, s.Routes)
+				}
+			}
+			widest = max(widest, len(s.Routes))
+		}
+	}
+	if widest < 3 {
+		t.Fatalf("widest snapshot has %d routes; the check needs multi-hop tables", widest)
+	}
+}
+
 func TestBufferingSurvivesOutage(t *testing.T) {
 	run := func(disableBuffering bool) int {
 		sim := simkit.New(9)

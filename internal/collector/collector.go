@@ -43,9 +43,10 @@
 //	node_airtime_ms / node_duty_cycle / node_duty_blocked
 //	node_uptime (from heartbeats)
 //
-// Routing:
+// Routing (see routes.go):
 //
-//	mesh_route_metric{node,dst}     hop count of node's route to dst
+//	mesh_route_changes{node}        route changes shown by each route
+//	                                snapshot (0 for the first one held)
 package collector
 
 import (
@@ -127,6 +128,9 @@ type NodeInfo struct {
 
 	LastStats  *wire.NodeStats
 	LastRoutes *wire.RouteSnapshot
+	// RouteHistory holds the newest route changes, newest first, at most
+	// routeHistoryLen of them. It is replaced, never written in place.
+	RouteHistory []RouteChange `json:",omitempty"`
 }
 
 // Stats summarises collector-wide activity.
@@ -168,9 +172,11 @@ type nodeState struct {
 	// energyMetricNames; created lazily on the first stats record that
 	// carries energy fields, so mains-powered fleets pay nothing.
 	energy []*tsdb.Series
-	// routes holds the mesh_route_metric handle per destination in the
-	// node's routing table.
-	routes map[wire.NodeID]*tsdb.Series
+	// table is info.LastRoutes.Routes in canonical form (sorted by
+	// destination, one entry each), aliasing it when it already is;
+	// routeChanges is the mesh_route_changes handle.
+	table        []wire.RouteEntry
+	routeChanges *tsdb.Series
 }
 
 // maxMissingTracked bounds the per-node late-reorder window.
@@ -329,6 +335,8 @@ type shard struct {
 	// stats is this shard's partial contribution to the collector-wide
 	// counters; Stats() sums the shards.
 	stats Stats
+	// changes is ingestRoutes' reusable diff buffer.
+	changes []RouteChange
 }
 
 // recentEntry orders one recent packet in the collector-global stream.
@@ -774,7 +782,6 @@ func (s *shard) ingest(b wire.Batch, persist bool) (bool, error) {
 		s.ingestPacket(p)
 	}
 	for _, r := range b.Routes {
-		r := r
 		s.ingestRoutes(st, r)
 	}
 	for _, st2 := range b.Stats {
@@ -854,25 +861,6 @@ func (s *shard) linkRun(keep func(*LinkObs) bool) []LinkObs {
 		}
 	}
 	return run
-}
-
-func (s *shard) ingestRoutes(st *nodeState, r wire.RouteSnapshot) {
-	s.c.bump(r.TS)
-	if st.info.LastRoutes == nil || r.TS >= st.info.LastRoutes.TS {
-		st.info.LastRoutes = &r
-	}
-	if st.routes == nil {
-		st.routes = make(map[wire.NodeID]*tsdb.Series)
-	}
-	for _, e := range r.Routes {
-		h, ok := st.routes[e.Dst]
-		if !ok {
-			h = s.c.db.Series("mesh_route_metric",
-				tsdb.Labels{"node": r.Node.String(), "dst": e.Dst.String()})
-			st.routes[e.Dst] = h
-		}
-		h.Append(r.TS, float64(e.Metric))
-	}
 }
 
 func (s *shard) ingestStats(st *nodeState, v wire.NodeStats) {

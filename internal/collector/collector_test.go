@@ -1,6 +1,7 @@
 package collector
 
 import (
+	"reflect"
 	"testing"
 
 	"lorameshmon/internal/tsdb"
@@ -154,16 +155,35 @@ func TestStatsAndRoutesMaterialised(t *testing.T) {
 	if duty.Points[0].Value != 0.004 {
 		t.Fatalf("duty = %+v", duty)
 	}
-	rm, ok := db.QueryOne("mesh_route_metric", tsdb.Labels{"node": "N0001", "dst": "N0003"}, 0, 100)
-	if !ok || rm.Points[0].Value != 2 {
-		t.Fatalf("route metric = %+v", rm)
-	}
 	n, _ := c.Node(1)
 	if n.LastStats == nil || n.LastStats.HelloSent != 7 {
 		t.Fatalf("LastStats = %+v", n.LastStats)
 	}
-	if n.LastRoutes == nil || len(n.LastRoutes.Routes) != 2 {
-		t.Fatalf("LastRoutes = %+v", n.LastRoutes)
+	if n.LastRoutes == nil || len(n.LastRoutes.Routes) != 2 || len(n.RouteHistory) != 0 {
+		t.Fatalf("LastRoutes = %+v, history %+v after the baseline", n.LastRoutes, n.RouteHistory)
+	}
+	// The next table moves N0003 to next hop N0004 and loses N0002.
+	err = c.Ingest(wire.Batch{
+		Node: 1, SeqNo: 2, SentAt: 150,
+		Routes: []wire.RouteSnapshot{{
+			TS: 146, Node: 1,
+			Routes: []wire.RouteEntry{{Dst: 3, NextHop: 4, Metric: 3, AgeS: 1}},
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, _ = c.Node(1)
+	want := []RouteChange{
+		{TS: 146, Dst: 2, OldNextHop: 2, OldMetric: 1},
+		{TS: 146, Dst: 3, OldNextHop: 2, NewNextHop: 4, OldMetric: 2, NewMetric: 3},
+	}
+	if !reflect.DeepEqual(n.RouteHistory, want) {
+		t.Fatalf("RouteHistory = %+v, want %+v", n.RouteHistory, want)
+	}
+	rc, ok := db.QueryOne("mesh_route_changes", tsdb.Labels{"node": "N0001"}, 0, 200)
+	if !ok || !reflect.DeepEqual(rc.Points, []tsdb.Point{{TS: 26, Value: 0}, {TS: 146, Value: 2}}) {
+		t.Fatalf("mesh_route_changes = %+v", rc)
 	}
 }
 

@@ -1,6 +1,7 @@
 package collector
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -77,12 +78,21 @@ func (c *Collector) instrumented(route string, next http.HandlerFunc) http.Handl
 	})
 }
 
+// writeJSON answers status with v as indented JSON. It encodes before
+// writing the header, so a value JSON cannot hold (a NaN that reached
+// the store) is answered 500 with the encoder's error, not 200 with an
+// empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		writeErr(w, http.StatusInternalServerError, fmt.Errorf("collector: encode response: %w", err))
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client went away
+	w.Write(buf.Bytes()) //nolint:errcheck // client went away
 }
 
 func writeErr(w http.ResponseWriter, status int, err error) {

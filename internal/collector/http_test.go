@@ -299,3 +299,76 @@ func TestHTTPExportJSONL(t *testing.T) {
 		t.Fatalf("bad from status = %d", bad.StatusCode)
 	}
 }
+
+// TestHTTPIngestRejectsNonFiniteRouteEntry: JSON cannot carry a NaN
+// route age but the binary codec can; ingest answers 400, and the
+// fleet-wide node reads keep answering JSON for every node.
+func TestHTTPIngestRejectsNonFiniteRouteEntry(t *testing.T) {
+	c, srv := newServer(t)
+	if err := c.Ingest(wire.Batch{Node: 1, SeqNo: 1, SentAt: 5,
+		Heartbeats: []wire.Heartbeat{{TS: 5, Node: 1, UptimeS: 5}}}); err != nil {
+		t.Fatal(err)
+	}
+	const marker = 1234.5 // replaced by NaN in the encoded body
+	data, err := wire.EncodeBatchBinary(wire.Batch{Node: 2, SeqNo: 1, SentAt: 6,
+		Routes: []wire.RouteSnapshot{{TS: 6, Node: 2,
+			Routes: []wire.RouteEntry{{Dst: 1, NextHop: 1, Metric: 1, AgeS: marker}}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	le := func(v float32) string { return string(binary.LittleEndian.AppendUint32(nil, math.Float32bits(v))) }
+	body := strings.Replace(string(data), le(marker), le(float32(math.NaN())), 1)
+	resp, err := http.Post(srv.URL+"/api/v1/ingest", "application/octet-stream", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %v, want 400", resp.Status)
+	}
+	var nodes []NodeInfo
+	if r := mustGet(t, srv.URL+"/api/v1/nodes"); r.StatusCode != http.StatusOK {
+		t.Fatalf("/api/v1/nodes status %v", r.Status)
+	} else if err := json.NewDecoder(r.Body).Decode(&nodes); err != nil || len(nodes) != 1 {
+		t.Fatalf("/api/v1/nodes = %+v, %v", nodes, err)
+	}
+	var one NodeInfo
+	if r := mustGet(t, srv.URL+"/api/v1/nodes/N0001"); r.StatusCode != http.StatusOK {
+		t.Fatalf("/api/v1/nodes/N0001 status %v", r.Status)
+	} else if err := json.NewDecoder(r.Body).Decode(&one); err != nil || one.ID != 1 {
+		t.Fatalf("/api/v1/nodes/N0001 = %+v, %v", one, err)
+	}
+}
+
+// TestHTTPUnencodableResponseAnswers500: packet values are stored as
+// sent, so a -Inf RSSI reaches /api/v1/recent; the read answers 500
+// with the encoder's error instead of 200 with an empty body, and other
+// reads are unaffected.
+func TestHTTPUnencodableResponseAnswers500(t *testing.T) {
+	_, srv := newServer(t)
+	p := pktRecord(1, 4, wire.EventRx)
+	p.RSSIdBm = math.Inf(-1)
+	data, err := wire.EncodeBatchBinary(wire.Batch{Node: 1, SeqNo: 1, SentAt: 5, Packets: []wire.PacketRecord{p}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+"/api/v1/ingest", "application/octet-stream", strings.NewReader(string(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest status %v", resp.Status)
+	}
+	r := mustGet(t, srv.URL+"/api/v1/recent")
+	var body struct{ Error string }
+	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+		t.Fatalf("/api/v1/recent status %v, body not JSON: %v", r.Status, err)
+	}
+	if r.StatusCode != http.StatusInternalServerError || !strings.Contains(body.Error, "unsupported value") {
+		t.Fatalf("/api/v1/recent = %v %+v, want 500 with the encoder's error", r.Status, body)
+	}
+	if r := mustGet(t, srv.URL+"/api/v1/stats"); r.StatusCode != http.StatusOK {
+		t.Fatalf("/api/v1/stats status %v", r.Status)
+	}
+}

@@ -30,9 +30,10 @@ func sortNodes(run []NodeInfo) {
 func cmpNodeID(a, b *NodeInfo) int { return cmp.Compare(a.ID, b.ID) }
 
 // foldNodeInfo folds b into a: counters sum (partitions hold disjoint
-// batches), first-seen takes the earliest, and descriptive last-*
-// fields follow the newest timestamp, with a (the earlier run) winning
-// exact ties.
+// batches), first-seen takes the earliest, descriptive last-* fields
+// follow the newest timestamp, with a (the earlier run) winning exact
+// ties, and route histories merge newest first, a's entries first among
+// equal timestamps.
 func foldNodeInfo(a, b *NodeInfo) {
 	if b.LastSeenTS > a.LastSeenTS {
 		a.LastSeenTS = b.LastSeenTS
@@ -58,6 +59,7 @@ func foldNodeInfo(a, b *NodeInfo) {
 	if b.LastRoutes != nil && (a.LastRoutes == nil || b.LastRoutes.TS > a.LastRoutes.TS) {
 		a.LastRoutes = b.LastRoutes
 	}
+	a.RouteHistory = mergeRouteHistory(a.RouteHistory, b.RouteHistory)
 }
 
 // MergeLinks merges link runs, each sorted by (tx, rx), into one list

@@ -107,8 +107,10 @@ func (c *Collector) dumpAllLocked() snapshotDump {
 
 // RestoreSnapshot replaces the collector's state with the snapshot read
 // from r, redistributing nodes and links to whatever shards they hash
-// to under the current shard count. Cached series handles are rebuilt
-// lazily on the next ingest.
+// to under the current shard count. Each node's route table is rebuilt
+// from its LastRoutes, so later snapshots diff as they would have
+// before the checkpoint. Cached series handles are rebuilt lazily on
+// the next ingest.
 func (c *Collector) RestoreSnapshot(r io.Reader) error {
 	var dump snapshotDump
 	if err := gob.NewDecoder(r).Decode(&dump); err != nil {
@@ -131,6 +133,9 @@ func (c *Collector) RestoreSnapshot(r io.Reader) error {
 	}
 	for _, nd := range dump.Nodes {
 		st := &nodeState{info: nd.Info, lastSeq: nd.LastSeq, seen: nd.Seen}
+		if r := nd.Info.LastRoutes; r != nil {
+			st.table = canonicalRoutes(r.Routes)
+		}
 		if len(nd.Missing) > 0 {
 			st.missing = make(map[uint64]struct{}, len(nd.Missing))
 			for _, s := range nd.Missing {

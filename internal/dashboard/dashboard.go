@@ -188,12 +188,13 @@ func (s *Server) handleOverview(w http.ResponseWriter, _ *http.Request) {
 }
 
 type nodeDetail struct {
-	Title  string
-	ID     string
-	Info   collector.NodeInfo
-	Stats  *wire.NodeStats
-	Routes []wire.RouteEntry
-	Charts []template.URL
+	Title   string
+	ID      string
+	Info    collector.NodeInfo
+	Stats   *wire.NodeStats
+	Routes  []wire.RouteEntry
+	Changes template.HTML // route-change rows, see appendRouteChangeRows
+	Charts  []template.URL
 }
 
 func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
@@ -207,7 +208,8 @@ func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	data := nodeDetail{Title: s.cfg.Title, ID: id.String(), Info: info, Stats: info.LastStats}
+	data := nodeDetail{Title: s.cfg.Title, ID: id.String(), Info: info, Stats: info.LastStats,
+		Changes: template.HTML(appendRouteChangeRows(nil, info.RouteHistory))}
 	if info.LastRoutes != nil {
 		data.Routes = info.LastRoutes.Routes
 	}
@@ -360,6 +362,9 @@ h1{font-size:20px}h2{font-size:16px}
 <table><tr><th>Destination</th><th>Next hop</th><th>Metric</th><th>Age</th><th>SNR</th></tr>
 {{range .Routes}}<tr><td>{{.Dst}}</td><td>{{.NextHop}}</td><td>{{.Metric}}</td><td>{{printf "%.0fs" .AgeS}}</td><td>{{printf "%.1f" .SNRdB}} dB</td></tr>{{end}}
 </table>
+<h2>Route changes</h2>
+<table><tr><th>t</th><th>Destination</th><th>Next hop</th><th>Metric</th></tr>
+{{.Changes}}</table>
 <h2>Charts</h2>
 {{range .Charts}}<div><img src="{{.}}" alt="chart"></div>{{end}}
 {{template "foot" .}}{{end}}

@@ -8,15 +8,17 @@ import (
 	"lorameshmon/internal/wire"
 )
 
-// Typed row appenders for the two large tables. The overview's node
-// table and the traffic page's packet table have one row per node (per
-// packet) with a dozen cells each; as html/template {{range}} bodies,
-// every cell cost a reflective escaper call on each render. Here each
+// Typed row appenders for the overview's node table, the traffic
+// page's packet table and the node page's route-change table. The first
+// two have one row per node (per packet) with a dozen cells each; as
+// html/template {{range}} bodies, every cell cost a reflective escaper
+// call on each render. Here each
 // row is appended from its typed fields — node IDs through
 // wire.NodeID.Append, numbers through strconv — and the page skeleton
 // inserts the finished rows as one template.HTML value. The output is
 // byte-identical to the templates these replaced (rows_test.go keeps
-// them as the parity reference).
+// them, and the template form of the route-change rows, as the parity
+// reference).
 
 // rowBytes sizes a table's row buffer per row: rendered rows run to
 // ~250 bytes, so a page's rows append without regrowing.
@@ -164,4 +166,46 @@ func appendTrafficRows(b []byte, pkts []wire.PacketRecord) []byte {
 		b = append(b, "</td>\n</tr>"...)
 	}
 	return b
+}
+
+// routeChangeRows bounds the node page's route-change table.
+const routeChangeRows = 16
+
+// appendRouteChangeRows appends the node page's route-change rows for
+// the newest routeChangeRows entries of a newest-first history: time,
+// destination, next hop and metric as old → new, "—" standing for no
+// route.
+func appendRouteChangeRows(b []byte, hist []collector.RouteChange) []byte {
+	for _, c := range hist[:min(len(hist), routeChangeRows)] {
+		b = append(b, "<tr><td>"...)
+		b = appendFloat(b, c.TS, 0)
+		b = append(b, "s</td><td>"...)
+		b = c.Dst.Append(b)
+		b = append(b, "</td><td>"...)
+		b = appendHop(b, c.OldNextHop, c.OldMetric)
+		b = append(b, " → "...)
+		b = appendHop(b, c.NewNextHop, c.NewMetric)
+		b = append(b, "</td><td>"...)
+		b = appendMetric(b, c.OldMetric)
+		b = append(b, " → "...)
+		b = appendMetric(b, c.NewMetric)
+		b = append(b, "</td></tr>\n"...)
+	}
+	return b
+}
+
+// appendHop appends a route's next hop, or "—" for no route.
+func appendHop(b []byte, hop wire.NodeID, metric uint8) []byte {
+	if metric == 0 {
+		return append(b, "—"...)
+	}
+	return hop.Append(b)
+}
+
+// appendMetric appends a route's metric, or "—" for no route.
+func appendMetric(b []byte, metric uint8) []byte {
+	if metric == 0 {
+		return append(b, "—"...)
+	}
+	return strconv.AppendUint(b, uint64(metric), 10)
 }

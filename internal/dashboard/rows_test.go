@@ -18,7 +18,13 @@ import (
 
 // The html/template {{range}} bodies the row appenders replaced, and
 // the complete page set they lived in, kept as the parity reference.
+// refChangeRows is the node page's route-change table written as the
+// template it would have been, and the page set holds it too.
 const (
+	refChangeRows = `{{range $i, $c := .}}{{if lt $i 16}}<tr><td>{{printf "%.0fs" .TS}}</td><td>{{.Dst}}</td>` +
+		`<td>{{if .OldMetric}}{{.OldNextHop}}{{else}}—{{end}} → {{if .NewMetric}}{{.NewNextHop}}{{else}}—{{end}}</td>` +
+		`<td>{{if .OldMetric}}{{.OldMetric}}{{else}}—{{end}} → {{if .NewMetric}}{{.NewMetric}}{{else}}—{{end}}</td></tr>
+{{end}}{{end}}`
 	refNodeRows = `{{range .Nodes}}<tr>
 <td><a href="/node/{{.ID}}">{{.ID}}</a></td>
 <td>{{if .Up}}<span class="up">up</span>{{else}}<span class="down">down</span>{{end}}</td>
@@ -74,6 +80,9 @@ h1{font-size:20px}h2{font-size:16px}
 <table><tr><th>Destination</th><th>Next hop</th><th>Metric</th><th>Age</th><th>SNR</th></tr>
 {{range .Routes}}<tr><td>{{.Dst}}</td><td>{{.NextHop}}</td><td>{{.Metric}}</td><td>{{printf "%.0fs" .AgeS}}</td><td>{{printf "%.1f" .SNRdB}} dB</td></tr>{{end}}
 </table>
+<h2>Route changes</h2>
+<table><tr><th>t</th><th>Destination</th><th>Next hop</th><th>Metric</th></tr>
+{{with .Info.RouteHistory}}` + refChangeRows + `{{end}}</table>
 <h2>Charts</h2>
 {{range .Charts}}<div><img src="{{.}}" alt="chart"></div>{{end}}
 {{template "foot" .}}{{end}}
@@ -169,7 +178,8 @@ func refNodeRowsFor(nodes []collector.NodeInfo, now, downAfterS float64) []refNo
 
 // refRowTemplates executes the former {{range}} bodies on their own.
 var refRowTemplates = template.Must(template.New("rows").Parse(
-	`{{define "nodes"}}` + refNodeRows + `{{end}}{{define "packets"}}` + refPacketRows + `{{end}}`))
+	`{{define "nodes"}}` + refNodeRows + `{{end}}{{define "packets"}}` + refPacketRows + `{{end}}` +
+		`{{define "changes"}}` + refChangeRows + `{{end}}`))
 
 func execRef(t testing.TB, name string, data any) string {
 	t.Helper()
@@ -363,10 +373,37 @@ func refServer(s *Server) http.Handler {
 	return mux
 }
 
+// TestRouteChangeRowsMatchTemplate: over 2 000 random histories of up
+// to 40 changes — added and removed routes, extreme node IDs and
+// metrics, special-float timestamps — the route-change appender writes
+// what its template form renders, the newest 16 rows.
+func TestRouteChangeRowsMatchTemplate(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	id := func() wire.NodeID { return wire.NodeID(rng.Intn(1 << 16)) }
+	for i := 0; i < 2000; i++ {
+		hist := make([]collector.RouteChange, rng.Intn(41))
+		for k := range hist {
+			c := collector.RouteChange{TS: specialFloat(rng), Dst: id(), OldNextHop: id(), NewNextHop: id(),
+				OldMetric: uint8(rng.Intn(256)), NewMetric: uint8(rng.Intn(256))}
+			switch rng.Intn(4) {
+			case 0:
+				c.OldNextHop, c.OldMetric = 0, 0
+			case 1:
+				c.NewNextHop, c.NewMetric = 0, 0
+			}
+			hist[k] = c
+		}
+		if got, want := string(appendRouteChangeRows(nil, hist)), execRef(t, "changes", hist); got != want {
+			t.Fatalf("history %+v\n got %q\nwant %q", hist, got, want)
+		}
+	}
+}
+
 // TestPagesMatchParentTemplates renders every HTML panel for seeded
 // collectors — one with hostile firmware, packet types and drop
-// reasons, one with battery-powered nodes — and requires the bytes the
-// parent page set produced.
+// reasons and a node whose routes changed, one with battery-powered
+// nodes — and requires the bytes the parent page set, with the node
+// page's route-change table added, produced.
 func TestPagesMatchParentTemplates(t *testing.T) {
 	hostile := wire.Batch{
 		Node: 3, SeqNo: 1, SentAt: 100,
@@ -374,11 +411,15 @@ func TestPagesMatchParentTemplates(t *testing.T) {
 		Packets: []wire.PacketRecord{{TS: 98.25, Node: 3, Event: wire.EventDrop, Type: "DA<TA>", Src: 3, Dst: 0xABCD,
 			Via: 1, Seq: 65535, TTL: 255, Size: 30, Reason: "queue & \"full\" + 'x'"}},
 	}
+	rerouted := wire.Batch{Node: 1, SeqNo: 2, SentAt: 200, Routes: []wire.RouteSnapshot{{TS: 190, Node: 1,
+		Routes: []wire.RouteEntry{{Dst: 3, NextHop: 2, Metric: 2, AgeS: 5}, {Dst: 0xFFFE, NextHop: 3, Metric: 255}}}}}
 	seeds := map[string]func(*testing.T) *collector.Collector{
 		"seeded": func(t *testing.T) *collector.Collector {
 			c := seedCollector(t)
-			if err := c.Ingest(hostile); err != nil {
-				t.Fatal(err)
+			for _, b := range []wire.Batch{hostile, rerouted} {
+				if err := c.Ingest(b); err != nil {
+					t.Fatal(err)
+				}
 			}
 			return c
 		},

@@ -19,7 +19,8 @@ import (
 // The headline column is the delivery-event reduction: with the
 // spatial-grid medium, reception decisions per frame track the in-range
 // neighbourhood (constant under constant density) instead of N-1, which
-// is what makes 10k-100k-node meshes simulable. The wall-clock
+// is what makes meshes of 10k nodes up to scenario.MaxNodes (65 534)
+// simulable. The wall-clock
 // events/sec column feeds the BENCH trajectory via BenchmarkS1Scale.
 func S1Scale() Table {
 	t := Table{

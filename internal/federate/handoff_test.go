@@ -242,3 +242,102 @@ func TestHandoffWithoutSnapshotReplaysEverything(t *testing.T) {
 		t.Fatalf("owners ingested %d, want %d", total, nodes*lastSeq)
 	}
 }
+
+// routeBatch is viewBatch plus a route snapshot whose table moves at
+// every sequence number: next hops and metrics shift and one
+// destination drops out in turn.
+func routeBatch(node wire.NodeID, seq uint64) wire.Batch {
+	b := viewBatch(node, seq)
+	var routes []wire.RouteEntry
+	for dst := uint64(1); dst <= 5; dst++ {
+		if wire.NodeID(dst) == node || dst == seq%5+1 {
+			continue
+		}
+		routes = append(routes, wire.RouteEntry{Dst: wire.NodeID(dst), NextHop: wire.NodeID(1 + (dst+seq)%3),
+			Metric: uint8(1 + dst*seq%3), AgeS: float64(seq)})
+	}
+	b.Routes = []wire.RouteSnapshot{{TS: b.SentAt, Node: node, Routes: routes}}
+	return b
+}
+
+// TestHandoffFoldsRouteHistory: after a handoff, the federated view
+// folds each node's route history from the legacy member (changes up
+// to the checkpoint) and its new owner (changes after), newest first.
+// The owner's first snapshot is its baseline, so the one diff the
+// federation does not hold is the one across the checkpoint — the same
+// in mesh_route_changes, whose point there reads 0.
+func TestHandoffFoldsRouteHistory(t *testing.T) {
+	const nodes, checkpointAfter, lastSeq = 4, 4, 8
+	dir := t.TempDir()
+	log, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := collector.DefaultConfig()
+	cfg.WAL = log
+	departing := collector.New(tsdb.New(), cfg)
+	ref := collector.New(tsdb.New(), collector.DefaultConfig())
+	for seq := uint64(1); seq <= lastSeq; seq++ {
+		for id := wire.NodeID(1); id <= nodes; id++ {
+			for _, c := range []*collector.Collector{departing, ref} {
+				if err := c.Ingest(routeBatch(id, seq)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if seq == checkpointAfter {
+			if err := departing.Checkpoint(log); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	route, owners, _ := routeTo(t)
+	res, err := Handoff(reopened, route, collector.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fed, err := NewView([]MemberView{
+		{Name: "m1", View: owners["m1"]},
+		{Name: "m2", View: owners["m2"]},
+		{Name: "legacy", View: res.Legacy},
+	}, ViewConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := wire.NodeID(1); id <= nodes; id++ {
+		want, _ := ref.Node(id)
+		got, _ := fed.Node(id)
+		across := routeBatch(id, checkpointAfter+1).SentAt
+		var wantHist []collector.RouteChange
+		for _, c := range want.RouteHistory {
+			if c.TS != across {
+				wantHist = append(wantHist, c)
+			}
+		}
+		if len(want.RouteHistory) >= 32 || len(wantHist) == len(want.RouteHistory) || len(wantHist) == 0 {
+			t.Fatalf("node %v: fixture history %d long, %d across the checkpoint", id, len(want.RouteHistory), len(want.RouteHistory)-len(wantHist))
+		}
+		if !reflect.DeepEqual(got.RouteHistory, wantHist) || !reflect.DeepEqual(got.LastRoutes, want.LastRoutes) {
+			t.Fatalf("node %v: federated history\n got %+v\nwant %+v", id, got.RouteHistory, wantHist)
+		}
+		labels := tsdb.Labels{"node": id.String()}
+		wantPts, _ := ref.TSDB().QueryOne("mesh_route_changes", labels, 0, math.MaxFloat64)
+		gotPts, _ := fed.DB().QueryOne("mesh_route_changes", labels, 0, math.MaxFloat64)
+		for i := range wantPts.Points {
+			if wantPts.Points[i].TS == across {
+				wantPts.Points[i].Value = 0
+			}
+		}
+		if !reflect.DeepEqual(gotPts.Points, wantPts.Points) {
+			t.Fatalf("node %v: federated mesh_route_changes %v, want %v", id, gotPts.Points, wantPts.Points)
+		}
+	}
+}

@@ -23,7 +23,8 @@ import (
 // member (the legacy) and the rest on their owner, so their registry
 // entries, links and series are time-split across two members — at a
 // cut inside one timestamp, so equal timestamps straddle the split.
-// Every tenth HELLO reports NaN RSSI/SNR. Members are listed live
+// Every tenth HELLO reports NaN RSSI/SNR; every fourth batch, and each
+// of node 13's, carries a route snapshot. Members are listed live
 // owners first, legacy last.
 func mergeFixture(t *testing.T, n int, seed int64) (*View, []*collector.Collector) {
 	t.Helper()
@@ -75,6 +76,15 @@ func mergeFixture(t *testing.T, n int, seed int64) (*View, []*collector.Collecto
 				DataSent: uint64(rng.Intn(100)), RouteCount: rng.Intn(nodes), DutyCycleUsed: 0.01 * rng.Float64()}}
 		}
 		b.Heartbeats = []wire.Heartbeat{{TS: ts, Node: node, UptimeS: float64(step), Firmware: fmt.Sprintf("fw%d", step%3)}}
+		if step%4 == 0 || node == 13 {
+			// A route table that moves with the step, so handed-off
+			// nodes hold route history on both sides of the cut. It
+			// draws nothing from rng.
+			b.Routes = []wire.RouteSnapshot{{TS: ts, Node: node, Routes: []wire.RouteEntry{
+				{Dst: 1, NextHop: wire.NodeID(1 + step/4%3), Metric: uint8(1 + step%2), AgeS: 1},
+				{Dst: wire.NodeID(2 + step/8%3), NextHop: 1, Metric: 2, AgeS: 1},
+			}}}
+		}
 
 		dest := int(node) % n
 		if n > 1 && (node%3 == 0 || node == 13) {
@@ -313,6 +323,13 @@ func parentMergeNodeInfo(a, b collector.NodeInfo) collector.NodeInfo {
 	}
 	if b.LastRoutes != nil && (out.LastRoutes == nil || b.LastRoutes.TS > out.LastRoutes.TS) {
 		out.LastRoutes = b.LastRoutes
+	}
+	// Route histories: newest first, a's entries first among equal
+	// timestamps, at most 32.
+	if len(b.RouteHistory) > 0 {
+		hist := append(slices.Clone(out.RouteHistory), b.RouteHistory...)
+		sort.SliceStable(hist, func(i, j int) bool { return hist[i].TS > hist[j].TS })
+		out.RouteHistory = hist[:min(len(hist), 32)]
 	}
 	return out
 }

@@ -119,8 +119,14 @@ type RouteSnapshot struct {
 	Routes []RouteEntry `json:"routes"`
 }
 
-// Validate reports structural problems.
-func (s RouteSnapshot) Validate() error {
+// Validate reports structural problems. An entry's age and SNR must be
+// finite: the collector serves them as JSON, which has no NaN or ±Inf.
+func (s RouteSnapshot) Validate() error { return s.validate(false) }
+
+// validate is Validate, except that with logged set an entry's age and
+// SNR may be non-finite (a negative age is still refused): that was the
+// rule before Validate refused them, and logs written under it replay.
+func (s RouteSnapshot) validate(logged bool) error {
 	if !finite(s.TS) {
 		return fmt.Errorf("wire: route snapshot: non-finite timestamp %v", s.TS)
 	}
@@ -128,11 +134,13 @@ func (s RouteSnapshot) Validate() error {
 		return fmt.Errorf("wire: route snapshot: negative timestamp %v", s.TS)
 	}
 	for i, r := range s.Routes {
-		if r.Metric == 0 {
+		switch {
+		case r.Metric == 0:
 			return fmt.Errorf("wire: route snapshot: entry %d has zero metric", i)
-		}
-		if r.AgeS < 0 {
+		case r.AgeS < 0:
 			return fmt.Errorf("wire: route snapshot: entry %d has negative age", i)
+		case !logged && !(finite(r.AgeS) && finite(r.SNRdB)):
+			return fmt.Errorf("wire: route snapshot: entry %d has non-finite age or SNR", i)
 		}
 	}
 	return nil
@@ -246,9 +254,10 @@ func (b Batch) Len() int {
 func (b Batch) Validate() error { return b.validate(false) }
 
 // validate is Validate, except that with logged set a timestamp only
-// has to be non-negative, so NaN and +Inf pass: that was the rule before
-// Validate refused non-finite timestamps, write-ahead logs written
-// under it may hold such batches, and those logs replay as they did.
+// has to be non-negative, so NaN and +Inf pass, and route entries may
+// carry non-finite ages and SNRs: that was the rule before Validate
+// refused them, write-ahead logs written under it may hold such
+// batches, and those logs replay as they did.
 func (b Batch) validate(logged bool) error {
 	ts := func(v float64) float64 {
 		if logged && !(v < 0) {
@@ -273,7 +282,7 @@ func (b Batch) validate(logged bool) error {
 	}
 	for _, r := range b.Routes {
 		r.TS = ts(r.TS)
-		if err := r.Validate(); err != nil {
+		if err := r.validate(logged); err != nil {
 			return err
 		}
 		if r.Node != b.Node {

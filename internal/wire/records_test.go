@@ -111,6 +111,42 @@ func TestRouteSnapshotValidate(t *testing.T) {
 	}
 }
 
+// TestRouteEntryNonFiniteRefusedUnlessLogged: a NaN or ±Inf age or SNR
+// is refused on the wire, binary codec included, yet a logged batch
+// holding one still decodes with the value intact.
+func TestRouteEntryNonFiniteRefusedUnlessLogged(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, field := range []string{"age", "snr"} {
+			e := RouteEntry{Dst: 2, NextHop: 2, Metric: 1, AgeS: 3, SNRdB: 4}
+			if field == "age" {
+				e.AgeS = v
+			} else {
+				e.SNRdB = v
+			}
+			b := Batch{Node: 1, SeqNo: 1, SentAt: 5,
+				Routes: []RouteSnapshot{{TS: 5, Node: 1, Routes: []RouteEntry{e}}}}
+			if err := b.Routes[0].Validate(); err == nil {
+				t.Fatalf("%s %v accepted by Validate", field, v)
+			}
+			var w binWriter
+			w.encode(b)
+			if _, err := DecodeBatchBinary(w.buf); err == nil {
+				t.Fatalf("%s %v accepted by DecodeBatchBinary", field, v)
+			}
+			if field == "age" && v < 0 {
+				continue // a negative age was never accepted
+			}
+			got, err := DecodeLoggedBatch(w.buf)
+			if err != nil {
+				t.Fatalf("%s %v: DecodeLoggedBatch: %v", field, v, err)
+			}
+			if g := got.Routes[0].Routes[0]; fmt.Sprint(g.AgeS, g.SNRdB) != fmt.Sprint(e.AgeS, e.SNRdB) {
+				t.Fatalf("%s %v: logged entry %+v, want %+v", field, v, g, e)
+			}
+		}
+	}
+}
+
 func TestNodeStatsValidate(t *testing.T) {
 	s := NodeStats{TS: 1, Node: 1, UptimeS: 100, DutyCycleUsed: 0.004}
 	if err := s.Validate(); err != nil {

@@ -10,7 +10,8 @@
 #   scripts/ci.sh scale     # spatial-index suite (grid vs brute, reindex, mobility)
 #   scripts/ci.sh read      # streaming read path (cache equivalence, SSE, long-poll) under -race
 #   scripts/ci.sh energy    # energy-model suite (conservation, depletion/revival, lifetime) under -race
-#   scripts/ci.sh fuzz      # bounded fuzzing: chunk codec round-trip + chart query parser + batch JSON appender + overview row appender
+#   scripts/ci.sh fuzz      # bounded fuzzing: chunk codec round-trip + chart query parser + batch JSON appender + overview row appender + route diff
+#   scripts/ci.sh perfsmoke # every perfbench workload for 3 s: correctness checks and golden counters, no numbers gated
 #   scripts/ci.sh bench     # perf harness -> BENCH_NEW.json
 #   scripts/ci.sh compare   # perf gate vs committed BENCH_1.json
 #   scripts/ci.sh all       # everything, in order (the default)
@@ -53,6 +54,21 @@ stage_test() {
   # sent_at, and over HTTP ingest), yet logs holding them still replay.
   go test -race -count=1 -run 'PacketRecordValidate|LoggedBatchKeepsNonFiniteTimestamps|HTTPIngestRejectsNonFiniteTimestamp|ReplayKeepsNonFiniteTimestamps' \
     ./internal/wire ./internal/collector ./internal/wal
+  # Route telemetry is a per-node change log derived at ingest: the diff,
+  # history and mesh_route_changes series against a map reference, the
+  # history push/fold rules, agent snapshots arriving sorted and unique
+  # (the form the collector diffs without copying) and the node page's
+  # route-change rows against their template form. Histories are
+  # replaced, never written in place, so readers copy them race-free
+  # while shards ingest (-race -count=10). A non-finite route age or SNR
+  # is refused at the wire (logged batches still replay), and a response
+  # JSON cannot encode is answered 500, never 200 empty.
+  go test -race -count=1 -run 'RouteChangesMatchReference|RouteHistoryFoldAndPush|StatsAndRoutesMaterialised|HTTPIngestRejectsNonFiniteRouteEntry|HTTPUnencodableResponseAnswers500' \
+    ./internal/collector
+  go test -race -count=10 -run 'RouteHistoryConcurrentReads' ./internal/collector
+  go test -race -count=1 -run 'RouteEntryNonFiniteRefusedUnlessLogged' ./internal/wire
+  go test -race -count=1 -run 'RouteSnapshotsSortedAndUnique' ./internal/agent
+  go test -race -count=1 -run 'RouteChangeRowsMatchTemplate' ./internal/dashboard
 }
 
 stage_recover() {
@@ -62,6 +78,10 @@ stage_recover() {
   # of silently passing stage_test.
   go test -race -count=1 -run 'WAL|Crash|Recovery|Dedup|Torn|Durability|Snapshot' \
     ./internal/wal ./internal/collector ./internal/tsdb
+  # Route history and mesh_route_changes survive checkpoint + WAL replay
+  # into 1, 4 and 7 shards, and later snapshots diff against the
+  # restored tables.
+  go test -race -count=1 -run 'RouteHistoryRecovery' ./internal/collector
 }
 
 stage_federate() {
@@ -77,7 +97,9 @@ stage_federate() {
   # sorted-run merge to the map-and-sort merge it replaced (order and
   # float bits), and FederatedQueryOrderMatchesDB the canonical result
   # order a single store answers in.
-  go test -race -count=1 -run 'Federate|Ring|Router|Handoff|FederateKnownCounts|FederatedMergeMatchesParent|FederatedQueryOrderMatchesDB' \
+  # HandoffFoldsRouteHistory pins the federated fold of a handed-off
+  # node's route history (legacy before the checkpoint, new owner after).
+  go test -race -count=1 -run 'Federate|Ring|Router|Handoff|FederateKnownCounts|FederatedMergeMatchesParent|FederatedQueryOrderMatchesDB|HandoffFoldsRouteHistory' \
     ./internal/federate
 }
 
@@ -172,6 +194,22 @@ stage_fuzz() {
   # render byte-identically to the former html/template row.
   go test -fuzz='^FuzzOverviewRows$' -fuzztime=20s -run '^FuzzOverviewRows$' \
     ./internal/dashboard
+  echo "== bounded fuzz: route diff =="
+  # Same budget for the collector's route-change log: any snapshot
+  # sequence must leave the state the map-based reference holds.
+  go test -fuzz='^FuzzRouteDiff$' -fuzztime=20s -run '^FuzzRouteDiff$' \
+    ./internal/collector
+}
+
+stage_perfsmoke() {
+  echo "== perfbench smoke =="
+  # Each end-to-end workload runs for 3 s. perfbench exits nonzero when
+  # a correctness check fails or mesh_sim's golden counters disagree
+  # with an earlier run of the seed; no number is gated here.
+  for w in ingest_durable dash_read federated_ingest mesh_sim; do
+    echo "-- $w"
+    bash perfbench/run.sh --workload "$w" --seconds 3
+  done
 }
 
 stage_bench() {
@@ -199,6 +237,7 @@ case "${1:-all}" in
   read)     stage_read ;;
   energy)   stage_energy ;;
   fuzz)     stage_fuzz ;;
+  perfsmoke) stage_perfsmoke ;;
   bench)    stage_bench ;;
   compare)  stage_compare ;;
   all)
@@ -211,12 +250,13 @@ case "${1:-all}" in
     stage_read
     stage_energy
     stage_fuzz
+    stage_perfsmoke
     stage_bench
     stage_compare
     echo "CI OK"
     ;;
   *)
-    echo "usage: scripts/ci.sh [vet|build|test|recover|federate|scale|read|energy|fuzz|bench|compare|all]" >&2
+    echo "usage: scripts/ci.sh [vet|build|test|recover|federate|scale|read|energy|fuzz|perfsmoke|bench|compare|all]" >&2
     exit 2
     ;;
 esac
