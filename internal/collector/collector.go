@@ -7,18 +7,20 @@
 // # Concurrency
 //
 // The collector is partitioned into N node-sharded slices: each mesh
-// node hashes to exactly one shard, which owns that node's dedup state
-// machine, registry entry, link observations, recent-packet ring
-// segment and cached tsdb append handles under its own RWMutex. Batches
-// from different nodes therefore ingest without contending; the only
-// cross-shard state is the record-time high-water mark (an atomic) and
-// the shared WAL appender, which group-commits concurrent shards into
-// one fsync. Read APIs (Nodes, Links, Recent, Stats) merge the shards
+// node hashes to exactly one shard, which holds only per-node state
+// under its own RWMutex — that node's dedup state machine, registry
+// entry with its cached tsdb append handles, and the links it receives.
+// Batches from different nodes therefore ingest without contending on
+// a shard. The collector-wide state lives once, outside the shards: the
+// record-time high-water mark and the Stats counters are atomics, the
+// recent-packet ring sits under its own mutex (taken after a shard's,
+// for one append per batch), and the shared WAL appender group-commits
+// concurrent shards into one fsync. Nodes and Links merge the shards
 // under sequential read locks, each shard contributing one sorted run
 // to a k-way merge (tsdb.MergeRuns), so their output is deterministic
-// but not a single point-in-time cut; snapshot paths that need a
-// consistent cut across every shard briefly stop the world (see
-// persist.go).
+// but not a single point-in-time cut; Recent and Stats take no shard
+// lock. Snapshot paths that need a consistent cut across every shard
+// briefly stop the world (see persist.go).
 //
 // # Metric schema
 //
@@ -144,15 +146,6 @@ type Stats struct {
 	LinksKnown int
 }
 
-// add accumulates another shard's partial counters.
-func (s *Stats) add(o Stats) {
-	s.BatchesIngested += o.BatchesIngested
-	s.BatchesRejected += o.BatchesRejected
-	s.RecordsIngested += o.RecordsIngested
-	s.NodesKnown += o.NodesKnown
-	s.LinksKnown += o.LinksKnown
-}
-
 type nodeState struct {
 	info    NodeInfo
 	lastSeq uint64
@@ -164,6 +157,8 @@ type nodeState struct {
 	// maxMissingTracked; overflow evicts the oldest gaps, whose late
 	// arrivals then count as duplicates (they stay counted lost).
 	missing map[uint64]struct{}
+	// series caches the node's packet-metric append handles (handleFor).
+	series map[seriesKey]*tsdb.Series
 	// stats holds cached append handles for the node's summary metrics,
 	// aligned with statsMetricNames; uptime is the heartbeat series.
 	stats  []*tsdb.Series
@@ -255,12 +250,12 @@ func energyValues(s *wire.NodeStats) [3]float64 {
 	return [3]float64{s.BatteryFrac, s.BatteryV, s.HarvestW}
 }
 
-// seriesKey identifies one cached tsdb append handle. The per-metric
-// label schema is reconstructed from the key on a cache miss, so the hot
-// ingest path allocates no Labels map and computes no canonical key.
+// seriesKey identifies one of a node's cached tsdb append handles. The
+// per-metric label schema is reconstructed from the key on a cache miss,
+// so the hot ingest path allocates no Labels map and computes no
+// canonical key.
 type seriesKey struct {
 	metric string
-	node   wire.NodeID
 	a, b   string // event/type/reason depending on metric
 }
 
@@ -314,35 +309,17 @@ func newInstruments(reg *metrics.Registry) *instruments {
 	}
 }
 
-// shard owns the ingest state of the nodes that hash to it: their dedup
-// state machines, registry entries, link observations keyed by the
-// receiving node, cached tsdb append handles and a full-capacity
-// recent-packet ring segment. All of it is guarded by the shard's own
-// lock, so ingest for different nodes never serialises.
+// shard holds the state of the nodes that hash to it: their nodeStates
+// and the links they receive. It is guarded by the shard's own lock, so
+// ingest for different nodes never serialises.
 type shard struct {
 	c *Collector
 
-	mu     sync.RWMutex
-	nodes  map[wire.NodeID]*nodeState
-	links  map[linkKey]*LinkObs
-	series map[seriesKey]*tsdb.Series
-	// recent is a ring buffer of the shard's newest packet records,
-	// globally sequenced so readers can merge shards into the exact
-	// stream a single ring would have held; recentHead is the index of
-	// the oldest entry once the ring is full.
-	recent     []recentEntry
-	recentHead int
-	// stats is this shard's partial contribution to the collector-wide
-	// counters; Stats() sums the shards.
-	stats Stats
+	mu    sync.RWMutex
+	nodes map[wire.NodeID]*nodeState
+	links map[linkKey]*LinkObs
 	// changes is ingestRoutes' reusable diff buffer.
 	changes []RouteChange
-}
-
-// recentEntry orders one recent packet in the collector-global stream.
-type recentEntry struct {
-	seq uint64
-	rec wire.PacketRecord
 }
 
 // Collector is the monitoring server core. It is safe for concurrent
@@ -358,9 +335,19 @@ type Collector struct {
 	// one piece of ingest state every shard touches, kept lock-free so
 	// shards never take each other's locks.
 	maxTS atomic.Uint64
-	// recentSeq stamps packet records into a single global order across
-	// the per-shard recent rings.
-	recentSeq atomic.Uint64
+	// recent is the ring buffer of the newest packet records, in ingest
+	// order; recentHead is the index of the oldest entry once it is full.
+	// A batch appends its packets while still holding its shard lock
+	// (lock order: shard mu, then recentMu), so a cut under every shard
+	// lock holds all of a batch's packets or none.
+	recentMu   sync.Mutex
+	recent     []wire.PacketRecord
+	recentHead int
+	// The Stats counters. Ingest bumps them under the shard lock and
+	// before the epoch advance, so a reader at epoch E counts every batch
+	// in E; the node and link counts rise as entries are inserted.
+	batchesIngested, batchesRejected, recordsIngested atomic.Uint64
+	nodesKnown, linksKnown                            atomic.Int64
 	// epoch counts accepted batches — the read path's invalidation clock.
 	// It is bumped after all of a batch's state mutation completes, so a
 	// reader that observes epoch E sees every batch counted into E.
@@ -403,10 +390,9 @@ func New(db *tsdb.DB, cfg Config) *Collector {
 	}
 	for i := range c.shards {
 		c.shards[i] = &shard{
-			c:      c,
-			nodes:  make(map[wire.NodeID]*nodeState),
-			links:  make(map[linkKey]*LinkObs),
-			series: make(map[seriesKey]*tsdb.Series),
+			c:     c,
+			nodes: make(map[wire.NodeID]*nodeState),
+			links: make(map[linkKey]*LinkObs),
 		}
 	}
 	return c
@@ -441,14 +427,17 @@ func (c *Collector) unlockAll() {
 // from Config.Metrics, or the private default).
 func (c *Collector) Metrics() *metrics.Registry { return c.reg }
 
-// handleFor returns the cached append handle for key, building the
-// metric's label set only on the first miss. Callers hold s.mu; a node's
-// series are cached on its owning shard, so no key exists on two shards.
-func (s *shard) handleFor(key seriesKey) *tsdb.Series {
-	if h, ok := s.series[key]; ok {
+// handleFor returns the node's cached append handle for key, building
+// the metric's label set only on the first miss. Callers hold the
+// owning shard's lock.
+func (st *nodeState) handleFor(db *tsdb.DB, key seriesKey) *tsdb.Series {
+	if h, ok := st.series[key]; ok {
 		return h
 	}
-	labels := tsdb.Labels{"node": key.node.String()}
+	if st.series == nil {
+		st.series = make(map[seriesKey]*tsdb.Series)
+	}
+	labels := tsdb.Labels{"node": st.info.ID.String()}
 	switch key.metric {
 	case "mesh_packets":
 		labels["event"], labels["type"] = key.a, key.b
@@ -459,8 +448,8 @@ func (s *shard) handleFor(key seriesKey) *tsdb.Series {
 	case "mesh_drops":
 		labels["reason"] = key.a
 	}
-	h := s.c.db.Series(key.metric, labels)
-	s.series[key] = h
+	h := db.Series(key.metric, labels)
+	st.series[key] = h
 	return h
 }
 
@@ -473,20 +462,16 @@ func (c *Collector) DB() tsdb.Querier { return c.db }
 // that only the collector's owner (tests, snapshot tooling) needs.
 func (c *Collector) TSDB() *tsdb.DB { return c.db }
 
-// Stats returns collector-wide counters summed across shards. The sum
-// is taken shard by shard, so it is monotone but not a single
-// point-in-time cut while ingest is running.
+// Stats returns the collector-wide counters. It takes no lock; while
+// ingest runs the counters are read one by one, not as a single cut.
 func (c *Collector) Stats() Stats {
-	var out Stats
-	for _, s := range c.shards {
-		s.mu.RLock()
-		part := s.stats
-		part.NodesKnown = len(s.nodes)
-		part.LinksKnown = len(s.links)
-		s.mu.RUnlock()
-		out.add(part)
+	return Stats{
+		BatchesIngested: c.batchesIngested.Load(),
+		BatchesRejected: c.batchesRejected.Load(),
+		RecordsIngested: c.recordsIngested.Load(),
+		NodesKnown:      int(c.nodesKnown.Load()),
+		LinksKnown:      int(c.linksKnown.Load()),
 	}
-	return out
 }
 
 // Nodes returns the registry merged across shards, sorted by node ID.
@@ -518,56 +503,44 @@ func (c *Collector) Node(id wire.NodeID) (NodeInfo, bool) {
 }
 
 // Recent returns up to limit of the newest packet records, newest
-// first (limit <= 0 means the whole configured capacity). Sequence
-// stamps increase in ring order within a shard, so each shard
-// contributes only its newest limit entries, walked back from the ring
-// head, and merging them on the stamps reconstructs exactly the stream
-// one collector-wide ring of the same capacity would hold.
+// first (limit <= 0 means the whole ring), walked back from the ring
+// head.
 func (c *Collector) Recent(limit int) []wire.PacketRecord {
-	want := c.cfg.RecentPackets
-	if limit > 0 && limit < want {
-		want = limit
+	c.recentMu.Lock()
+	defer c.recentMu.Unlock()
+	n := len(c.recent)
+	if limit > 0 && limit < n {
+		n = limit
 	}
-	runs := make([][]recentEntry, len(c.shards))
-	for i, s := range c.shards {
-		s.mu.RLock()
-		runs[i] = s.newestRecent(want)
-		s.mu.RUnlock()
-	}
-	return mergeRecent(runs, want)
-}
-
-// newestRecent copies up to n of the ring's newest entries, newest
-// first. Callers hold s.mu.
-func (s *shard) newestRecent(n int) []recentEntry {
-	if n > len(s.recent) {
-		n = len(s.recent)
-	}
-	out := make([]recentEntry, n)
-	i := s.recentHead
+	out := make([]wire.PacketRecord, n)
+	i := c.recentHead
 	for k := range out {
 		if i == 0 {
-			i = len(s.recent)
+			i = len(c.recent)
 		}
 		i--
-		out[k] = s.recent[i]
+		out[k] = c.recent[i]
 	}
 	return out
 }
 
-// addRecent records p in the shard's ring buffer, overwriting the
-// oldest entry once full — no per-packet reallocation. Each shard ring
-// has the full configured capacity: the newest R records globally are
-// always a subset of the union of per-shard newest-R, so the merged
-// view loses nothing.
-func (s *shard) addRecent(p wire.PacketRecord) {
-	e := recentEntry{seq: s.c.recentSeq.Add(1), rec: p}
-	if len(s.recent) < s.c.cfg.RecentPackets {
-		s.recent = append(s.recent, e)
+// addRecent appends one batch's packets to the ring, overwriting the
+// oldest entries once it is full — no per-packet reallocation. Callers
+// hold the batch's shard lock.
+func (c *Collector) addRecent(ps []wire.PacketRecord) {
+	if len(ps) == 0 {
 		return
 	}
-	s.recent[s.recentHead] = e
-	s.recentHead = (s.recentHead + 1) % len(s.recent)
+	c.recentMu.Lock()
+	for _, p := range ps {
+		if len(c.recent) < c.cfg.RecentPackets {
+			c.recent = append(c.recent, p)
+			continue
+		}
+		c.recent[c.recentHead] = p
+		c.recentHead = (c.recentHead + 1) % len(c.recent)
+	}
+	c.recentMu.Unlock()
 }
 
 // MaxTS returns the newest record timestamp seen, the collector's notion
@@ -643,15 +616,12 @@ var ErrDurability = errors.New("collector: durability failure")
 // the batch belongs to b.Node, so the whole batch lands on one shard.
 func (c *Collector) Ingest(b wire.Batch) error {
 	start := time.Now()
-	sh := c.shardFor(b.Node)
 	if err := b.Validate(); err != nil {
-		sh.mu.Lock()
-		sh.stats.BatchesRejected++
-		sh.mu.Unlock()
+		c.batchesRejected.Add(1)
 		c.inst.batchesRejected.Inc()
 		return fmt.Errorf("collector: %w", err)
 	}
-	stored, err := sh.ingest(b, true)
+	stored, err := c.shardFor(b.Node).ingest(b, true)
 	if err != nil {
 		return err
 	}
@@ -728,19 +698,19 @@ func (st *nodeState) classify(seqNo uint64) dedupAction {
 // was accepted (false for duplicates). With persist set and a WAL
 // configured, the batch is appended to the log after the dedup decision
 // and before any state mutation — a WAL failure leaves the collector
-// exactly as if the batch never arrived, so the client's retry replays
-// cleanly. The WAL append happens with only this shard locked; other
-// shards keep ingesting and their concurrent appends group-commit into
-// a shared fsync.
+// exactly as if the batch never arrived (an unknown node is classified
+// against a fresh state and registered only once its batch is
+// accepted), so the client's retry replays cleanly. The WAL append
+// happens with only this shard locked; other shards keep ingesting and
+// their concurrent appends group-commit into a shared fsync.
 func (s *shard) ingest(b wire.Batch, persist bool) (bool, error) {
 	c := s.c
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	st, ok := s.nodes[b.Node]
-	if !ok {
+	st, known := s.nodes[b.Node]
+	if !known {
 		st = &nodeState{info: NodeInfo{ID: b.Node, FirstSeenTS: b.SentAt}}
-		s.nodes[b.Node] = st
 	}
 	act := st.classify(b.SeqNo)
 	if act == actDup {
@@ -751,6 +721,10 @@ func (s *shard) ingest(b wire.Batch, persist bool) (bool, error) {
 		if err := c.cfg.WAL.Append(b); err != nil {
 			return false, fmt.Errorf("%w: %v", ErrDurability, err)
 		}
+	}
+	if !known {
+		s.nodes[b.Node] = st
+		c.nodesKnown.Add(1)
 	}
 	switch act {
 	case actFirst:
@@ -775,12 +749,13 @@ func (s *shard) ingest(b wire.Batch, persist bool) (bool, error) {
 	if b.SentAt > st.info.LastSeenTS {
 		st.info.LastSeenTS = b.SentAt
 	}
-	s.stats.BatchesIngested++
-	s.stats.RecordsIngested += uint64(b.Len())
+	c.batchesIngested.Add(1)
+	c.recordsIngested.Add(uint64(b.Len()))
 
 	for _, p := range b.Packets {
-		s.ingestPacket(p)
+		s.ingestPacket(st, p)
 	}
+	c.addRecent(b.Packets)
 	for _, r := range b.Routes {
 		s.ingestRoutes(st, r)
 	}
@@ -801,22 +776,21 @@ func (s *shard) ingest(b wire.Batch, persist bool) (bool, error) {
 	return true, nil
 }
 
-func (s *shard) ingestPacket(p wire.PacketRecord) {
+func (s *shard) ingestPacket(st *nodeState, p wire.PacketRecord) {
 	c := s.c
 	c.bump(p.TS)
 	ev := string(p.Event)
-	s.handleFor(seriesKey{metric: "mesh_packets", node: p.Node, a: ev, b: p.Type}).Append(p.TS, 1)
-	s.handleFor(seriesKey{metric: "mesh_packet_bytes", node: p.Node, a: ev}).Append(p.TS, float64(p.Size))
+	st.handleFor(c.db, seriesKey{metric: "mesh_packets", a: ev, b: p.Type}).Append(p.TS, 1)
+	st.handleFor(c.db, seriesKey{metric: "mesh_packet_bytes", a: ev}).Append(p.TS, float64(p.Size))
 	switch p.Event {
 	case wire.EventRx:
-		s.handleFor(seriesKey{metric: "mesh_packet_rssi", node: p.Node}).Append(p.TS, p.RSSIdBm)
-		s.handleFor(seriesKey{metric: "mesh_packet_snr", node: p.Node}).Append(p.TS, p.SNRdB)
+		st.handleFor(c.db, seriesKey{metric: "mesh_packet_rssi"}).Append(p.TS, p.RSSIdBm)
+		st.handleFor(c.db, seriesKey{metric: "mesh_packet_snr"}).Append(p.TS, p.SNRdB)
 	case wire.EventTx:
-		s.handleFor(seriesKey{metric: "mesh_airtime_ms", node: p.Node, a: p.Type}).Append(p.TS, p.AirtimeMS)
+		st.handleFor(c.db, seriesKey{metric: "mesh_airtime_ms", a: p.Type}).Append(p.TS, p.AirtimeMS)
 	case wire.EventDrop:
-		s.handleFor(seriesKey{metric: "mesh_drops", node: p.Node, a: p.Reason}).Append(p.TS, 1)
+		st.handleFor(c.db, seriesKey{metric: "mesh_drops", a: p.Reason}).Append(p.TS, 1)
 	}
-	s.addRecent(p)
 	// Received HELLOs are single-hop by construction, so src really is
 	// the link-layer transmitter: aggregate the direct link src→node.
 	// The link is keyed by its receiver (p.Node == the batch's node), so
@@ -827,6 +801,7 @@ func (s *shard) ingestPacket(p wire.PacketRecord) {
 		if !ok {
 			l = &LinkObs{Tx: p.Src, Rx: p.Node, FirstTS: p.TS}
 			s.links[k] = l
+			c.linksKnown.Add(1)
 		}
 		l.Count++
 		l.LastTS = p.TS

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -164,21 +165,14 @@ func (c *Collector) handleStats(w http.ResponseWriter, _ *http.Request) {
 // for offline analysis.
 func (c *Collector) handleExport(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	parseF := func(key string, def float64) (float64, error) {
-		s := q.Get(key)
-		if s == "" {
-			return def, nil
-		}
-		return strconv.ParseFloat(s, 64)
-	}
-	from, err := parseF("from", 0)
+	from, err := floatParam(q, "from", 0)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("collector: bad from: %w", err))
+		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	to, err := parseF("to", math.MaxFloat64)
+	to, err := floatParam(q, "to", math.MaxFloat64)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("collector: bad to: %w", err))
+		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/jsonl")
@@ -203,21 +197,14 @@ func (c *Collector) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("collector: metric parameter required"))
 		return
 	}
-	parseF := func(key string, def float64) (float64, error) {
-		s := q.Get(key)
-		if s == "" {
-			return def, nil
-		}
-		return strconv.ParseFloat(s, 64)
-	}
-	from, err := parseF("from", 0)
+	from, err := floatParam(q, "from", 0)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("collector: bad from: %w", err))
+		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	to, err := parseF("to", c.MaxTS())
+	to, err := floatParam(q, "to", c.MaxTS())
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("collector: bad to: %w", err))
+		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	matcher := tsdb.Labels{}
@@ -232,7 +219,7 @@ func (c *Collector) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// resolution (or raw eviction) allows.
 	var results []tsdb.Result
 	if stepStr := q.Get("step"); stepStr != "" {
-		step, err := strconv.ParseFloat(stepStr, 64)
+		step, err := floatParam(q, "step", 0)
 		if err != nil || step <= 0 {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("collector: bad step %q", stepStr))
 			return
@@ -250,4 +237,18 @@ func (c *Collector) handleQuery(w http.ResponseWriter, r *http.Request) {
 		results = c.db.Query(metric, matcher, from, to)
 	}
 	writeJSON(w, http.StatusOK, results)
+}
+
+// floatParam parses the finite float query parameter key, def when it
+// is absent.
+func floatParam(q url.Values, key string, def float64) (float64, error) {
+	s := q.Get(key)
+	if s == "" {
+		return def, nil
+	}
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("collector: bad %s %q", key, s)
+	}
+	return v, nil
 }

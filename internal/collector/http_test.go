@@ -176,6 +176,14 @@ func TestHTTPQuery(t *testing.T) {
 	if badFrom.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad from status = %v", badFrom.Status)
 	}
+	// A non-finite from, to or step is the client's error, not a 500
+	// from the encoder or an empty 200.
+	for _, q := range []string{"from=NaN", "to=NaN", "from=-Inf", "to=Inf", "step=NaN", "step=Inf"} {
+		r := mustGet(t, srv.URL+"/api/v1/query?metric=mesh_airtime_ms&label.node=N0001&"+q)
+		if r.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status = %v, want 400", q, r.Status)
+		}
+	}
 }
 
 func TestHTTPIngestBinaryBatch(t *testing.T) {
@@ -295,8 +303,10 @@ func TestHTTPExportJSONL(t *testing.T) {
 	if len(got) != 1 || got[0].TS != 5 {
 		t.Fatalf("export = %+v, want only the TS=5 record", got)
 	}
-	if bad := mustGet(t, srv.URL+"/api/v1/export?from=x"); bad.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad from status = %d", bad.StatusCode)
+	for _, q := range []string{"from=x", "from=NaN", "to=NaN", "from=-Inf", "to=Inf"} {
+		if bad := mustGet(t, srv.URL+"/api/v1/export?"+q); bad.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status = %d, want 400", q, bad.StatusCode)
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"lorameshmon/internal/tsdb"
-	"lorameshmon/internal/wire"
 )
 
 // Registry and link merges. A collector's shards and a federation's
@@ -97,16 +96,4 @@ func foldLinkObs(have, l *LinkObs) {
 		have.LastRSSI = l.LastRSSI
 		have.LastSNR = l.LastSNR
 	}
-}
-
-// mergeRecent merges per-shard recent runs, each newest first by
-// sequence stamp, into the newest want records, newest first — exactly
-// the stream one collector-wide ring of capacity want would hold.
-func mergeRecent(runs [][]recentEntry, want int) []wire.PacketRecord {
-	merged := tsdb.MergeRuns(nil, runs, func(a, b *recentEntry) int { return cmp.Compare(b.seq, a.seq) }, nil, want)
-	out := make([]wire.PacketRecord, len(merged))
-	for i, e := range merged {
-		out[i] = e.rec
-	}
-	return out
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -65,16 +66,18 @@ func randomFleetBatch(rng *rand.Rand, seq map[wire.NodeID]uint64, step, nodes in
 
 // TestShardMergeMatchesParent: at 1, 3 and 8 shards, along a seeded
 // random fleet stream with gaps, duplicates, late arrivals and restarts
-// (and across a snapshot restore), Nodes, Links, Recent and the
-// checkpoint dump built from per-shard runs through tsdb.MergeRuns equal
-// the collect-and-sort code they replaced, element for element, and the
-// dump encodes to the same snapshot bytes.
+// (and across a snapshot restore), Nodes, Links and the checkpoint dump
+// built from per-shard runs through tsdb.MergeRuns equal the
+// collect-and-sort code they replaced, element for element, Recent
+// equals the ingest model, and the dump encodes to the same snapshot
+// bytes as one whose ring and counters come from the model.
 func TestShardMergeMatchesParent(t *testing.T) {
 	const capacity = 37
 	limits := []int{-1, 0, 1, capacity - 1, capacity, capacity + 1, 1000}
 	for _, shards := range []int{1, 3, 8} {
+		model := &ingestModel{}
 		cfg := DefaultConfig()
-		cfg.Shards, cfg.RecentPackets = shards, capacity
+		cfg.Shards, cfg.RecentPackets, cfg.OnIngest = shards, capacity, model.onIngest
 		c := New(tsdb.New(), cfg)
 		rng := rand.New(rand.NewSource(int64(100 + shards)))
 		seq := make(map[wire.NodeID]uint64)
@@ -89,12 +92,12 @@ func TestShardMergeMatchesParent(t *testing.T) {
 				}
 			}
 			for _, limit := range limits {
-				if got, want := c.Recent(limit), parentRecent(c, limit); !reflect.DeepEqual(got, want) {
+				if got, want := c.Recent(limit), model.recent(capacity, limit); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s: Recent(%d)\n got %+v\nwant %+v", where, limit, got, want)
 				}
 			}
 			c.lockAll()
-			got, want := c.dumpAllLocked(), parentDump(c)
+			got, want := c.dumpAllLocked(), parentDump(c, model)
 			c.unlockAll()
 			// The store part is the same c.db.Dump() call on both sides,
 			// in map order; compare the rest as encoded bytes.
@@ -135,8 +138,8 @@ func gobBytes(t *testing.T, v any) []byte {
 	return buf.Bytes()
 }
 
-// parentNodes, parentLinks, parentRecent and parentDump are the
-// collect-and-sort reads the shard merge replaced, kept as references.
+// parentNodes, parentLinks and parentDump are the collect-and-sort
+// reads the shard merge replaced, kept as references.
 
 func parentNodes(c *Collector) []NodeInfo {
 	var out []NodeInfo
@@ -171,59 +174,21 @@ func parentLinks(c *Collector, from float64) []LinkObs {
 	return out
 }
 
-func parentRecent(c *Collector, limit int) []wire.PacketRecord {
-	want := c.cfg.RecentPackets
-	if limit > 0 && limit < want {
-		want = limit
-	}
-	runs := make([][]recentEntry, len(c.shards))
-	for i, s := range c.shards {
-		s.mu.RLock()
-		runs[i] = s.newestRecent(want)
-		s.mu.RUnlock()
-	}
-	out := make([]wire.PacketRecord, 0, want)
-	for len(out) < want {
-		best := -1
-		for i, r := range runs {
-			if len(r) > 0 && (best < 0 || r[0].seq > runs[best][0].seq) {
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		out = append(out, runs[best][0].rec)
-		runs[best] = runs[best][1:]
-	}
-	return out
-}
-
 // parentDump is the checkpoint dump as it was built before the merge:
-// every shard's state concatenated, then sorted. Callers hold every
-// shard lock.
-func parentDump(c *Collector) snapshotDump {
+// every shard's state concatenated, then sorted. Its ring is the
+// model's newest packets, oldest first, and its counters the model's
+// sums with the known counts left 0, as the per-shard partial sums
+// left them. Callers hold every shard lock.
+func parentDump(c *Collector, model *ingestModel) snapshotDump {
 	dump := snapshotDump{
 		Version: collectorSnapshotVersion,
+		Stats:   Stats{BatchesIngested: model.batches, RecordsIngested: model.records},
 		MaxTS:   c.MaxTS(),
 		DB:      c.db.Dump(),
 	}
-	var entries []recentEntry
+	dump.Recent = model.recent(c.cfg.RecentPackets, 0)
+	slices.Reverse(dump.Recent)
 	for _, sh := range c.shards {
-		entries = append(entries, sh.recent...)
-	}
-	if len(entries) > 0 {
-		sort.Slice(entries, func(i, j int) bool { return entries[i].seq < entries[j].seq })
-		if len(entries) > c.cfg.RecentPackets {
-			entries = entries[len(entries)-c.cfg.RecentPackets:]
-		}
-		dump.Recent = make([]wire.PacketRecord, len(entries))
-		for i, e := range entries {
-			dump.Recent[i] = e.rec
-		}
-	}
-	for _, sh := range c.shards {
-		dump.Stats.add(sh.stats)
 		for _, st := range sh.nodes {
 			nd := nodeDump{Info: st.info, LastSeq: st.lastSeq, Seen: st.seen}
 			for s := range st.missing {

@@ -16,15 +16,15 @@ import (
 // node registry, link observations, recent-packet ring, collector-wide
 // counters and the whole time-series store in one gob stream, cut
 // exactly on a batch boundary: the snapshot path write-locks every
-// shard (a brief stop-the-world), so the cut is consistent across all
-// of them — no shard contributes a batch the others haven't fully
-// ingested. The snapshot format itself is shard-agnostic (every list is
-// merged from per-shard sorted runs before encoding), so a log written
-// under one shard count recovers under any other. Recovery restores the
-// newest snapshot and replays the WAL tail through the normal dedup
-// state machine, so the rebuilt state is identical to what the
-// collector had acknowledged
-// before the crash.
+// shard (a brief stop-the-world), and ingest updates the ring and the
+// counters only while holding its shard lock, so the cut holds every
+// batch whole or not at all. The snapshot format is shard-agnostic (the
+// node and link lists are merged from per-shard sorted runs, the ring
+// and counters are collector-wide), so a log written under one shard
+// count recovers under any other. Recovery restores the newest
+// snapshot and replays the WAL tail through the normal dedup state
+// machine, so the rebuilt state is identical to what the collector had
+// acknowledged before the crash.
 
 // collectorSnapshotVersion guards the snapshot schema.
 const collectorSnapshotVersion = 1
@@ -68,21 +68,24 @@ func (c *Collector) writeSnapshotAllLocked(w io.Writer) error {
 }
 
 // dumpAllLocked captures the full state with every shard lock held.
-// Every list is a merge of per-shard sorted runs — the same merges the
-// read APIs use — so the dump is deterministic and carries no trace of
-// the shard layout.
+// The node and link lists are merges of per-shard sorted runs — the
+// same merges the read APIs use — so the dump is deterministic and
+// carries no trace of the shard layout.
 func (c *Collector) dumpAllLocked() snapshotDump {
 	byID := func(a, b *nodeDump) int { return cmp.Compare(a.Info.ID, b.Info.ID) }
 	nodes := make([][]nodeDump, len(c.shards))
 	links := make([][]LinkObs, len(c.shards))
-	recent := make([][]recentEntry, len(c.shards))
+	// The known counts stay 0 in the dump: restore recounts them from
+	// the lists.
+	stats := c.Stats()
+	stats.NodesKnown, stats.LinksKnown = 0, 0
 	dump := snapshotDump{
 		Version: collectorSnapshotVersion,
+		Stats:   stats,
 		MaxTS:   c.MaxTS(),
 		DB:      c.db.Dump(),
 	}
 	for i, sh := range c.shards {
-		dump.Stats.add(sh.stats)
 		for _, st := range sh.nodes {
 			nd := nodeDump{Info: st.info, LastSeq: st.lastSeq, Seen: st.seen}
 			for s := range st.missing {
@@ -94,13 +97,11 @@ func (c *Collector) dumpAllLocked() snapshotDump {
 		slices.SortFunc(nodes[i], func(a, b nodeDump) int { return byID(&a, &b) })
 		links[i] = sh.linkRun(func(*LinkObs) bool { return true })
 		sortLinks(links[i])
-		recent[i] = sh.newestRecent(c.cfg.RecentPackets)
 	}
 	dump.Nodes = tsdb.MergeRuns(nil, nodes, byID, nil, 0)
 	dump.Links = MergeLinks(links)
-	// The checkpoint keeps the ring oldest first: the full-capacity
-	// Recent merge, reversed.
-	dump.Recent = mergeRecent(recent, c.cfg.RecentPackets)
+	// The checkpoint keeps the ring oldest first.
+	dump.Recent = c.Recent(0)
 	slices.Reverse(dump.Recent)
 	return dump
 }
@@ -110,7 +111,7 @@ func (c *Collector) dumpAllLocked() snapshotDump {
 // to under the current shard count. Each node's route table is rebuilt
 // from its LastRoutes, so later snapshots diff as they would have
 // before the checkpoint. Cached series handles are rebuilt lazily on
-// the next ingest.
+// the next ingest; the node and link counts are the list lengths.
 func (c *Collector) RestoreSnapshot(r io.Reader) error {
 	var dump snapshotDump
 	if err := gob.NewDecoder(r).Decode(&dump); err != nil {
@@ -126,10 +127,6 @@ func (c *Collector) RestoreSnapshot(r io.Reader) error {
 	for _, sh := range c.shards {
 		sh.nodes = make(map[wire.NodeID]*nodeState)
 		sh.links = make(map[linkKey]*LinkObs)
-		sh.series = make(map[seriesKey]*tsdb.Series)
-		sh.recent = nil
-		sh.recentHead = 0
-		sh.stats = Stats{}
 	}
 	for _, nd := range dump.Nodes {
 		st := &nodeState{info: nd.Info, lastSeq: nd.LastSeq, seen: nd.Seen}
@@ -150,21 +147,20 @@ func (c *Collector) RestoreSnapshot(r io.Reader) error {
 		// where ingestPacket would have created them.
 		c.shardFor(l.Rx).links[linkKey{tx: l.Tx, rx: l.Rx}] = &l
 	}
-	// Refill the rings oldest-first through the normal path: fresh
-	// sequence stamps preserve the snapshot's global order, and each
-	// record lands on its reporting node's shard. Trim first so an
-	// oversized dump keeps only the newest entries.
+	// The dump's ring is oldest first; an oversized one keeps only its
+	// newest entries.
 	recent := dump.Recent
 	if len(recent) > c.cfg.RecentPackets {
 		recent = recent[len(recent)-c.cfg.RecentPackets:]
 	}
-	for _, p := range recent {
-		c.shardFor(p.Node).addRecent(p)
-	}
-	// The merged counters cannot be split back per shard (the split is a
-	// runtime artifact); parking them on shard 0 keeps every merged read
-	// exact.
-	c.shards[0].stats = dump.Stats
+	c.recentMu.Lock()
+	c.recent, c.recentHead = recent, 0
+	c.recentMu.Unlock()
+	c.batchesIngested.Store(dump.Stats.BatchesIngested)
+	c.batchesRejected.Store(dump.Stats.BatchesRejected)
+	c.recordsIngested.Store(dump.Stats.RecordsIngested)
+	c.nodesKnown.Store(int64(len(dump.Nodes)))
+	c.linksKnown.Store(int64(len(dump.Links)))
 	c.setMaxTS(dump.MaxTS)
 	return c.db.Load(dump.DB)
 }

@@ -218,7 +218,8 @@ func TestCrashLosesNoAckedBatches(t *testing.T) {
 
 // TestIngestDurabilityFailure checks a WAL append failure surfaces as
 // ErrDurability (the HTTP 503 path) and leaves collector state untouched
-// so the client's retry is clean.
+// so the client's retry is clean — including for a node whose first
+// batch is the refused one: it must not enter the registry.
 func TestIngestDurabilityFailure(t *testing.T) {
 	wlog, err := wal.Open(t.TempDir(), wal.Options{})
 	if err != nil {
@@ -241,8 +242,18 @@ func TestIngestDurabilityFailure(t *testing.T) {
 	if n.BatchesOK != 1 || n.BatchesLost != 0 || n.BatchesDup != 0 {
 		t.Fatalf("failed append mutated state: %+v", n)
 	}
-	if got := c.Stats().BatchesIngested; got != 1 {
-		t.Fatalf("BatchesIngested = %d, want 1", got)
+	epoch := c.Epoch()
+	if err := c.Ingest(trafficBatch(7, 1)); !errors.Is(err, ErrDurability) {
+		t.Fatalf("first batch of a new node with dead WAL = %v, want ErrDurability", err)
+	}
+	if n, ok := c.Node(7); ok {
+		t.Fatalf("refused first batch registered its node: %+v", n)
+	}
+	if st := c.Stats(); st.BatchesIngested != 1 || st.NodesKnown != 1 || st.LinksKnown != 1 {
+		t.Fatalf("Stats = %+v, want 1 batch, 1 node, 1 link", st)
+	}
+	if len(c.Nodes()) != 1 || c.Epoch() != epoch {
+		t.Fatalf("refused batches left %d nodes and moved the epoch %d -> %d", len(c.Nodes()), epoch, c.Epoch())
 	}
 }
 

@@ -1,7 +1,9 @@
 package collector
 
 import (
+	"encoding/gob"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -198,5 +200,184 @@ func TestShardDistribution(t *testing.T) {
 		if n > 40 {
 			t.Fatalf("shard %p absorbed %d of 64 nodes — hash is badly skewed", sh, n)
 		}
+	}
+}
+
+// TestShardedIngestReadersSeeWholeBatches runs writers on distinct
+// shards while readers call Recent, Stats, Nodes, Links and Checkpoint
+// (under -race in CI). The ring holds every packet, so each read of it
+// must consist of whole batches, each contiguous and in order, every
+// node's batches in sequence from its first; each checkpoint must hold
+// whole batches only, agreeing with its node registry and counters.
+// Once ingest stops, Recent(0) holds every accepted packet exactly once
+// and the counters equal the sums.
+func TestShardedIngestReadersSeeWholeBatches(t *testing.T) {
+	const (
+		writers   = 4
+		perWriter = 40
+	)
+	wlog, err := wal.Open(t.TempDir(), wal.Options{Sync: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wlog.Close()
+	cfg := DefaultConfig()
+	cfg.Shards, cfg.RecentPackets, cfg.WAL = writers, writers*perWriter*3, wlog
+	c := New(tsdb.New(), cfg)
+
+	// One node per shard.
+	var nodes []wire.NodeID
+	used := make(map[*shard]bool)
+	for id := wire.NodeID(1); len(nodes) < writers; id++ {
+		if sh := c.shardFor(id); !used[sh] {
+			used[sh] = true
+			nodes = append(nodes, id)
+		}
+	}
+	// Batch seq of a node carries 1 + seq%3 packets; packet i of it has
+	// Seq = seq and TTL = i, and is a HELLO heard from one of five
+	// neighbours, so links keep appearing.
+	batch := func(node wire.NodeID, seq uint64) wire.Batch {
+		ts := float64(seq)
+		b := wire.Batch{Node: node, SeqNo: seq, SentAt: ts,
+			Heartbeats: []wire.Heartbeat{{TS: ts, Node: node, UptimeS: ts}}}
+		for i := uint64(0); i < 1+seq%3; i++ {
+			p := pktRecord(node, ts, wire.EventRx)
+			p.Type, p.Src = "HELLO", 100+wire.NodeID((seq+i)%5)
+			p.Seq, p.TTL = uint16(seq), uint8(i)
+			b.Packets = append(b.Packets, p)
+		}
+		return b
+	}
+	// wholeBatches checks an oldest-first packet list and returns how
+	// many batches of each node it holds.
+	wholeBatches := func(oldestFirst []wire.PacketRecord) (map[wire.NodeID]uint64, error) {
+		count := make(map[wire.NodeID]uint64)
+		for i := 0; i < len(oldestFirst); {
+			p := oldestFirst[i]
+			seq := uint64(p.Seq)
+			if seq != count[p.Node]+1 {
+				return nil, fmt.Errorf("at %d: node %v batch %d follows batch %d", i, p.Node, seq, count[p.Node])
+			}
+			for k := uint64(0); k < 1+seq%3; k++ {
+				if i >= len(oldestFirst) {
+					return nil, fmt.Errorf("node %v batch %d cut short", p.Node, seq)
+				}
+				if q := oldestFirst[i]; q.Node != p.Node || uint64(q.Seq) != seq || uint64(q.TTL) != k {
+					return nil, fmt.Errorf("at %d: node %v batch %d packet %d, got node %v seq %d packet %d",
+						i, p.Node, seq, k, q.Node, q.Seq, q.TTL)
+				}
+				i++
+			}
+			count[p.Node]++
+		}
+		return count, nil
+	}
+
+	var writersWG, readersWG sync.WaitGroup
+	done := make(chan struct{})
+	errs := make(chan error, writers+3) // one send at most per goroutine
+	for _, node := range nodes {
+		writersWG.Add(1)
+		go func(node wire.NodeID) {
+			defer writersWG.Done()
+			for seq := uint64(1); seq <= perWriter; seq++ {
+				if err := c.Ingest(batch(node, seq)); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(node)
+	}
+	reader := func(read func() error) {
+		readersWG.Add(1)
+		go func() {
+			defer readersWG.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if err := read(); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	reader(func() error {
+		recent := c.Recent(0)
+		slices.Reverse(recent)
+		_, err := wholeBatches(recent)
+		return err
+	})
+	reader(func() error {
+		_ = c.Stats()
+		_ = c.Nodes()
+		_ = c.Links(0)
+		return nil
+	})
+	reader(func() error {
+		if err := c.Checkpoint(wlog); err != nil {
+			return err
+		}
+		rc, ok, err := wlog.Snapshot()
+		if err != nil || !ok {
+			return fmt.Errorf("snapshot after checkpoint: ok=%v err=%v", ok, err)
+		}
+		defer rc.Close()
+		var dump snapshotDump
+		if err := gob.NewDecoder(rc).Decode(&dump); err != nil {
+			return err
+		}
+		count, err := wholeBatches(dump.Recent)
+		if err != nil {
+			return fmt.Errorf("checkpoint ring: %w", err)
+		}
+		var batches, records uint64
+		for _, nd := range dump.Nodes {
+			if count[nd.Info.ID] != nd.Info.BatchesOK {
+				return fmt.Errorf("checkpoint: node %v has %d batches in the ring, BatchesOK %d",
+					nd.Info.ID, count[nd.Info.ID], nd.Info.BatchesOK)
+			}
+			batches += nd.Info.BatchesOK
+			records += nd.Info.Records
+		}
+		if dump.Stats.BatchesIngested != batches || dump.Stats.RecordsIngested != records {
+			return fmt.Errorf("checkpoint counters %+v, registry sums %d batches / %d records", dump.Stats, batches, records)
+		}
+		return nil
+	})
+	writersWG.Wait()
+	close(done)
+	readersWG.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	recent := c.Recent(0)
+	slices.Reverse(recent)
+	count, err := wholeBatches(recent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var records uint64
+	for _, node := range nodes {
+		if count[node] != perWriter {
+			t.Fatalf("Recent(0) holds %d batches of node %v, want %d", count[node], node, perWriter)
+		}
+		for seq := uint64(1); seq <= perWriter; seq++ {
+			records += uint64(batch(node, seq).Len())
+		}
+	}
+	st := c.Stats()
+	if st.BatchesIngested != writers*perWriter || st.RecordsIngested != records || st.BatchesRejected != 0 {
+		t.Fatalf("Stats %+v, want %d batches / %d records", st, writers*perWriter, records)
+	}
+	if st.NodesKnown != len(c.Nodes()) || st.LinksKnown != len(c.Links(0)) || st.LinksKnown != writers*5 {
+		t.Fatalf("Stats knows %d nodes / %d links, lists hold %d / %d (want %d links)",
+			st.NodesKnown, st.LinksKnown, len(c.Nodes()), len(c.Links(0)), writers*5)
 	}
 }

@@ -186,8 +186,15 @@ func (s *Server) handleChartJSON(w http.ResponseWriter, r *http.Request, metric 
 			out.Series = append(out.Series, so)
 		}
 	}
+	// Marshal before answering: a non-finite sample cannot be JSON, and
+	// that is a 500 (never cached), not a 200 with an empty body.
+	body, err := json.Marshal(out)
+	if err != nil {
+		http.Error(w, "dashboard: encode chart: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(out) //nolint:errcheck // client went away
+	w.Write(append(body, '\n')) //nolint:errcheck // client went away
 }
 
 // handleChart dispatches `/chart/{metric}.svg` and `.json` on suffix.

@@ -3,10 +3,15 @@ package dashboard
 import (
 	"encoding/json"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"net/url"
+	"strings"
 	"testing"
 
+	"lorameshmon/internal/collector"
 	"lorameshmon/internal/tsdb"
+	"lorameshmon/internal/wire"
 )
 
 func TestParseChartQuery(t *testing.T) {
@@ -225,5 +230,28 @@ func TestChartJSONEndpoint(t *testing.T) {
 		if code, _ := fetch(t, srv.URL+bad); code != 400 {
 			t.Errorf("GET %s = %d, want 400", bad, code)
 		}
+	}
+}
+
+// TestChartJSONNonFiniteSample: a NaN sample (the binary codec carries
+// one in a packet's RSSI) cannot be charted as JSON. The route answers
+// 500 with the encoder's error, with the read cache on and off, on a
+// repeat at the same epoch too.
+func TestChartJSONNonFiniteSample(t *testing.T) {
+	c := collector.New(tsdb.New(), collector.DefaultConfig())
+	p := wire.PacketRecord{TS: 5, Node: 1, Event: wire.EventRx, Type: "DATA",
+		Src: 2, Dst: 1, Via: 1, Seq: 1, TTL: 10, Size: 30, RSSIdBm: math.NaN(), SNRdB: 5}
+	if err := c.Ingest(wire.Batch{Node: 1, SeqNo: 1, SentAt: 5, Packets: []wire.PacketRecord{p}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, disable := range []bool{false, true} {
+		srv := httptest.NewServer(New(c, nil, Config{DisableCache: disable}).Handler())
+		for i := 0; i < 2; i++ {
+			code, body := fetch(t, srv.URL+"/chart/mesh_packet_rssi.json?node=N0001&from=0&to=10")
+			if code != http.StatusInternalServerError || !strings.Contains(body, "unsupported value") {
+				t.Fatalf("DisableCache=%v request %d: %d %q, want 500 with the encoder's error", disable, i, code, body)
+			}
+		}
+		srv.Close()
 	}
 }

@@ -28,8 +28,8 @@ type delta struct {
 
 // fingerprint is the hub's change detector: one snapshot per wake,
 // diffed field-by-field to name the panels that changed. It is built
-// from Epoch, one Stats call and the alert generation — O(shards) on a
-// collector, O(members × shards) on a federation, independent of how
+// from Epoch, one Stats call and the alert generation — O(1) on a
+// collector, O(members) on a federation, independent of how
 // many nodes and links the registry holds. Nothing is rendered, copied
 // or sorted.
 type fingerprint struct {

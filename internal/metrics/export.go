@@ -168,8 +168,9 @@ type HistogramSnapshot struct {
 	Count  uint64
 }
 
-// Quantile estimates the q-quantile from the snapshot, mirroring
-// Histogram.Quantile.
+// Quantile estimates the q-quantile (0..1) from the snapshot by linear
+// interpolation within the containing bucket; Histogram.Quantile is
+// this estimate over a snapshot taken at the call.
 func (s *HistogramSnapshot) Quantile(q float64) float64 {
 	if s.Count == 0 || math.IsNaN(q) {
 		return math.NaN()
@@ -192,6 +193,7 @@ func (s *HistogramSnapshot) Quantile(q float64) float64 {
 				lower = s.Upper[i-1]
 			}
 			if i == len(s.Upper) {
+				// +Inf bucket: the bound is unknowable; report its lower edge.
 				return lower
 			}
 			return lower + (s.Upper[i]-lower)*(rank-float64(cum))/float64(n)
@@ -224,16 +226,7 @@ func (f *family) snapshot() FamilySnapshot {
 		case *Gauge:
 			smp.Value = inst.Value()
 		case *Histogram:
-			hs := &HistogramSnapshot{
-				Upper:  inst.upper,
-				Counts: make([]uint64, len(inst.counts)),
-				Sum:    inst.Sum(),
-				Count:  inst.Count(),
-			}
-			for i := range inst.counts {
-				hs.Counts[i] = inst.counts[i].Load()
-			}
-			smp.Hist = hs
+			smp.Hist = inst.snapshot()
 		}
 		fs.Samples = append(fs.Samples, smp)
 	}

@@ -248,42 +248,23 @@ func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 // Quantile estimates the q-quantile (0..1) by linear interpolation
 // within the containing bucket, the same estimate Prometheus's
 // histogram_quantile computes. NaN is returned for an empty histogram.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 || math.IsNaN(q) {
-		return math.NaN()
+// It is the estimate of a snapshot taken now, bit for bit.
+func (h *Histogram) Quantile(q float64) float64 { return h.snapshot().Quantile(q) }
+
+// snapshot copies the histogram's current state. Buckets and totals
+// are loaded one by one, so under concurrent observation the copy is
+// not a single cut.
+func (h *Histogram) snapshot() *HistogramSnapshot {
+	hs := &HistogramSnapshot{
+		Upper:  h.upper,
+		Counts: make([]uint64, len(h.counts)),
+		Sum:    h.Sum(),
+		Count:  h.Count(),
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	cum := uint64(0)
 	for i := range h.counts {
-		n := h.counts[i].Load()
-		if n == 0 {
-			cum += n
-			continue
-		}
-		if float64(cum+n) >= rank {
-			// Interpolate within bucket i: [lower, upper].
-			lower := 0.0
-			if i > 0 {
-				lower = h.upper[i-1]
-			}
-			if i == len(h.upper) {
-				// +Inf bucket: the bound is unknowable; report its lower edge.
-				return lower
-			}
-			upper := h.upper[i]
-			frac := (rank - float64(cum)) / float64(n)
-			return lower + (upper-lower)*frac
-		}
-		cum += n
+		hs.Counts[i] = h.counts[i].Load()
 	}
-	return h.upper[len(h.upper)-1]
+	return hs
 }
 
 // NewHistogram registers and returns an unlabeled histogram. A nil or

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sync"
@@ -211,5 +212,38 @@ func TestExpositionGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Fatalf("exposition drifted from golden file.\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+}
+
+// TestHistogramQuantileMatchesSnapshot: over random bucket layouts and
+// observations, a live histogram's quantile estimate equals its
+// registry snapshot's bit for bit, for quantiles inside, at and beyond
+// [0, 1] — the health panel, the experiments and the benchmark read
+// snapshots, and the live estimate must not disagree in the last bit.
+func TestHistogramQuantileMatchesSnapshot(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	qs := []float64{-0.5, 0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 1, 1.5, math.NaN()}
+	for trial := 0; trial < 300; trial++ {
+		buckets := make([]float64, 1+rng.Intn(12))
+		edge := 0.0
+		for i := range buckets {
+			edge += rng.ExpFloat64() / 3
+			buckets[i] = edge
+		}
+		r := NewRegistry()
+		h := r.NewHistogram("h_seconds", "help", buckets)
+		for n := rng.Intn(200); n > 0; n-- {
+			h.Observe(rng.ExpFloat64() * edge / 2)
+		}
+		fam, ok := r.Family("h_seconds")
+		if !ok || len(fam.Samples) != 1 {
+			t.Fatalf("trial %d: family %+v", trial, fam)
+		}
+		snap := fam.Samples[0].Hist
+		for _, q := range append(qs, rng.Float64()) {
+			if live, s := h.Quantile(q), snap.Quantile(q); math.Float64bits(live) != math.Float64bits(s) {
+				t.Fatalf("trial %d q=%v: live %v (%x), snapshot %v (%x)", trial, q, live, math.Float64bits(live), s, math.Float64bits(s))
+			}
+		}
 	}
 }

@@ -231,6 +231,9 @@ func (c *Cache) Wrap(panel string, next http.Handler) http.Handler {
 func (c *Cache) render(key string, f *flight, epoch uint64, next http.Handler, r *http.Request) *entry {
 	rec := &recorder{h: make(http.Header)}
 	next.ServeHTTP(rec, r)
+	if rec.status == 0 {
+		rec.status = http.StatusOK // nothing written: 200, empty, as net/http answers
+	}
 	e := &entry{
 		epoch:       epoch,
 		status:      rec.status,

@@ -2,6 +2,7 @@ package readcache
 
 import (
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -168,5 +169,33 @@ func TestFormatUint(t *testing.T) {
 		if got, want := formatUint(v), fmt.Sprintf("%d", v); got != want {
 			t.Fatalf("formatUint(%d) = %q, want %q", v, got, want)
 		}
+	}
+}
+
+// TestCacheHandlerWritingNothing: a panel that sets a header but writes
+// nothing is answered as net/http answers it — 200 with an empty body —
+// and cached like any 200, instead of replaying status 0.
+func TestCacheHandlerWritingNothing(t *testing.T) {
+	var epoch atomic.Uint64
+	var renders atomic.Uint64
+	c := New(Config{Epoch: epoch.Load})
+	srv := httptest.NewServer(c.Wrap("panel", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		renders.Add(1)
+		w.Header().Set("Content-Type", "application/json")
+	})))
+	defer srv.Close()
+	for i := 0; i < 2; i++ {
+		resp, err := http.Get(srv.URL + "/empty")
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || len(body) != 0 {
+			t.Fatalf("request %d: %d %q %v, want 200 with an empty body", i, resp.StatusCode, body, err)
+		}
+	}
+	if got := renders.Load(); got != 1 || c.Len() != 1 {
+		t.Fatalf("renders %d, cached %d, want 1 and 1", got, c.Len())
 	}
 }

@@ -69,6 +69,11 @@ stage_test() {
   go test -race -count=1 -run 'RouteEntryNonFiniteRefusedUnlessLogged' ./internal/wire
   go test -race -count=1 -run 'RouteSnapshotsSortedAndUnique' ./internal/agent
   go test -race -count=1 -run 'RouteChangeRowsMatchTemplate' ./internal/dashboard
+  # Non-finite from/to/step on the query and export APIs answer 400; a
+  # batch the WAL refuses leaves no node behind; a live histogram's
+  # quantile equals its snapshot's bit for bit.
+  go test -race -count=1 -run 'HTTPQuery$|HTTPExportJSONL|IngestDurabilityFailure' ./internal/collector
+  go test -race -count=1 -run 'HistogramQuantileMatchesSnapshot' ./internal/metrics
 }
 
 stage_recover() {
@@ -82,6 +87,9 @@ stage_recover() {
   # into 1, 4 and 7 shards, and later snapshots diff against the
   # restored tables.
   go test -race -count=1 -run 'RouteHistoryRecovery' ./internal/collector
+  # Checkpoints cut under concurrent ingest hold whole batches only, and
+  # their counters agree with their node registry.
+  go test -race -count=10 -run 'ShardedIngestReadersSeeWholeBatches' ./internal/collector
 }
 
 stage_federate() {
@@ -136,16 +144,20 @@ stage_read() {
   # race regression (an ingest before the hub starts still streams), and
   # the counters the hub fingerprints from (Stats().NodesKnown and
   # LinksKnown == the materialised lists), the typed row appenders and
-  # every HTML panel against the former templates, the ring-walk
-  # Recent against copy-and-sort, and the shard merge (Nodes, Links,
-  # Recent, checkpoint dump) and Prometheus text against the code they
-  # replaced. Writers, HTTP readers and the SSE hub all share state, so
-  # -race is load-bearing here.
+  # every HTML panel against the former templates, Recent against a
+  # model of every accepted batch's packets in ingest order, the shard
+  # merge (Nodes, Links, checkpoint dump) and Prometheus text against
+  # the code they replaced, and concurrent writers on distinct shards
+  # against Recent/Stats/Nodes/Links/Checkpoint readers (whole,
+  # contiguous batches; counters equal the sums). The readcache suite
+  # includes a panel that writes nothing (200, empty, cached); ChartJSON
+  # includes a NaN sample (500, cache on and off). Writers, HTTP readers
+  # and the SSE hub all share state, so -race is load-bearing here.
   go test -race -count=1 ./internal/readcache
   go test -race -count=1 \
     -run 'CacheEquivalence|CacheServesStampedEpoch|SSE|LongPoll|CachedReadsAndSSEUnderIngest|ChartQuery|ChartJSON|SSEDeltaForIngestBeforeHubStart|Fingerprint|OverviewRowsMatchTemplate|TrafficRowsMatchTemplate|PagesMatchParentTemplates' \
     ./internal/dashboard
-  go test -race -count=1 -run 'KnownCountsMatchMaterialised|RecentMatchesCopyAndSort|ShardMergeMatchesParent|PrometheusExpositionMatchesParent' ./internal/collector
+  go test -race -count=1 -run 'KnownCountsMatchMaterialised|RecentMatchesIngestModel|ShardMergeMatchesParent|ShardedIngestReadersSeeWholeBatches|PrometheusExpositionMatchesParent' ./internal/collector
   go test -race -count=1 -run 'MergeRuns' ./internal/tsdb
 }
 
