@@ -6,7 +6,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -131,11 +130,12 @@ func printReport(sys *lorameshmon.System) {
 	}
 }
 
-// batchRecorder tees ingested batches to a JSONL file.
+// batchRecorder tees ingested batches to a JSONL file, one
+// wire.AppendBatchJSON line per batch (what json.Encoder writes).
 type batchRecorder struct {
 	f     *os.File
-	enc   *json.Encoder
-	count int
+	line  []byte
+	count int // lines written
 }
 
 func newBatchRecorder(path string) (*batchRecorder, error) {
@@ -143,13 +143,22 @@ func newBatchRecorder(path string) (*batchRecorder, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &batchRecorder{f: f, enc: json.NewEncoder(f)}, nil
+	return &batchRecorder{f: f}, nil
 }
 
 func (r *batchRecorder) Close() error { return r.f.Close() }
 
-// record appends one ingested batch as a JSON line.
+// record appends one ingested batch as a JSON line. Recording is best
+// effort: a batch that cannot be encoded or written is left out and not
+// counted.
 func (r *batchRecorder) record(b wire.Batch) {
+	line, err := wire.AppendBatchJSON(r.line[:0], &b)
+	if err != nil {
+		return
+	}
+	r.line = append(line, '\n')
+	if _, err := r.f.Write(r.line); err != nil {
+		return
+	}
 	r.count++
-	r.enc.Encode(b) //nolint:errcheck // best-effort recording
 }

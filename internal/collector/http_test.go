@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -380,5 +381,20 @@ func TestHTTPUnencodableResponseAnswers500(t *testing.T) {
 	}
 	if r := mustGet(t, srv.URL+"/api/v1/stats"); r.StatusCode != http.StatusOK {
 		t.Fatalf("/api/v1/stats status %v", r.Status)
+	}
+}
+
+// TestWriteAcceptedMatchesWriteJSON pins the ingest ack to the bytes and
+// headers writeJSON gives the same answer.
+func TestWriteAcceptedMatchesWriteJSON(t *testing.T) {
+	for _, n := range []int{0, 1, 32, 1 << 20} {
+		want, got := httptest.NewRecorder(), httptest.NewRecorder()
+		writeJSON(want, http.StatusOK, map[string]any{"accepted": n})
+		writeAccepted(got, n)
+		if got.Code != want.Code || got.Body.String() != want.Body.String() ||
+			!reflect.DeepEqual(got.Header(), want.Header()) {
+			t.Fatalf("n=%d: writeAccepted %d %v %q, writeJSON %d %v %q",
+				n, got.Code, got.Header(), got.Body, want.Code, want.Header(), want.Body)
+		}
 	}
 }

@@ -164,7 +164,7 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 	// Decode only to learn the owner; the member re-validates on ingest.
 	// The original bytes are forwarded untouched, so JSON stays JSON and
 	// binary stays binary all the way to the owning collector.
-	batch, body, err := wire.ReadBatch(req.Body)
+	batch, body, err := wire.ReadBatch(req.Body, req.ContentLength)
 	switch {
 	case errors.Is(err, wire.ErrBatchTooLarge):
 		writeJSONError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("federate: %w", err))

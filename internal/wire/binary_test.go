@@ -184,3 +184,30 @@ func TestPropertyBinaryDecoderRobust(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// FuzzDecodeBatchBinary: the binary decoder never panics, and a batch it
+// accepts re-encodes and decodes back to the same batch.
+func FuzzDecodeBatchBinary(f *testing.F) {
+	for _, b := range []Batch{fullBatch(), mixedBatch(), {Node: 1, SentAt: 1}} {
+		data, err := EncodeBatchBinary(b)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+		f.Add(data[:len(data)/2])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b, err := DecodeBatchBinary(data)
+		if err != nil {
+			return
+		}
+		again, err := EncodeBatchBinary(b)
+		if err != nil {
+			t.Fatalf("accepted batch does not re-encode: %v\n%+v", err, b)
+		}
+		got, err := DecodeBatchBinary(again)
+		if err != nil || !sameBatch(got, b) {
+			t.Fatalf("re-decode: %v\n got %+v\nwant %+v", err, got, b)
+		}
+	})
+}

@@ -9,6 +9,12 @@
 //
 // The package is dependency-free so both the client (on-node agent) and
 // the server (collector) can share it.
+//
+// Decoding contract: DecodeBatch reads the bytes AppendBatchJSON writes
+// (what agents, the load generator and the recorder send) in one
+// reflection-free pass. Any other JSON (whitespace, reordered or
+// case-folded keys, escapes, ...) is decoded by encoding/json, so every
+// input gets encoding/json's verdict, Batch and error text.
 package wire
 
 import (
@@ -320,16 +326,29 @@ func EncodeBatch(b Batch) ([]byte, error) {
 	return append([]byte(nil), *buf...), nil
 }
 
-// DecodeBatch parses and validates a batch from JSON.
+// DecodeBatch parses and validates a batch from JSON. Canonical bytes
+// take decodeCanonical's single pass; anything else json.Unmarshal.
+// The batch never aliases data.
 func DecodeBatch(data []byte) (Batch, error) {
-	var b Batch
-	if err := json.Unmarshal(data, &b); err != nil {
-		return Batch{}, fmt.Errorf("wire: decode batch: %w", err)
+	b, ok := decodeCanonical(data)
+	if !ok {
+		var err error
+		if b, err = unmarshalBatch(data); err != nil {
+			return Batch{}, fmt.Errorf("wire: decode batch: %w", err)
+		}
 	}
 	if err := b.Validate(); err != nil {
 		return Batch{}, err
 	}
 	return b, nil
+}
+
+// unmarshalBatch is json.Unmarshal into a fresh Batch, kept apart so
+// that only this path's batch escapes to the heap.
+func unmarshalBatch(data []byte) (Batch, error) {
+	var b Batch
+	err := json.Unmarshal(data, &b)
+	return b, err
 }
 
 // MaxBatchBytes bounds one uploaded batch body on every ingest hop (a
@@ -342,12 +361,14 @@ var ErrBatchTooLarge = fmt.Errorf("batch exceeds %d bytes", MaxBatchBytes)
 
 // ReadBatch reads one uploaded batch body of at most MaxBatchBytes from
 // r and decodes it, binary or JSON by its leading magic bytes. It also
-// returns the body, so a router can forward the exact bytes. A failed
-// read returns the reader's error and a nil body, an oversized body
-// ErrBatchTooLarge and a nil body; a body that fails to decode comes
-// back with the decoder's error.
-func ReadBatch(r io.Reader) (Batch, []byte, error) {
-	body, err := io.ReadAll(io.LimitReader(r, MaxBatchBytes+1))
+// returns the body, so a router can forward the exact bytes. sizeHint
+// is the body's expected length (an HTTP request's ContentLength; -1
+// when unknown): the body buffer is allocated once at that size. A
+// failed read returns the reader's error and a nil body, an oversized
+// body ErrBatchTooLarge and a nil body; a body that fails to decode
+// comes back with the decoder's error.
+func ReadBatch(r io.Reader, sizeHint int64) (Batch, []byte, error) {
+	body, err := readBody(io.LimitReader(r, MaxBatchBytes+1), sizeHint)
 	if err != nil {
 		return Batch{}, nil, err
 	}
@@ -361,6 +382,30 @@ func ReadBatch(r io.Reader) (Batch, []byte, error) {
 		b, err = DecodeBatch(body)
 	}
 	return b, body, err
+}
+
+// readBody is io.ReadAll starting from a buffer of sizeHint+1 bytes
+// (capped at MaxBatchBytes+1), so a body of the hinted length is read
+// with no regrowth and its EOF lands in the spare byte.
+func readBody(r io.Reader, sizeHint int64) ([]byte, error) {
+	n := int64(512) // io.ReadAll's first buffer
+	if sizeHint >= 0 {
+		n = min(sizeHint, MaxBatchBytes) + 1
+	}
+	b := make([]byte, 0, n)
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		m, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+m]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+	}
 }
 
 // jsonScratch recycles the buffers batches are encoded into, so sizing

@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -360,4 +362,31 @@ func TestEncodedSizeConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestReadBatchSizeHint: whatever the hint (exact, short, long, unknown
+// or past the limit), ReadBatch returns the whole body and its batch,
+// and a body over MaxBatchBytes is refused.
+func TestReadBatchSizeHint(t *testing.T) {
+	data, err := EncodeBatch(fullBatch())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int64(len(data))
+	for _, hint := range []int64{n, 0, n / 2, n - 1, n + 1, 10 * n, -1, MaxBatchBytes + 1} {
+		b, body, err := ReadBatch(bytes.NewReader(data), hint)
+		if err != nil || !bytes.Equal(body, data) || !sameBatch(b, fullBatch()) {
+			t.Fatalf("hint %d: err %v, body %d of %d bytes", hint, err, len(body), n)
+		}
+	}
+	limit := append(data, bytes.Repeat([]byte{' '}, MaxBatchBytes-len(data))...)
+	if _, body, err := ReadBatch(bytes.NewReader(limit), MaxBatchBytes); err != nil || len(body) != MaxBatchBytes {
+		t.Fatalf("body of MaxBatchBytes: err %v, %d bytes", err, len(body))
+	}
+	over := append(limit, ' ')
+	for _, hint := range []int64{-1, MaxBatchBytes, MaxBatchBytes + 1} {
+		if _, body, err := ReadBatch(bytes.NewReader(over), hint); !errors.Is(err, ErrBatchTooLarge) || body != nil {
+			t.Fatalf("hint %d: oversized body gave %v and %d bytes", hint, err, len(body))
+		}
+	}
 }

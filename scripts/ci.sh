@@ -10,7 +10,7 @@
 #   scripts/ci.sh scale     # spatial-index suite (grid vs brute, reindex, mobility)
 #   scripts/ci.sh read      # streaming read path (cache equivalence, SSE, long-poll) under -race
 #   scripts/ci.sh energy    # energy-model suite (conservation, depletion/revival, lifetime) under -race
-#   scripts/ci.sh fuzz      # bounded fuzzing: chunk codec round-trip + chart query parser + batch JSON appender + overview row appender + route diff
+#   scripts/ci.sh fuzz      # bounded fuzzing: chunk codec round-trip + chart query parser + batch JSON appender + batch JSON decoder + binary batch decoder + overview row appender + route diff
 #   scripts/ci.sh perfsmoke # every perfbench workload for 3 s: correctness checks and golden counters, no numbers gated
 #   scripts/ci.sh bench     # perf harness -> BENCH_NEW.json
 #   scripts/ci.sh compare   # perf gate vs committed BENCH_1.json
@@ -74,6 +74,12 @@ stage_test() {
   # quantile equals its snapshot's bit for bit.
   go test -race -count=1 -run 'HTTPQuery$|HTTPExportJSONL|IngestDurabilityFailure' ./internal/collector
   go test -race -count=1 -run 'HistogramQuantileMatchesSnapshot' ./internal/metrics
+  # The single-pass batch decoder gives json.Unmarshal + Validate's
+  # verdict, Batch and error text on every appender output, takes the
+  # single pass on all of them whose strings need no escape, and never
+  # aliases its input; decoders share pooled scratch across goroutines.
+  go test -race -count=1 -run 'DecodeBatchMatchesUnmarshal|DecodeBatchDoesNotAliasInput' ./internal/wire
+  go test -race -count=10 -run 'DecodeBatchConcurrent' ./internal/wire
 }
 
 stage_recover() {
@@ -200,6 +206,16 @@ stage_fuzz() {
   # must encode byte-identically to json.Marshal, or fail exactly where
   # it fails.
   go test -fuzz='^FuzzAppendBatchJSON$' -fuzztime=20s -run '^FuzzAppendBatchJSON$' \
+    ./internal/wire
+  echo "== bounded fuzz: batch JSON decoder =="
+  # Same budget for the ingest decoder: on every input DecodeBatch must
+  # give json.Unmarshal + Validate's verdict, Batch and error text.
+  go test -fuzz='^FuzzDecodeBatchJSON$' -fuzztime=20s -run '^FuzzDecodeBatchJSON$' \
+    ./internal/wire
+  echo "== bounded fuzz: binary batch decoder =="
+  # Same budget for the binary decoder: no input panics it, and a batch
+  # it accepts re-encodes and decodes back equal.
+  go test -fuzz='^FuzzDecodeBatchBinary$' -fuzztime=20s -run '^FuzzDecodeBatchBinary$' \
     ./internal/wire
   echo "== bounded fuzz: overview row appender =="
   # Same budget for the dashboard's typed row appender: every input must
