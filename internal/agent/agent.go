@@ -11,6 +11,7 @@
 package agent
 
 import (
+	"math"
 	"time"
 
 	"lorameshmon/internal/mesh"
@@ -291,8 +292,8 @@ func (a *Agent) tap() mesh.Tap {
 			}
 			a.counters.PacketEvents++
 			r := a.packetRecord(p, wire.EventRx)
-			r.RSSIdBm = info.RSSIdBm
-			r.SNRdB = info.SNRdB
+			r.RSSIdBm = math.Round(info.RSSIdBm)
+			r.SNRdB = quarterDB(info.SNRdB)
 			r.ForUs = forUs
 			r.AirtimeMS = info.Airtime.Seconds() * 1000
 			a.push(record{pkt: r})
@@ -397,12 +398,18 @@ func (a *Agent) recordRoutes() {
 			Dst:     wire.NodeID(r.Dst),
 			NextHop: wire.NodeID(r.NextHop),
 			Metric:  r.Metric,
-			AgeS:    now.Sub(r.LastSeen).Seconds(),
-			SNRdB:   r.SNRdB,
+			AgeS:    float64(now.Sub(r.LastSeen) / time.Second),
+			SNRdB:   quarterDB(r.SNRdB),
 		}
 	}
 	a.push(record{route: &wire.RouteSnapshot{TS: a.now(), Node: a.node, Routes: entries}})
 }
+
+// quarterDB rounds an SNR to the SX127x's resolution: RegPktSnrValue
+// holds the packet SNR in 0.25 dB steps. RSSI (RegPktRssiValue) is
+// whole dBm and route ages whole seconds, so every link measurement an
+// agent ships is what the node's firmware could have read.
+func quarterDB(snr float64) float64 { return math.Round(snr*4) / 4 }
 
 // push appends a record, applying the bounded-buffer drop policy.
 func (a *Agent) push(r record) {

@@ -1,6 +1,7 @@
 package agent
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -209,6 +210,50 @@ func TestRouteSnapshotsSortedAndUnique(t *testing.T) {
 	}
 	if widest < 3 {
 		t.Fatalf("widest snapshot has %d routes; the check needs multi-hop tables", widest)
+	}
+}
+
+// TestTelemetryAtRegisterResolution: agents ship link measurements at
+// the SX127x's resolution — RSSI in whole dBm, SNR in 0.25 dB steps,
+// route ages in whole seconds — while the router keeps the simulator's
+// floats.
+func TestTelemetryAtRegisterResolution(t *testing.T) {
+	r := newRig(t, 7, 6, Config{}, uplink.SimConfig{})
+	r.sim.RunFor(15 * time.Minute)
+	onQuarter := func(f float64) bool { return f*4 == math.Trunc(f*4) }
+	var entries, rx int
+	for _, b := range r.sink.batches {
+		for _, s := range b.Routes {
+			for _, e := range s.Routes {
+				entries++
+				if e.AgeS != math.Trunc(e.AgeS) || !onQuarter(e.SNRdB) {
+					t.Fatalf("node %v route entry %+v: age not whole seconds or SNR off the 0.25 dB grid", s.Node, e)
+				}
+			}
+		}
+		for _, p := range b.Packets {
+			if p.Event != wire.EventRx {
+				continue
+			}
+			rx++
+			if p.RSSIdBm != math.Trunc(p.RSSIdBm) || !onQuarter(p.SNRdB) {
+				t.Fatalf("node %v rx record RSSI %v SNR %v: off the register grid", p.Node, p.RSSIdBm, p.SNRdB)
+			}
+		}
+	}
+	if entries == 0 || rx == 0 {
+		t.Fatalf("%d route entries and %d rx records shipped; the check needs both", entries, rx)
+	}
+	offGrid := 0
+	for _, router := range r.routers {
+		for _, route := range router.Table().Snapshot() {
+			if !onQuarter(route.SNRdB) {
+				offGrid++
+			}
+		}
+	}
+	if offGrid == 0 {
+		t.Fatal("every routing-table SNR is on the 0.25 dB grid: the router's floats were rounded, or the rig cannot tell")
 	}
 }
 

@@ -353,8 +353,10 @@ func (r *Router) enqueue(it outItem) error {
 		// A full queue never blocks control traffic: evict the newest
 		// bulk packet instead, so routing stays alive under load.
 		if control && r.ctrl < len(r.queue) {
-			victim := r.queue[len(r.queue)-1]
-			r.queue = r.queue[:len(r.queue)-1]
+			last := len(r.queue) - 1
+			victim := r.queue[last]
+			r.queue[last] = outItem{} // release the victim's payload and ads
+			r.queue = r.queue[:last]
 			r.counters.DropQueueFull++
 			r.drop(victim.pkt, DropQueueFull)
 		} else {
@@ -379,8 +381,11 @@ func (r *Router) enqueue(it outItem) error {
 	return nil
 }
 
-// popQueue removes and accounts the queue head.
+// popQueue removes and accounts the queue head. The vacated slot is
+// zeroed: the backing array outlives the reslice, and a sent HELLO
+// left in it would pin its route ads until the array is reallocated.
 func (r *Router) popQueue() {
+	r.queue[0] = outItem{}
 	r.queue = r.queue[1:]
 	if r.ctrl > 0 {
 		r.ctrl--

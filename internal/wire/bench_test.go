@@ -18,11 +18,43 @@ func benchBatch() Batch {
 	return b
 }
 
+// routeBatch is one settled agent's route snapshot in a 500-node mesh:
+// 450 entries at the agent's register resolution (whole-second ages,
+// SNR in 0.25 dB steps).
+func routeBatch() Batch {
+	rng := rand.New(rand.NewSource(1))
+	s := RouteSnapshot{TS: 3600, Node: 1, Routes: make([]RouteEntry, 450)}
+	for i := range s.Routes {
+		s.Routes[i] = RouteEntry{
+			Dst: NodeID(2 + i), NextHop: NodeID(2 + rng.Intn(500)), Metric: uint8(1 + rng.Intn(12)),
+			AgeS: float64(rng.Intn(600)), SNRdB: float64(rng.Intn(120)-80) / 4,
+		}
+	}
+	return Batch{Node: 1, SeqNo: 9, SentAt: 3600, Routes: []RouteSnapshot{s}}
+}
+
 func BenchmarkEncodeJSON(b *testing.B) {
-	batch := benchBatch()
+	for _, c := range []struct {
+		name  string
+		batch Batch
+	}{{"packets", benchBatch()}, {"routes450", routeBatch()}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := EncodeBatch(c.batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkEncodedSize is the simulated uplink's per-batch cost.
+func BenchmarkEncodedSize(b *testing.B) {
+	batch := routeBatch()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := EncodeBatch(batch); err != nil {
+		if _, err := EncodedSize(batch); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/json"
 	"math"
+	"math/bits"
 	"strconv"
 	"unicode/utf8"
 )
@@ -15,6 +16,32 @@ import (
 // NaN and ±Inf, returning dst unextended. It does not validate b.
 func AppendBatchJSON(dst []byte, b *Batch) ([]byte, error) {
 	a := jsonAppender{buf: dst}
+	a.batch(b)
+	if a.err != nil {
+		return dst, a.err
+	}
+	return a.buf, nil
+}
+
+// jsonSize returns len(AppendBatchJSON(nil, b)) by counting the bytes
+// the same walk would write, without writing them.
+func jsonSize(b *Batch) (int, error) {
+	a := jsonAppender{count: true}
+	a.batch(b)
+	return a.n, a.err
+}
+
+// jsonAppender accumulates an encoding, or in counting mode only its
+// length; the first unsupported float sets err and the output is then
+// discarded.
+type jsonAppender struct {
+	buf   []byte
+	count bool // add lengths to n instead of appending to buf
+	n     int
+	err   error
+}
+
+func (a *jsonAppender) batch(b *Batch) {
 	a.raw(`{"node":`)
 	a.uint(uint64(b.Node))
 	a.raw(`,"seq_no":`)
@@ -62,17 +89,6 @@ func AppendBatchJSON(dst []byte, b *Batch) ([]byte, error) {
 		a.raw("]")
 	}
 	a.raw("}")
-	if a.err != nil {
-		return dst, a.err
-	}
-	return a.buf, nil
-}
-
-// jsonAppender accumulates an encoding; the first unsupported float
-// sets err and the output is then discarded.
-type jsonAppender struct {
-	buf []byte
-	err error
 }
 
 func (a *jsonAppender) packet(p *PacketRecord) {
@@ -95,7 +111,7 @@ func (a *jsonAppender) packet(p *PacketRecord) {
 	a.raw(`,"ttl":`)
 	a.uint(uint64(p.TTL))
 	a.raw(`,"size_bytes":`)
-	a.buf = strconv.AppendInt(a.buf, int64(p.Size), 10)
+	a.int(int64(p.Size))
 	if p.RSSIdBm != 0 {
 		a.raw(`,"rssi_dbm":`)
 		a.float(p.RSSIdBm)
@@ -191,9 +207,9 @@ func (a *jsonAppender) stats(s *NodeStats) {
 	a.raw(`,"send_failures":`)
 	a.uint(s.SendFailures)
 	a.raw(`,"route_count":`)
-	a.buf = strconv.AppendInt(a.buf, int64(s.RouteCount), 10)
+	a.int(int64(s.RouteCount))
 	a.raw(`,"queue_len":`)
-	a.buf = strconv.AppendInt(a.buf, int64(s.QueueLen), 10)
+	a.int(int64(s.QueueLen))
 	a.raw(`,"airtime_ms":`)
 	a.float(s.AirtimeMS)
 	a.raw(`,"duty_cycle_used":`)
@@ -236,32 +252,115 @@ func (a *jsonAppender) heartbeat(h *Heartbeat) {
 	a.raw("}")
 }
 
-func (a *jsonAppender) raw(s string) { a.buf = append(a.buf, s...) }
+func (a *jsonAppender) raw(s string) {
+	if a.count {
+		a.n += len(s)
+		return
+	}
+	a.buf = append(a.buf, s...)
+}
 
-func (a *jsonAppender) uint(v uint64) { a.buf = strconv.AppendUint(a.buf, v, 10) }
+func (a *jsonAppender) uint(v uint64) {
+	if a.count {
+		a.n += digits(v)
+		return
+	}
+	a.buf = strconv.AppendUint(a.buf, v, 10)
+}
+
+func (a *jsonAppender) int(v int64) {
+	if v < 0 {
+		a.raw("-")
+		v = -v // MinInt64 stays put, and converts to its magnitude below
+	}
+	a.uint(uint64(v))
+}
+
+// pow10 holds 10^i for every i a uint64 reaches.
+var pow10 = [20]uint64{
+	1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19,
+}
+
+// digits returns the length of v in decimal.
+func digits(v uint64) int {
+	v |= 1                          // same length (powers of ten are even), and v > 0
+	t := bits.Len64(v) * 1233 >> 12 // log10(2) ≈ 1233/4096: ⌊log10 v⌋ or one more
+	// v - 10^t wraps, setting the top bit, exactly when v < 10^t.
+	return t + 1 - int((v-pow10[t])>>63)
+}
+
+// gridBound bounds the quarter counts float writes exactly: below
+// 2^42 quarters (|f| < 2^40) a float64's spacing is at most 2^-12, so
+// no decimal shorter than k/4's own rounds to it and the exact
+// expansion is the shortest one. Near 2^52 quarters a shorter decimal
+// does (json.Marshal writes 740385025538228.2 for ...228.25).
+const gridBound = 1 << 42
+
+// quarterFrac holds the fraction each residue of a quarter count prints.
+var quarterFrac = [4]string{"", ".25", ".5", ".75"}
 
 // float formats f as encoding/json does: ES6 number-to-string, i.e.
 // shortest 'f' form except exponent form outside [1e-6, 1e21), with
-// the exponent's leading zero dropped.
+// the exponent's leading zero dropped. A whole number of quarters —
+// what agents report: integer ages and RSSI, SNR in the SX127x's
+// 0.25 dB steps — is written exactly without the shortest-form search.
 func (a *jsonAppender) float(f float64) {
+	if q := f * 4; q > -gridBound && q < gridBound {
+		if k := int64(q); float64(k) == q && math.Float64bits(f) != 1<<63 { // not -0
+			a.quarters(k)
+			return
+		}
+	}
+	a.shortest(f)
+}
+
+// quarters writes k/4 for |k| < gridBound.
+func (a *jsonAppender) quarters(k int64) {
+	sign := k >> 63 // 0 or -1
+	u := uint64((k ^ sign) - sign)
+	if a.count {
+		a.n += int(-sign) + digits(u>>2) + len(quarterFrac[u&3])
+		return
+	}
+	if sign != 0 {
+		a.buf = append(a.buf, '-')
+	}
+	a.buf = strconv.AppendUint(a.buf, u>>2, 10)
+	a.buf = append(a.buf, quarterFrac[u&3]...)
+}
+
+// shortest writes f, or records it as unsupported if NaN or ±Inf.
+func (a *jsonAppender) shortest(f float64) {
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		if a.err == nil {
 			a.err = &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
 		}
 		return
 	}
+	if a.count {
+		var scratch [32]byte
+		a.n += len(appendES6(scratch[:0], f))
+		return
+	}
+	a.buf = appendES6(a.buf, f)
+}
+
+// appendES6 appends f's shortest ES6 form to dst.
+func appendES6(dst []byte, f float64) []byte {
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
 	}
-	a.buf = strconv.AppendFloat(a.buf, f, format, -1, 64)
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
 	if format == 'e' {
 		// e-09 → e-9
-		if n := len(a.buf); n >= 4 && a.buf[n-4] == 'e' && a.buf[n-3] == '-' && a.buf[n-2] == '0' {
-			a.buf[n-2] = a.buf[n-1]
-			a.buf = a.buf[:n-1]
+		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
 		}
 	}
+	return dst
 }
 
 const hexDigits = "0123456789abcdef"
@@ -270,7 +369,7 @@ const hexDigits = "0123456789abcdef"
 // escaping: quotes, backslashes, control bytes and <, >, & escaped,
 // invalid UTF-8 replaced by \ufffd, and U+2028/U+2029 escaped.
 func (a *jsonAppender) str(s string) {
-	a.buf = append(a.buf, '"')
+	a.raw(`"`)
 	start := 0
 	for i := 0; i < len(s); {
 		if c := s[i]; c < utf8.RuneSelf {
@@ -278,22 +377,26 @@ func (a *jsonAppender) str(s string) {
 				i++
 				continue
 			}
-			a.buf = append(a.buf, s[start:i]...)
+			a.raw(s[start:i])
 			switch c {
-			case '\\', '"':
-				a.buf = append(a.buf, '\\', c)
+			case '\\':
+				a.raw(`\\`)
+			case '"':
+				a.raw(`\"`)
 			case '\b':
-				a.buf = append(a.buf, '\\', 'b')
+				a.raw(`\b`)
 			case '\f':
-				a.buf = append(a.buf, '\\', 'f')
+				a.raw(`\f`)
 			case '\n':
-				a.buf = append(a.buf, '\\', 'n')
+				a.raw(`\n`)
 			case '\r':
-				a.buf = append(a.buf, '\\', 'r')
+				a.raw(`\r`)
 			case '\t':
-				a.buf = append(a.buf, '\\', 't')
+				a.raw(`\t`)
 			default:
-				a.buf = append(a.buf, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
+				a.raw(`\u00`)
+				a.raw(hexDigits[c>>4 : c>>4+1])
+				a.raw(hexDigits[c&0xF : c&0xF+1])
 			}
 			i++
 			start = i
@@ -302,11 +405,12 @@ func (a *jsonAppender) str(s string) {
 		r, size := utf8.DecodeRuneInString(s[i:])
 		switch {
 		case r == utf8.RuneError && size == 1:
-			a.buf = append(a.buf, s[start:i]...)
-			a.buf = append(a.buf, `\ufffd`...)
+			a.raw(s[start:i])
+			a.raw(`\ufffd`)
 		case r == '\u2028' || r == '\u2029':
-			a.buf = append(a.buf, s[start:i]...)
-			a.buf = append(a.buf, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
+			a.raw(s[start:i])
+			a.raw(`\u202`)
+			a.raw(hexDigits[r&0xF : r&0xF+1])
 		default:
 			i += size
 			continue
@@ -314,6 +418,6 @@ func (a *jsonAppender) str(s string) {
 		i += size
 		start = i
 	}
-	a.buf = append(a.buf, s[start:]...)
-	a.buf = append(a.buf, '"')
+	a.raw(s[start:])
+	a.raw(`"`)
 }

@@ -6,11 +6,14 @@ import (
 	"math"
 	"math/rand"
 	"runtime/debug"
+	"strconv"
 	"testing"
 )
 
 // checkJSONParity asserts AppendBatchJSON(b) is byte-identical to
-// json.Marshal(b), including failing exactly when Marshal fails.
+// json.Marshal(b), including failing exactly when Marshal fails, and
+// that the counted size — jsonSize always, EncodedSize when b is valid
+// — is the length json.Marshal writes.
 func checkJSONParity(t *testing.T, b *Batch) {
 	t.Helper()
 	want, wantErr := json.Marshal(b)
@@ -19,9 +22,13 @@ func checkJSONParity(t *testing.T, b *Batch) {
 	if (wantErr != nil) != (gotErr != nil) {
 		t.Fatalf("error mismatch: json.Marshal %v, AppendBatchJSON %v\nbatch %+v", wantErr, gotErr, b)
 	}
+	n, sizeErr := jsonSize(b)
 	if wantErr != nil {
 		if wantErr.Error() != gotErr.Error() {
 			t.Fatalf("error text: json.Marshal %q, AppendBatchJSON %q", wantErr, gotErr)
+		}
+		if sizeErr == nil || sizeErr.Error() != wantErr.Error() {
+			t.Fatalf("error text: json.Marshal %q, jsonSize %v", wantErr, sizeErr)
 		}
 		if !bytes.Equal(got, prefix) {
 			t.Fatalf("failed append extended dst: %q", got)
@@ -30,6 +37,14 @@ func checkJSONParity(t *testing.T, b *Batch) {
 	}
 	if !bytes.HasPrefix(got, prefix) || !bytes.Equal(got[len(prefix):], want) {
 		t.Fatalf("encoding mismatch\njson.Marshal:    %s\nAppendBatchJSON: %s", want, got[len(prefix):])
+	}
+	if sizeErr != nil || n != len(want) {
+		t.Fatalf("jsonSize = %d, %v; json.Marshal wrote %d bytes: %s", n, sizeErr, len(want), want)
+	}
+	if b.Validate() == nil {
+		if n, err := EncodedSize(*b); err != nil || n != len(want) {
+			t.Fatalf("EncodedSize = %d, %v; json.Marshal wrote %d bytes: %s", n, err, len(want), want)
+		}
 	}
 }
 
@@ -42,6 +57,7 @@ var (
 	trickyFloats = []float64{
 		0, math.Copysign(0, -1), 1, -1, 0.1, 46, -100.5, 1e-7, -1e-7, 1e-6, 9.99e-7,
 		1e20, 1e21, -1e21, 123456789.125, 1e-9, 5e-324, math.MaxFloat64, math.SmallestNonzeroFloat64,
+		0.25, -0.25, 0.125, 6.75, -97, 1<<40 - 0.25, 1<<40 + 0.25, 1<<40 + 0.1, 1<<50 + 0.25,
 	}
 )
 
@@ -171,6 +187,63 @@ func TestAppendBatchJSONUnsupportedFloats(t *testing.T) {
 	}
 }
 
+// TestAppendFloatQuarterGrid pins the appender's exact path for whole
+// quarters against json.Marshal, in both modes, over ±k/4 for k up to
+// 2^44: every k below 2^12, then a log-uniform sample reaching past the
+// 2^42 bound on either side of it. Quarter counts near 2^52, where the
+// exact expansion is no longer the shortest, catch a bound set too high.
+func TestAppendFloatQuarterGrid(t *testing.T) {
+	check := func(f float64) {
+		t.Helper()
+		want, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := jsonAppender{}
+		a.float(f)
+		c := jsonAppender{count: true}
+		c.float(f)
+		if !bytes.Equal(a.buf, want) || c.n != len(want) {
+			t.Fatalf("float(%v) = %q (counted %d), json.Marshal %q", f, a.buf, c.n, want)
+		}
+	}
+	for k := int64(0); k < 1<<12; k++ {
+		check(float64(k) / 4)
+		check(-float64(k) / 4)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200000; i++ {
+		k := rng.Int63n(1 << (1 + rng.Intn(44)))
+		check(float64(k) / 4)
+		check(-float64(k) / 4)
+	}
+	for _, k := range []int64{gridBound - 1, gridBound, gridBound + 1, 1<<44 - 1, 1 << 44, 740385025538228*4 + 1} {
+		check(float64(k) / 4)
+		check(-float64(k) / 4)
+	}
+}
+
+// TestDigitsMatchesFormat checks the counting mode's digit count at
+// every power of ten, either side of it, and over random values.
+func TestDigitsMatchesFormat(t *testing.T) {
+	check := func(v uint64) {
+		t.Helper()
+		if got, want := digits(v), len(strconv.FormatUint(v, 10)); got != want {
+			t.Fatalf("digits(%d) = %d, want %d", v, got, want)
+		}
+	}
+	check(math.MaxUint64)
+	for _, p := range pow10 {
+		check(p - 1)
+		check(p)
+		check(p + 1)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 100000; i++ {
+		check(rng.Uint64() >> rng.Intn(64))
+	}
+}
+
 // TestEncodedSizeAllocationFree pins that sizing a batch for the
 // simulated uplink allocates nothing in the steady state.
 func TestEncodedSizeAllocationFree(t *testing.T) {
@@ -207,7 +280,8 @@ func raceEnabled() bool {
 }
 
 // FuzzAppendBatchJSON drives the appender's string and float paths
-// with arbitrary input and checks parity with json.Marshal.
+// with arbitrary input and checks parity with json.Marshal, counted
+// size included.
 func FuzzAppendBatchJSON(f *testing.F) {
 	for _, s := range []string{"<>&", "\x00\x01\x1f\b\f\n\r\t", "\xff\xfe", "\u2028\u2029", "ok"} {
 		f.Add(s, 1.0, 46.0, uint8(0))
@@ -217,6 +291,12 @@ func FuzzAppendBatchJSON(f *testing.F) {
 	f.Add("x", math.NaN(), 1.0, uint8(3))
 	f.Add("x", math.Inf(1), math.Inf(-1), uint8(4))
 	f.Add("x", 1.5, 2.5, uint8(0xff))
+	// The edges of the appender's exact quarter-grid path.
+	f.Add("x", math.Copysign(0, -1), 0.25, uint8(0x5d))
+	f.Add("x", -0.25, 0.125, uint8(0x5d))
+	f.Add("x", -0.125, 1<<40-0.25, uint8(0x5d))
+	f.Add("x", 1<<40+0.25, -(1<<40 + 0.25), uint8(0x5d))
+	f.Add("x", 1<<40+0.1, -(1<<40 - 0.25), uint8(0x5d))
 	f.Fuzz(func(t *testing.T, s string, x, y float64, shape uint8) {
 		b := Batch{Node: 7, SeqNo: uint64(shape), SentAt: x}
 		if shape&1 != 0 {

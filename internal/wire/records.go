@@ -69,7 +69,9 @@ type PacketRecord struct {
 	TTL  uint8  `json:"ttl"`
 	Size int    `json:"size_bytes"`
 
-	// Radio measurements; only meaningful for rx events.
+	// Radio measurements; only meaningful for rx events. Agents send
+	// them at the SX1276's register resolution: RSSI in whole dBm
+	// (RegPktRssiValue), SNR in 0.25 dB steps (RegPktSnrValue / 4).
 	RSSIdBm float64 `json:"rssi_dbm,omitempty"`
 	SNRdB   float64 `json:"snr_db,omitempty"`
 	// ForUs reports whether the frame was link-layer addressed to the
@@ -110,11 +112,15 @@ func (r PacketRecord) Validate() error {
 
 // RouteEntry is one routing-table row inside a RouteSnapshot.
 type RouteEntry struct {
-	Dst     NodeID  `json:"dst"`
-	NextHop NodeID  `json:"next_hop"`
-	Metric  uint8   `json:"metric"`
-	AgeS    float64 `json:"age_s"`
-	SNRdB   float64 `json:"snr_db,omitempty"`
+	Dst     NodeID `json:"dst"`
+	NextHop NodeID `json:"next_hop"`
+	Metric  uint8  `json:"metric"`
+	// AgeS is the time since the route was last refreshed; agents send
+	// whole seconds, truncated.
+	AgeS float64 `json:"age_s"`
+	// SNRdB is the link SNR the route was learned at; agents send it in
+	// the SX1276's 0.25 dB steps (RegPktSnrValue / 4).
+	SNRdB float64 `json:"snr_db,omitempty"`
 }
 
 // RouteSnapshot is a node's full routing table at one instant, letting
@@ -318,12 +324,17 @@ func (b Batch) validate(logged bool) error {
 
 // EncodeBatch validates and serialises a batch to JSON.
 func EncodeBatch(b Batch) ([]byte, error) {
-	buf, err := encodeScratch(&b)
+	if err := b.Validate(); err != nil {
+		return nil, err
+	}
+	buf := jsonScratch.Get().(*[]byte)
+	defer jsonScratch.Put(buf)
+	out, err := AppendBatchJSON((*buf)[:0], &b)
+	*buf = out
 	if err != nil {
 		return nil, err
 	}
-	defer jsonScratch.Put(buf)
-	return append([]byte(nil), *buf...), nil
+	return append([]byte(nil), out...), nil
 }
 
 // DecodeBatch parses and validates a batch from JSON. Canonical bytes
@@ -408,34 +419,17 @@ func readBody(r io.Reader, sizeHint int64) ([]byte, error) {
 	}
 }
 
-// jsonScratch recycles the buffers batches are encoded into, so sizing
-// a batch allocates nothing and encoding one allocates only its result,
-// once a buffer has grown to fit.
+// jsonScratch recycles the buffers batches are encoded into, so
+// encoding one allocates only its result, once a buffer has grown to
+// fit.
 var jsonScratch = sync.Pool{New: func() any { return new([]byte) }}
 
-// encodeScratch validates b and encodes it into a pooled buffer, which
-// the caller returns to jsonScratch when done with the bytes.
-func encodeScratch(b *Batch) (*[]byte, error) {
-	if err := b.Validate(); err != nil {
-		return nil, err
-	}
-	buf := jsonScratch.Get().(*[]byte)
-	out, err := AppendBatchJSON((*buf)[:0], b)
-	*buf = out
-	if err != nil {
-		jsonScratch.Put(buf)
-		return nil, err
-	}
-	return buf, nil
-}
-
 // EncodedSize returns the JSON size of the batch in bytes, the quantity
-// the uplink-bandwidth experiments sweep.
+// the uplink-bandwidth experiments sweep. It counts what EncodeBatch
+// would write without writing it, and allocates nothing.
 func EncodedSize(b Batch) (int, error) {
-	buf, err := encodeScratch(&b)
-	if err != nil {
+	if err := b.Validate(); err != nil {
 		return 0, err
 	}
-	defer jsonScratch.Put(buf)
-	return len(*buf), nil
+	return jsonSize(&b)
 }

@@ -80,6 +80,14 @@ stage_test() {
   # aliases its input; decoders share pooled scratch across goroutines.
   go test -race -count=1 -run 'DecodeBatchMatchesUnmarshal|DecodeBatchDoesNotAliasInput' ./internal/wire
   go test -race -count=10 -run 'DecodeBatchConcurrent' ./internal/wire
+  # Agents ship RSSI, SNR and route ages at the SX1276's register
+  # resolution while the router keeps its floats; the appender writes
+  # those values exactly and EncodedSize counts the bytes json.Marshal
+  # would write, allocation-free; a sent HELLO's queue slot is zeroed,
+  # so its route ads are collectable.
+  go test -race -count=1 -run 'TelemetryAtRegisterResolution' ./internal/agent
+  go test -race -count=1 -run 'AppendBatchJSONMatchesMarshal|AppendFloatQuarterGrid|DigitsMatchesFormat|EncodedSizeAllocationFree' ./internal/wire
+  go test -race -count=1 -run 'QueueSlotsReleased' ./internal/mesh
 }
 
 stage_recover() {
@@ -204,7 +212,8 @@ stage_fuzz() {
   echo "== bounded fuzz: batch JSON appender =="
   # Same budget for the uplink's reflection-free encoder: every input
   # must encode byte-identically to json.Marshal, or fail exactly where
-  # it fails.
+  # it fails, and its counted size (EncodedSize's path) must equal the
+  # length json.Marshal writes.
   go test -fuzz='^FuzzAppendBatchJSON$' -fuzztime=20s -run '^FuzzAppendBatchJSON$' \
     ./internal/wire
   echo "== bounded fuzz: batch JSON decoder =="
