@@ -56,6 +56,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -273,8 +274,6 @@ type LinkObs struct {
 	MeanSNR  float64
 }
 
-type linkKey struct{ tx, rx wire.NodeID }
-
 // instruments are the collector's self-observability handles, resolved
 // once at construction so the ingest hot path records through cached
 // pointers (a few atomic adds per batch, no map lookups).
@@ -317,7 +316,14 @@ type shard struct {
 
 	mu    sync.RWMutex
 	nodes map[wire.NodeID]*nodeState
-	links map[linkKey]*LinkObs
+	// links and fresh hold the links this shard's nodes receive, each
+	// sorted by (tx, rx), with no key twice across both, so every read
+	// hands MergeLinks two ready runs. A new link is inserted into
+	// fresh, which is merged into links once it holds freshLinks
+	// entries: an insert shifts at most freshLinks entries, and links is
+	// rewritten once per freshLinks new links rather than shifted by
+	// each.
+	links, fresh []LinkObs
 	// changes is ingestRoutes' reusable diff buffer.
 	changes []RouteChange
 }
@@ -392,7 +398,6 @@ func New(db *tsdb.DB, cfg Config) *Collector {
 		c.shards[i] = &shard{
 			c:     c,
 			nodes: make(map[wire.NodeID]*nodeState),
-			links: make(map[linkKey]*LinkObs),
 		}
 	}
 	return c
@@ -796,43 +801,79 @@ func (s *shard) ingestPacket(st *nodeState, p wire.PacketRecord) {
 	// The link is keyed by its receiver (p.Node == the batch's node), so
 	// a link lives on exactly one shard — the receiving node's.
 	if p.Event == wire.EventRx && p.Type == "HELLO" && p.Src != p.Node {
-		k := linkKey{tx: p.Src, rx: p.Node}
-		l, ok := s.links[k]
-		if !ok {
-			l = &LinkObs{Tx: p.Src, Rx: p.Node, FirstTS: p.TS}
-			s.links[k] = l
-			c.linksKnown.Add(1)
-		}
-		l.Count++
-		l.LastTS = p.TS
-		l.LastRSSI = p.RSSIdBm
-		l.LastSNR = p.SNRdB
-		// Incremental means.
-		l.MeanRSSI += (p.RSSIdBm - l.MeanRSSI) / float64(l.Count)
-		l.MeanSNR += (p.SNRdB - l.MeanSNR) / float64(l.Count)
+		s.observeLink(&p)
 	}
+}
+
+// freshLinks bounds a shard's fresh links. A new link costs a shift of
+// up to freshLinks entries plus 1/freshLinks of a merge over the
+// shard's n links, which is least for freshLinks near sqrt(2n); n is
+// ~5 500 per shard in the 500-node mesh_sim benchmark at two shards
+// after warm-up.
+const freshLinks = 128
+
+// observeLink folds a received HELLO into its link, creating the link
+// in fresh when it is new. Callers hold s.mu.
+func (s *shard) observeLink(p *wire.PacketRecord) {
+	var l *LinkObs
+	if i, ok := SearchLinks(s.links, p.Src, p.Node); ok {
+		l = &s.links[i]
+	} else if i, ok := SearchLinks(s.fresh, p.Src, p.Node); ok {
+		l = &s.fresh[i]
+	} else {
+		if len(s.fresh) == freshLinks {
+			s.mergeFresh()
+			i = 0
+		}
+		s.fresh = slices.Insert(s.fresh, i, LinkObs{Tx: p.Src, Rx: p.Node, FirstTS: p.TS})
+		s.c.linksKnown.Add(1)
+		l = &s.fresh[i]
+	}
+	l.Count++
+	l.LastTS = p.TS
+	l.LastRSSI = p.RSSIdBm
+	l.LastSNR = p.SNRdB
+	// Incremental means.
+	l.MeanRSSI += (p.RSSIdBm - l.MeanRSSI) / float64(l.Count)
+	l.MeanSNR += (p.SNRdB - l.MeanSNR) / float64(l.Count)
+}
+
+// mergeFresh merges fresh into links in place, from the back, and
+// empties fresh. Callers hold s.mu.
+func (s *shard) mergeFresh() {
+	n, m := len(s.links), len(s.fresh)
+	s.links = slices.Grow(s.links, m)[:n+m]
+	for i, j, k := n-1, m-1, n+m-1; j >= 0; k-- {
+		if i >= 0 && cmpLink(&s.links[i], &s.fresh[j]) > 0 {
+			s.links[k] = s.links[i]
+			i--
+		} else {
+			s.links[k] = s.fresh[j]
+			j--
+		}
+	}
+	s.fresh = s.fresh[:0]
 }
 
 // Links returns every observed direct link merged across shards, sorted
 // by (tx, rx). With from > 0, only links heard at or after that
 // timestamp are included.
 func (c *Collector) Links(from float64) []LinkObs {
-	runs := make([][]LinkObs, len(c.shards))
-	for i, s := range c.shards {
+	runs := make([][]LinkObs, 0, 2*len(c.shards))
+	for _, s := range c.shards {
 		s.mu.RLock()
-		runs[i] = s.linkRun(func(l *LinkObs) bool { return l.LastTS >= from })
+		runs = append(runs, heardSince(s.links, from), heardSince(s.fresh, from))
 		s.mu.RUnlock()
-		sortLinks(runs[i])
 	}
 	return MergeLinks(runs)
 }
 
-// linkRun copies the shard's links that pass keep. Callers hold s.mu.
-func (s *shard) linkRun(keep func(*LinkObs) bool) []LinkObs {
-	run := make([]LinkObs, 0, len(s.links))
-	for _, l := range s.links {
-		if keep(l) {
-			run = append(run, *l)
+// heardSince copies the links last heard at or after from.
+func heardSince(links []LinkObs, from float64) []LinkObs {
+	run := make([]LinkObs, 0, len(links))
+	for _, l := range links {
+		if l.LastTS >= from {
+			run = append(run, l)
 		}
 	}
 	return run

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"lorameshmon/internal/tsdb"
+	"lorameshmon/internal/wire"
 )
 
 // Registry and link merges. A collector's shards and a federation's
@@ -69,16 +70,28 @@ func MergeLinks(runs [][]LinkObs) []LinkObs {
 	return tsdb.MergeRuns(nil, runs, cmpLink, foldLinkObs, 0)
 }
 
-// sortLinks orders a run by (tx, rx).
-func sortLinks(run []LinkObs) {
-	slices.SortFunc(run, func(a, b LinkObs) int { return cmpLink(&a, &b) })
-}
-
 func cmpLink(a, b *LinkObs) int {
 	if c := cmp.Compare(a.Tx, b.Tx); c != 0 {
 		return c
 	}
 	return cmp.Compare(a.Rx, b.Rx)
+}
+
+// SearchLinks finds the link tx→rx in links sorted by (tx, rx), as
+// Links returns them: its index and true, or where it would be inserted
+// and false. It compares in place (slices.BinarySearchFunc would copy
+// each probed LinkObs into its comparison) and allocates nothing.
+func SearchLinks(links []LinkObs, tx, rx wire.NodeID) (int, bool) {
+	lo, hi := 0, len(links)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if l := &links[m]; l.Tx < tx || l.Tx == tx && l.Rx < rx {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(links) && links[lo].Tx == tx && links[lo].Rx == rx
 }
 
 func foldLinkObs(have, l *LinkObs) {

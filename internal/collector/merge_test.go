@@ -158,9 +158,9 @@ func parentLinks(c *Collector, from float64) []LinkObs {
 	var out []LinkObs
 	for _, s := range c.shards {
 		s.mu.RLock()
-		for _, l := range s.links {
+		for _, l := range append(slices.Clone(s.links), s.fresh...) {
 			if l.LastTS >= from {
-				out = append(out, *l)
+				out = append(out, l)
 			}
 		}
 		s.mu.RUnlock()
@@ -197,9 +197,7 @@ func parentDump(c *Collector, model *ingestModel) snapshotDump {
 			sort.Slice(nd.Missing, func(i, j int) bool { return nd.Missing[i] < nd.Missing[j] })
 			dump.Nodes = append(dump.Nodes, nd)
 		}
-		for _, l := range sh.links {
-			dump.Links = append(dump.Links, *l)
-		}
+		dump.Links = append(append(dump.Links, sh.links...), sh.fresh...)
 	}
 	sort.Slice(dump.Nodes, func(i, j int) bool { return dump.Nodes[i].Info.ID < dump.Nodes[j].Info.ID })
 	sort.Slice(dump.Links, func(i, j int) bool {

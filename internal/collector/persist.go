@@ -74,7 +74,7 @@ func (c *Collector) writeSnapshotAllLocked(w io.Writer) error {
 func (c *Collector) dumpAllLocked() snapshotDump {
 	byID := func(a, b *nodeDump) int { return cmp.Compare(a.Info.ID, b.Info.ID) }
 	nodes := make([][]nodeDump, len(c.shards))
-	links := make([][]LinkObs, len(c.shards))
+	links := make([][]LinkObs, 0, 2*len(c.shards))
 	// The known counts stay 0 in the dump: restore recounts them from
 	// the lists.
 	stats := c.Stats()
@@ -95,8 +95,7 @@ func (c *Collector) dumpAllLocked() snapshotDump {
 			nodes[i] = append(nodes[i], nd)
 		}
 		slices.SortFunc(nodes[i], func(a, b nodeDump) int { return byID(&a, &b) })
-		links[i] = sh.linkRun(func(*LinkObs) bool { return true })
-		sortLinks(links[i])
+		links = append(links, sh.links, sh.fresh)
 	}
 	dump.Nodes = tsdb.MergeRuns(nil, nodes, byID, nil, 0)
 	dump.Links = MergeLinks(links)
@@ -126,7 +125,7 @@ func (c *Collector) RestoreSnapshot(r io.Reader) error {
 	c.restores.Add(1)
 	for _, sh := range c.shards {
 		sh.nodes = make(map[wire.NodeID]*nodeState)
-		sh.links = make(map[linkKey]*LinkObs)
+		sh.links, sh.fresh = nil, nil
 	}
 	for _, nd := range dump.Nodes {
 		st := &nodeState{info: nd.Info, lastSeq: nd.LastSeq, seen: nd.Seen}
@@ -141,11 +140,19 @@ func (c *Collector) RestoreSnapshot(r io.Reader) error {
 		}
 		c.shardFor(nd.Info.ID).nodes[nd.Info.ID] = st
 	}
-	for i := range dump.Links {
-		l := dump.Links[i]
-		// Links are owned by the shard of their receiving node, matching
-		// where ingestPacket would have created them.
-		c.shardFor(l.Rx).links[linkKey{tx: l.Tx, rx: l.Rx}] = &l
+	// Links are owned by the shard of their receiving node, matching
+	// where ingestPacket would have created them. The file's order is
+	// not trusted: each shard's links are sorted (stably, so repeats
+	// keep file order) and a key listed twice folds into one link.
+	for _, l := range dump.Links {
+		sh := c.shardFor(l.Rx)
+		sh.links = append(sh.links, l)
+	}
+	links := 0
+	for _, sh := range c.shards {
+		slices.SortStableFunc(sh.links, func(a, b LinkObs) int { return cmpLink(&a, &b) })
+		sh.links = MergeLinks([][]LinkObs{sh.links})
+		links += len(sh.links)
 	}
 	// The dump's ring is oldest first; an oversized one keeps only its
 	// newest entries.
@@ -160,7 +167,7 @@ func (c *Collector) RestoreSnapshot(r io.Reader) error {
 	c.batchesRejected.Store(dump.Stats.BatchesRejected)
 	c.recordsIngested.Store(dump.Stats.RecordsIngested)
 	c.nodesKnown.Store(int64(len(dump.Nodes)))
-	c.linksKnown.Store(int64(len(dump.Links)))
+	c.linksKnown.Store(int64(links))
 	c.setMaxTS(dump.MaxTS)
 	return c.db.Load(dump.DB)
 }

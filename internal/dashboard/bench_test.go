@@ -43,3 +43,20 @@ func BenchmarkOverviewRender(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkTopologyRender is one uncached /topology render of
+// dash_read's link table: 300 nodes, each hearing HELLOs from ten ring
+// neighbours, so 3 000 links folded into 1 500 drawn pairs.
+func BenchmarkTopologyRender(b *testing.B) {
+	h := New(ringCollector(b, 300, 1), nil, Config{DisableCache: true}).Handler()
+	req := httptest.NewRequest("GET", "/topology", nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != 200 {
+			b.Fatal(rec.Code)
+		}
+	}
+}

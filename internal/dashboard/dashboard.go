@@ -12,8 +12,8 @@ package dashboard
 import (
 	"fmt"
 	"html/template"
+	"math/bits"
 	"net/http"
-	"sort"
 	"time"
 
 	"lorameshmon/internal/alert"
@@ -252,43 +252,89 @@ func (s *Server) handleAlerts(w http.ResponseWriter, _ *http.Request) {
 	s.render(w, "alerts", data)
 }
 
+// handleTopology draws every link the collector has heard, in one pass
+// over one Links read: the vertices are the link ends plus every
+// registered node (so failures stay visible), numbered in ID order, and
+// a node is down when its last heartbeat is older than DownAfterS. A
+// bidirectional pair draws as one line, labelled with the mean RSSI of
+// the direction with the lower transmitter ID.
 func (s *Server) handleTopology(w http.ResponseWriter, _ *http.Request) {
-	topo := analysis.InferTopology(s.coll, 0, 1)
-	nodes := topo.Nodes()
-	// Include registered-but-unlinked nodes so failures stay visible.
-	seen := make(map[wire.NodeID]bool, len(nodes))
-	for _, id := range nodes {
-		seen[id] = true
-	}
-	for _, info := range s.coll.Nodes() {
-		if !seen[info.ID] {
-			nodes = append(nodes, info.ID)
-		}
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-
+	links := s.coll.Links(0)
+	infos := s.coll.Nodes()
 	now := s.coll.MaxTS()
-	idx := make(map[wire.NodeID]int, len(nodes))
+
+	set := new(nodeSet)
+	for _, l := range links {
+		set.add(l.Tx)
+		set.add(l.Rx)
+	}
+	for _, info := range infos {
+		set.add(info.ID)
+	}
 	g := svgTopology{Title: "Inferred topology (from HELLO receptions)", Size: 520}
-	for i, id := range nodes {
-		idx[id] = i
-		down := false
-		if info, ok := s.coll.Node(id); ok {
-			down = now-info.LastBeatTS > s.cfg.DownAfterS
+	g.Nodes = set.number()
+	for i, k := 0, 0; i < len(g.Nodes) && k < len(infos); i++ {
+		// Both lists are sorted by ID, and every info is a vertex.
+		if g.Nodes[i].ID == infos[k].ID {
+			g.Nodes[i].Down = now-infos[k].LastBeatTS > s.cfg.DownAfterS
+			k++
 		}
-		g.Nodes = append(g.Nodes, topoNode{Label: id.String(), Down: down})
 	}
-	for _, l := range analysis.LinkMatrix(s.coll, s.cfg.SF, 0) {
-		g.Edges = append(g.Edges, topoEdge{
-			From:  idx[l.Tx],
-			To:    idx[l.Rx],
-			Label: fmt.Sprintf("%.0fdBm", l.MeanRSSI),
-		})
+	g.Edges = make([]topoEdge, 0, len(links))
+	for _, l := range links {
+		// Links are sorted by (tx, rx), so of a pair the direction with
+		// the lower transmitter comes first; the other is dropped.
+		if l.Tx > l.Rx {
+			if _, rev := collector.SearchLinks(links, l.Rx, l.Tx); rev {
+				continue
+			}
+		}
+		g.Edges = append(g.Edges, topoEdge{From: set.index(l.Tx), To: set.index(l.Rx), RSSI: l.MeanRSSI})
 	}
-	s.render(w, "topology", struct {
-		Title string
-		SVG   template.HTML
-	}{s.cfg.Title, template.HTML(g.Render())})
+	// The SVG bytes go straight into the response between the page's
+	// head and foot: as a template.HTML value the ~300 KB graph would be
+	// copied into a string and again through the template's fmt.Fprint.
+	page := struct{ Title string }{s.cfg.Title}
+	w.Header().Set("Content-Type", "text/html; charset=utf-8")
+	if err := s.tmpl.ExecuteTemplate(w, "topology", page); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Write(append(g.Render(), '\n'))       //nolint:errcheck
+	s.tmpl.ExecuteTemplate(w, "foot", page) //nolint:errcheck // only a write can fail, mid-response
+}
+
+// nodeSet is a set over the 16-bit node address space that numbers its
+// members in ID order: a bitmap, plus, once number has run, the count
+// of members below each 64-ID word.
+type nodeSet struct {
+	bits [1 << 16 / 64]uint64
+	rank [1 << 16 / 64]int32
+}
+
+func (s *nodeSet) add(id wire.NodeID) { s.bits[id/64] |= 1 << (id % 64) }
+
+// number returns the members in ID order as topology vertices and
+// fills rank for index.
+func (s *nodeSet) number() []topoNode {
+	n := 0
+	for _, word := range s.bits {
+		n += bits.OnesCount64(word)
+	}
+	nodes := make([]topoNode, 0, n)
+	for w, word := range s.bits {
+		s.rank[w] = int32(len(nodes))
+		for ; word != 0; word &= word - 1 {
+			nodes = append(nodes, topoNode{ID: wire.NodeID(w*64 + bits.TrailingZeros64(word))})
+		}
+	}
+	return nodes
+}
+
+// index is a member's position in number's list.
+func (s *nodeSet) index(id wire.NodeID) int {
+	w := id / 64
+	return int(s.rank[w]) + bits.OnesCount64(s.bits[w]&(1<<(id%64)-1))
 }
 
 // handleChartSVG serves `/chart/{metric}.svg?node=N0001&from=&to=`.
@@ -389,8 +435,7 @@ h1{font-size:20px}h2{font-size:16px}
 
 {{define "topology"}}{{template "head" .}}
 <h2>Topology</h2>
-{{.SVG}}
-{{template "foot" .}}{{end}}
+{{/* handleTopology writes the SVG, a newline and "foot" after this */}}{{end}}
 
 {{define "health"}}{{template "head" .}}
 <h2>Server health</h2>

@@ -224,10 +224,10 @@ func TestSVGEscaping(t *testing.T) {
 
 func TestTopologyGraphIgnoresBadEdges(t *testing.T) {
 	g := svgTopology{
-		Nodes: []topoNode{{Label: "n1"}},
+		Nodes: []topoNode{{ID: 1}},
 		Edges: []topoEdge{{From: 0, To: 5}, {From: -1, To: 0}},
 	}
-	out := g.Render()
+	out := string(g.Render())
 	if strings.Contains(out, "<line") {
 		t.Fatal("out-of-range edges drawn")
 	}

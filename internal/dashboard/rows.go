@@ -12,10 +12,10 @@ import (
 // page's packet table and the node page's route-change table. The first
 // two have one row per node (per packet) with a dozen cells each; as
 // html/template {{range}} bodies, every cell cost a reflective escaper
-// call on each render. Here each
-// row is appended from its typed fields — node IDs through
-// wire.NodeID.Append, numbers through strconv — and the page skeleton
-// inserts the finished rows as one template.HTML value. The output is
+// call on each render. Here each row is appended from its typed fields
+// — node IDs through wire.NodeID.Append, numbers through strconv and
+// appendFixed — and the page skeleton inserts the finished rows as one
+// template.HTML value. The output is
 // byte-identical to the templates these replaced (rows_test.go keeps
 // them, and the template form of the route-change rows, as the parity
 // reference).
@@ -62,7 +62,7 @@ func appendFloat(b []byte, v float64, prec int) []byte {
 	if math.IsInf(v, 1) {
 		return append(b, "&#43;Inf"...)
 	}
-	return strconv.AppendFloat(b, v, 'f', prec, 64)
+	return appendFixed(b, v, prec)
 }
 
 // appendOverviewRows appends the overview's node table rows: status

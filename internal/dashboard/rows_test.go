@@ -333,7 +333,8 @@ func FuzzOverviewRows(f *testing.F) {
 }
 
 // refServer renders every panel through the parent page set: the
-// overview and traffic pages with their former data, the rest through
+// overview and traffic pages with their former data, the topology and
+// SVG charts through the parent handler and renderers, the rest through
 // the unchanged handlers.
 func refServer(s *Server) http.Handler {
 	s.tmpl = template.Must(template.New("dash").Parse(parentPageTemplates))
@@ -369,6 +370,8 @@ func refServer(s *Server) http.Handler {
 			Packets []wire.PacketRecord
 		}{s.cfg.Title, s.coll.Recent(100)})
 	})
+	mux.HandleFunc("GET /topology", refHandleTopology(s))
+	mux.HandleFunc("GET /chart/{metric}", refHandleChart(s))
 	mux.Handle("/", s.Handler())
 	return mux
 }
@@ -425,7 +428,8 @@ func TestPagesMatchParentTemplates(t *testing.T) {
 		},
 		"energy": seedEnergyCollector,
 	}
-	routes := []string{"/", "/traffic", "/node/N0001", "/node/N0002", "/node/N0003", "/topology", "/alerts"}
+	routes := []string{"/", "/traffic", "/node/N0001", "/node/N0002", "/node/N0003", "/topology", "/alerts",
+		"/chart/mesh_packet_rssi.svg", "/chart/node_battery_frac.svg?node=N0001", "/chart/none.svg"}
 	for name, seed := range seeds {
 		c := seed(t)
 		eng := alert.NewEngine(c, alert.Config{})

@@ -1,11 +1,12 @@
 package dashboard
 
 import (
-	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
 	"lorameshmon/internal/tsdb"
+	"lorameshmon/internal/wire"
 )
 
 // svgLineChart renders one or more series as an SVG line chart. It is a
@@ -30,16 +31,16 @@ var seriesPalette = []string{
 	"#0891b2", "#ca8a04", "#db2777", "#4b5563", "#65a30d",
 }
 
-func fmtFloat(v float64) string {
+// appendAxisValue appends an axis label: whole numbers from 1000 up,
+// one decimal from 10, two below (and for NaN).
+func appendAxisValue(b []byte, v float64) []byte {
 	switch {
-	case math.IsNaN(v):
-		return "NaN"
 	case math.Abs(v) >= 1000:
-		return fmt.Sprintf("%.0f", v)
+		return appendFixed(b, v, 0)
 	case math.Abs(v) >= 10:
-		return fmt.Sprintf("%.1f", v)
+		return appendFixed(b, v, 1)
 	default:
-		return fmt.Sprintf("%.2f", v)
+		return appendFixed(b, v, 2)
 	}
 }
 
@@ -65,18 +66,18 @@ func (c svgLineChart) Render() string {
 			minY, maxY = math.Min(minY, p.Value), math.Max(maxY, p.Value)
 		}
 	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d">`,
-		c.Width, c.Height, c.Width, c.Height)
-	fmt.Fprintf(&sb, `<rect width="%d" height="%d" fill="#ffffff"/>`, c.Width, c.Height)
-	fmt.Fprintf(&sb, `<text x="%d" y="18" font-family="sans-serif" font-size="13" fill="#111">%s</text>`,
-		padL, xmlEscape(c.Title))
+	b := make([]byte, 0, 1024+14*total)
+	b = appendSVGHead(b, c.Width, c.Height)
+	b = appendInt(b, `<text x="`, padL)
+	b = append(b, `" y="18" font-family="sans-serif" font-size="13" fill="#111">`...)
+	b = append(b, xmlEscape(c.Title)...)
+	b = append(b, `</text>`...)
 
 	if total == 0 {
-		fmt.Fprintf(&sb, `<text x="%d" y="%d" font-family="sans-serif" font-size="12" fill="#666">no data</text>`,
-			c.Width/2-24, c.Height/2)
-		sb.WriteString(`</svg>`)
-		return sb.String()
+		b = appendInt(b, `<text x="`, c.Width/2-24)
+		b = appendInt(b, `" y="`, c.Height/2)
+		b = append(b, `" font-family="sans-serif" font-size="12" fill="#666">no data</text></svg>`...)
+		return string(b)
 	}
 	if maxX == minX {
 		maxX = minX + 1
@@ -88,18 +89,24 @@ func (c svgLineChart) Render() string {
 	ypos := func(v float64) float64 { return float64(padT) + (1-(v-minY)/(maxY-minY))*plotH }
 
 	// Axes and labels.
-	fmt.Fprintf(&sb, `<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="#999"/>`,
-		padL, padT, padL, c.Height-padB)
-	fmt.Fprintf(&sb, `<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="#999"/>`,
-		padL, c.Height-padB, c.Width-padR, c.Height-padB)
-	fmt.Fprintf(&sb, `<text x="4" y="%d" font-family="sans-serif" font-size="10" fill="#555">%s</text>`,
-		padT+4, fmtFloat(maxY))
-	fmt.Fprintf(&sb, `<text x="4" y="%d" font-family="sans-serif" font-size="10" fill="#555">%s</text>`,
-		c.Height-padB, fmtFloat(minY))
-	fmt.Fprintf(&sb, `<text x="%d" y="%d" font-family="sans-serif" font-size="10" fill="#555">t=%ss</text>`,
-		padL, c.Height-8, fmtFloat(minX))
-	fmt.Fprintf(&sb, `<text x="%d" y="%d" font-family="sans-serif" font-size="10" fill="#555" text-anchor="end">t=%ss</text>`,
-		c.Width-padR, c.Height-8, fmtFloat(maxX))
+	b = appendLine(b, padL, padT, padL, c.Height-padB)
+	b = appendLine(b, padL, c.Height-padB, c.Width-padR, c.Height-padB)
+	const axisFont = `" font-family="sans-serif" font-size="10" fill="#555"`
+	b = appendInt(b, `<text x="4" y="`, padT+4)
+	b = append(b, axisFont+`>`...)
+	b = appendAxisValue(b, maxY)
+	b = appendInt(b, `</text><text x="4" y="`, c.Height-padB)
+	b = append(b, axisFont+`>`...)
+	b = appendAxisValue(b, minY)
+	b = appendInt(b, `</text><text x="`, padL)
+	b = appendInt(b, `" y="`, c.Height-8)
+	b = append(b, axisFont+`>t=`...)
+	b = appendAxisValue(b, minX)
+	b = appendInt(b, `s</text><text x="`, c.Width-padR)
+	b = appendInt(b, `" y="`, c.Height-8)
+	b = append(b, axisFont+` text-anchor="end">t=`...)
+	b = appendAxisValue(b, maxX)
+	b = append(b, `s</text>`...)
 
 	for i, s := range c.Series {
 		color := s.Color
@@ -108,45 +115,60 @@ func (c svgLineChart) Render() string {
 		}
 		if len(s.Points) == 1 {
 			p := s.Points[0]
-			fmt.Fprintf(&sb, `<circle cx="%.1f" cy="%.1f" r="3" fill="%s"/>`, xpos(p.TS), ypos(p.Value), color)
+			b = append(b, `<circle cx="`...)
+			b = appendFixed(b, xpos(p.TS), 1)
+			b = append(b, `" cy="`...)
+			b = appendFixed(b, ypos(p.Value), 1)
+			b = append(b, `" r="3" fill="`...)
+			b = append(b, color...)
+			b = append(b, `"/>`...)
 		} else {
-			var path strings.Builder
+			b = append(b, `<path d="`...)
 			for j, p := range s.Points {
-				cmd := "L"
 				if j == 0 {
-					cmd = "M"
+					b = append(b, 'M')
+				} else {
+					b = append(b, " L"...)
 				}
-				fmt.Fprintf(&path, "%s%.1f %.1f ", cmd, xpos(p.TS), ypos(p.Value))
+				b = appendFixed(b, xpos(p.TS), 1)
+				b = append(b, ' ')
+				b = appendFixed(b, ypos(p.Value), 1)
 			}
-			fmt.Fprintf(&sb, `<path d="%s" fill="none" stroke="%s" stroke-width="1.5"/>`,
-				strings.TrimSpace(path.String()), color)
+			b = append(b, `" fill="none" stroke="`...)
+			b = append(b, color...)
+			b = append(b, `" stroke-width="1.5"/>`...)
 		}
 		// Legend entry.
 		lx := padL + 8 + (i%4)*140
 		ly := padT - 8 + (i/4)*12
-		fmt.Fprintf(&sb, `<rect x="%d" y="%d" width="8" height="8" fill="%s"/>`, lx, ly-8, color)
-		fmt.Fprintf(&sb, `<text x="%d" y="%d" font-family="sans-serif" font-size="10" fill="#333">%s</text>`,
-			lx+12, ly, xmlEscape(s.Label))
+		b = appendInt(b, `<rect x="`, lx)
+		b = appendInt(b, `" y="`, ly-8)
+		b = append(b, `" width="8" height="8" fill="`...)
+		b = append(b, color...)
+		b = appendInt(b, `"/><text x="`, lx+12)
+		b = appendInt(b, `" y="`, ly)
+		b = append(b, `" font-family="sans-serif" font-size="10" fill="#333">`...)
+		b = append(b, xmlEscape(s.Label)...)
+		b = append(b, `</text>`...)
 	}
-	sb.WriteString(`</svg>`)
-	return sb.String()
+	return string(append(b, `</svg>`...))
 }
 
-// topoNode is one vertex of the topology graph.
+// topoNode is one vertex of the topology graph, labelled with its ID.
 type topoNode struct {
-	Label string
-	X, Y  float64
-	Down  bool
+	ID   wire.NodeID
+	Down bool
 }
 
-// topoEdge is one directed link.
+// topoEdge is one drawn link, labelled with its mean RSSI in whole dBm.
 type topoEdge struct {
 	From, To int // indices into the node list
-	Label    string
+	RSSI     float64
 }
 
 // svgTopology renders the inferred mesh graph: nodes on a circle, edges
-// as lines (bidirectional pairs render as a single line).
+// as lines. Every in-range edge is drawn, so a caller that wants a
+// bidirectional pair as one line passes one edge for it.
 type svgTopology struct {
 	Title string
 	Size  int
@@ -155,74 +177,103 @@ type svgTopology struct {
 }
 
 // Render lays the nodes on a circle and draws the SVG.
-func (g svgTopology) Render() string {
+func (g svgTopology) Render() []byte {
 	if g.Size <= 0 {
 		g.Size = 480
 	}
 	cx, cy := float64(g.Size)/2, float64(g.Size)/2+10
 	r := float64(g.Size)/2 - 60
 
+	// Each node's position is formatted once: node i's x is
+	// num[at[2i]:at[2i+1]] and its y num[at[2i+1]:at[2i+2]], reused at
+	// every edge end.
 	n := len(g.Nodes)
 	pos := make([][2]float64, n)
+	num := make([]byte, 0, 12*n)
+	at := make([]int, 1, 2*n+1)
 	for i := range g.Nodes {
 		theta := 2*math.Pi*float64(i)/float64(max(n, 1)) - math.Pi/2
 		pos[i] = [2]float64{cx + r*math.Cos(theta), cy + r*math.Sin(theta)}
+		num = appendFixed(num, pos[i][0], 1)
+		at = append(at, len(num))
+		num = appendFixed(num, pos[i][1], 1)
+		at = append(at, len(num))
 	}
+	x := func(i int) []byte { return num[at[2*i]:at[2*i+1]] }
+	y := func(i int) []byte { return num[at[2*i+1]:at[2*i+2]] }
 
-	var sb strings.Builder
-	fmt.Fprintf(&sb, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d">`,
-		g.Size, g.Size, g.Size, g.Size)
-	fmt.Fprintf(&sb, `<rect width="%d" height="%d" fill="#ffffff"/>`, g.Size, g.Size)
-	fmt.Fprintf(&sb, `<text x="16" y="22" font-family="sans-serif" font-size="13" fill="#111">%s</text>`,
-		xmlEscape(g.Title))
-
-	// Deduplicate bidirectional pairs.
-	type pair struct{ a, b int }
-	drawn := make(map[pair]bool)
+	b := make([]byte, 0, 512+190*n+200*len(g.Edges))
+	b = appendSVGHead(b, g.Size, g.Size)
+	b = append(b, `<text x="16" y="22" font-family="sans-serif" font-size="13" fill="#111">`...)
+	b = append(b, xmlEscape(g.Title)...)
+	b = append(b, `</text>`...)
 	for _, e := range g.Edges {
 		if e.From < 0 || e.From >= n || e.To < 0 || e.To >= n {
 			continue
 		}
-		k := pair{min(e.From, e.To), max(e.From, e.To)}
-		if drawn[k] {
-			continue
-		}
-		drawn[k] = true
-		fmt.Fprintf(&sb, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="#94a3b8" stroke-width="1.5"/>`,
-			pos[e.From][0], pos[e.From][1], pos[e.To][0], pos[e.To][1])
-		if e.Label != "" {
-			mx, my := (pos[e.From][0]+pos[e.To][0])/2, (pos[e.From][1]+pos[e.To][1])/2
-			fmt.Fprintf(&sb, `<text x="%.1f" y="%.1f" font-family="sans-serif" font-size="9" fill="#64748b">%s</text>`,
-				mx, my, xmlEscape(e.Label))
-		}
+		b = append(b, `<line x1="`...)
+		b = append(b, x(e.From)...)
+		b = append(b, `" y1="`...)
+		b = append(b, y(e.From)...)
+		b = append(b, `" x2="`...)
+		b = append(b, x(e.To)...)
+		b = append(b, `" y2="`...)
+		b = append(b, y(e.To)...)
+		b = append(b, `" stroke="#94a3b8" stroke-width="1.5"/><text x="`...)
+		b = appendFixed(b, (pos[e.From][0]+pos[e.To][0])/2, 1)
+		b = append(b, `" y="`...)
+		b = appendFixed(b, (pos[e.From][1]+pos[e.To][1])/2, 1)
+		b = append(b, `" font-family="sans-serif" font-size="9" fill="#64748b">`...)
+		b = appendFixed(b, e.RSSI, 0)
+		b = append(b, `dBm</text>`...)
 	}
 	for i, nd := range g.Nodes {
 		fill := "#2563eb"
 		if nd.Down {
 			fill = "#dc2626"
 		}
-		fmt.Fprintf(&sb, `<circle cx="%.1f" cy="%.1f" r="14" fill="%s"/>`, pos[i][0], pos[i][1], fill)
-		fmt.Fprintf(&sb, `<text x="%.1f" y="%.1f" font-family="sans-serif" font-size="9" fill="#fff" text-anchor="middle">%s</text>`,
-			pos[i][0], pos[i][1]+3, xmlEscape(nd.Label))
+		b = append(b, `<circle cx="`...)
+		b = append(b, x(i)...)
+		b = append(b, `" cy="`...)
+		b = append(b, y(i)...)
+		b = append(b, `" r="14" fill="`...)
+		b = append(b, fill...)
+		b = append(b, `"/><text x="`...)
+		b = append(b, x(i)...)
+		b = append(b, `" y="`...)
+		b = appendFixed(b, pos[i][1]+3, 1)
+		b = append(b, `" font-family="sans-serif" font-size="9" fill="#fff" text-anchor="middle">`...)
+		b = nd.ID.Append(b)
+		b = append(b, `</text>`...)
 	}
-	sb.WriteString(`</svg>`)
-	return sb.String()
+	return append(b, `</svg>`...)
+}
+
+// appendSVGHead appends the document's opening tag and white background.
+func appendSVGHead(b []byte, w, h int) []byte {
+	b = appendInt(b, `<svg xmlns="http://www.w3.org/2000/svg" width="`, w)
+	b = appendInt(b, `" height="`, h)
+	b = appendInt(b, `" viewBox="0 0 `, w)
+	b = appendInt(b, ` `, h)
+	b = appendInt(b, `"><rect width="`, w)
+	b = appendInt(b, `" height="`, h)
+	return append(b, `" fill="#ffffff"/>`...)
+}
+
+// appendLine appends a grey axis line.
+func appendLine(b []byte, x1, y1, x2, y2 int) []byte {
+	b = appendInt(b, `<line x1="`, x1)
+	b = appendInt(b, `" y1="`, y1)
+	b = appendInt(b, `" x2="`, x2)
+	b = appendInt(b, `" y2="`, y2)
+	return append(b, `" stroke="#999"/>`...)
+}
+
+// appendInt appends s, then v in decimal.
+func appendInt(b []byte, s string, v int) []byte {
+	return strconv.AppendInt(append(b, s...), int64(v), 10)
 }
 
 var xmlEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
 
 func xmlEscape(s string) string { return xmlEscaper.Replace(s) }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

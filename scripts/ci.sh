@@ -158,7 +158,10 @@ stage_read() {
   # race regression (an ingest before the hub starts still streams), and
   # the counters the hub fingerprints from (Stats().NodesKnown and
   # LinksKnown == the materialised lists), the typed row appenders and
-  # every HTML panel against the former templates, Recent against a
+  # every HTML panel against the former templates, the topology panel
+  # and line charts against the former fmt renderers, the fixed-point
+  # number appender against strconv, shard links sorted and unique
+  # through ingest and restore, Recent against a
   # model of every accepted batch's packets in ingest order, the shard
   # merge (Nodes, Links, checkpoint dump) and Prometheus text against
   # the code they replaced, and concurrent writers on distinct shards
@@ -169,9 +172,9 @@ stage_read() {
   # and the SSE hub all share state, so -race is load-bearing here.
   go test -race -count=1 ./internal/readcache
   go test -race -count=1 \
-    -run 'CacheEquivalence|CacheServesStampedEpoch|SSE|LongPoll|CachedReadsAndSSEUnderIngest|ChartQuery|ChartJSON|SSEDeltaForIngestBeforeHubStart|Fingerprint|OverviewRowsMatchTemplate|TrafficRowsMatchTemplate|PagesMatchParentTemplates' \
+    -run 'CacheEquivalence|CacheServesStampedEpoch|SSE|LongPoll|CachedReadsAndSSEUnderIngest|ChartQuery|ChartJSON|SSEDeltaForIngestBeforeHubStart|Fingerprint|OverviewRowsMatchTemplate|TrafficRowsMatchTemplate|PagesMatchParentTemplates|TopologyMatchesParent|LineChartMatchesParent|AppendFixed' \
     ./internal/dashboard
-  go test -race -count=1 -run 'KnownCountsMatchMaterialised|RecentMatchesIngestModel|ShardMergeMatchesParent|ShardedIngestReadersSeeWholeBatches|PrometheusExpositionMatchesParent' ./internal/collector
+  go test -race -count=1 -run 'KnownCountsMatchMaterialised|RecentMatchesIngestModel|ShardMergeMatchesParent|ShardedIngestReadersSeeWholeBatches|PrometheusExpositionMatchesParent|ShardLinksStaySorted' ./internal/collector
   go test -race -count=1 -run 'MergeRuns' ./internal/tsdb
 }
 
@@ -230,6 +233,11 @@ stage_fuzz() {
   # Same budget for the dashboard's typed row appender: every input must
   # render byte-identically to the former html/template row.
   go test -fuzz='^FuzzOverviewRows$' -fuzztime=20s -run '^FuzzOverviewRows$' \
+    ./internal/dashboard
+  echo "== bounded fuzz: fixed-point number appender =="
+  # Same budget for the SVG and row number formatter: every float at
+  # precisions 0-3 must match strconv.AppendFloat's 'f' bytes.
+  go test -fuzz='^FuzzAppendFixed$' -fuzztime=20s -run '^FuzzAppendFixed$' \
     ./internal/dashboard
   echo "== bounded fuzz: route diff =="
   # Same budget for the collector's route-change log: any snapshot
