@@ -99,6 +99,11 @@ func DefaultConfig() Config {
 	}
 }
 
+// HistoryLen bounds the resolved-alert history: the engine keeps the
+// newest HistoryLen resolutions, so History and the alerts page cost
+// the same after months of uptime as after an hour.
+const HistoryLen = 256
+
 type alertKey struct {
 	kind Kind
 	node wire.NodeID
@@ -124,7 +129,7 @@ type Engine struct {
 	// History and Generation concurrently.
 	mu      sync.Mutex
 	active  map[alertKey]*Alert
-	history []Alert
+	history []Alert // the newest HistoryLen resolutions, oldest first
 	// gen counts alert state transitions (firings + resolutions) — the
 	// alerts panel's invalidation clock, paired with the collector's
 	// ingest epoch. Check runs asynchronously after ingest, so a cached
@@ -210,7 +215,8 @@ func (e *Engine) Active() []Alert {
 	return out
 }
 
-// History returns resolved alerts in resolution order.
+// History returns the newest HistoryLen resolved alerts in resolution
+// order.
 func (e *Engine) History() []Alert {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -258,6 +264,9 @@ func (e *Engine) resolve(key alertKey, now float64) {
 	e.gen++
 	a.Resolved = true
 	a.ResolvedAt = now
+	if len(e.history) == HistoryLen {
+		e.history = append(e.history[:0], e.history[1:]...)
+	}
 	e.history = append(e.history, *a)
 	if e.inst != nil {
 		e.inst.resolved.With(string(a.Kind)).Inc()

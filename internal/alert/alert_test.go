@@ -132,3 +132,38 @@ func TestActiveSortedAndConfigDefaults(t *testing.T) {
 		t.Fatalf("active = %+v", active)
 	}
 }
+
+// TestHistoryBounded: after more resolutions than HistoryLen, History
+// holds exactly the newest HistoryLen of them, oldest first, and a
+// caller's copy is not overwritten by later resolutions.
+func TestHistoryBounded(t *testing.T) {
+	c := newColl()
+	e := NewEngine(c, Config{HeartbeatTimeoutS: 10})
+	// Cycle k: node 1 beats at 100k, goes silent (fires at 100k+20),
+	// and beats again at 100k+30, which resolves the alert.
+	const cycles = HistoryLen + 57
+	var early []Alert
+	for k := 0; k < cycles; k++ {
+		base := float64(100 * k)
+		beat(c, 1, uint64(2*k+1), base)
+		e.Check(base + 20)
+		beat(c, 1, uint64(2*k+2), base+30)
+		e.Check(base + 30)
+		if k == HistoryLen-1 {
+			early = e.History()
+		}
+	}
+	hist := e.History()
+	if len(hist) != HistoryLen {
+		t.Fatalf("history holds %d alerts, want %d", len(hist), HistoryLen)
+	}
+	for i, a := range hist {
+		base := float64(100 * (cycles - HistoryLen + i))
+		if a.Kind != KindNodeDown || a.Node != 1 || !a.Resolved || a.FiredAt != base+20 || a.ResolvedAt != base+30 {
+			t.Fatalf("history[%d] = %+v, want the node-down fired at %v and resolved at %v", i, a, base+20, base+30)
+		}
+	}
+	if len(early) != HistoryLen || early[0].FiredAt != 20 || early[HistoryLen-1].FiredAt != float64(100*(HistoryLen-1)+20) {
+		t.Fatalf("an earlier History copy changed: first %+v, last %+v", early[0], early[len(early)-1])
+	}
+}

@@ -480,16 +480,23 @@ func (c *Collector) Stats() Stats {
 }
 
 // Nodes returns the registry merged across shards, sorted by node ID.
+// Each shard's run is copied in the order of its sorted IDs, so the
+// sort moves two-byte keys, not whole entries.
 func (c *Collector) Nodes() []NodeInfo {
 	runs := make([][]NodeInfo, len(c.shards))
+	var ids []wire.NodeID
 	for i, s := range c.shards {
 		s.mu.RLock()
-		run := make([]NodeInfo, 0, len(s.nodes))
-		for _, n := range s.nodes {
-			run = append(run, n.info)
+		ids = slices.Grow(ids[:0], len(s.nodes))
+		for id := range s.nodes {
+			ids = append(ids, id)
+		}
+		slices.Sort(ids)
+		run := make([]NodeInfo, len(ids))
+		for k, id := range ids {
+			run[k] = s.nodes[id].info
 		}
 		s.mu.RUnlock()
-		sortNodes(run)
 		runs[i] = run
 	}
 	return MergeNodes(runs)

@@ -2,7 +2,6 @@ package collector
 
 import (
 	"cmp"
-	"slices"
 
 	"lorameshmon/internal/tsdb"
 	"lorameshmon/internal/wire"
@@ -20,11 +19,6 @@ import (
 // foldNodeInfo, earlier runs first.
 func MergeNodes(runs [][]NodeInfo) []NodeInfo {
 	return tsdb.MergeRuns(nil, runs, cmpNodeID, foldNodeInfo, 0)
-}
-
-// sortNodes orders a run by node ID.
-func sortNodes(run []NodeInfo) {
-	slices.SortFunc(run, func(a, b NodeInfo) int { return cmpNodeID(&a, &b) })
 }
 
 func cmpNodeID(a, b *NodeInfo) int { return cmp.Compare(a.ID, b.ID) }

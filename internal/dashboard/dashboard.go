@@ -3,15 +3,13 @@
 // information": a network overview, per-node detail pages with charts,
 // a live traffic view, an inferred-topology graph and the active alerts.
 // Everything is rendered server-side, so the whole system stays
-// stdlib-only: page skeletons and small panels with html/template, the
-// two large tables (overview nodes, traffic packets) with typed row
-// appenders (rows.go), and charts and the topology graph as hand-rolled
-// SVG.
+// stdlib-only: each HTML page is appended into one byte slice from
+// typed fields — a shared head and foot, table rows (rows.go), strings
+// escaped exactly as html/template would — and written once; charts and
+// the topology graph are hand-rolled SVG.
 package dashboard
 
 import (
-	"fmt"
-	"html/template"
 	"math/bits"
 	"net/http"
 	"time"
@@ -61,9 +59,9 @@ func DefaultConfig() Config {
 // the concrete type.
 type Server struct {
 	coll   collector.View
-	engine *alert.Engine // may be nil
+	engine alertSource // nil without an engine
 	cfg    Config
-	tmpl   *template.Template
+	head   []byte // the page head, title escaped; see page
 	// epoch is the read path's composite invalidation clock: ingest
 	// epoch + alert generation. Panels render collector state AND alert
 	// state, and alert transitions happen on the Check cadence without
@@ -73,6 +71,14 @@ type Server struct {
 	inst  *readcache.Instruments
 	cache *readcache.Cache // nil when DisableCache
 	hub   *streamHub
+}
+
+// alertSource is what the dashboard reads of an alert engine; tests
+// stand fixed alert sets in for it.
+type alertSource interface {
+	Active() []alert.Alert
+	History() []alert.Alert
+	Generation() uint64
 }
 
 // New builds a dashboard server. engine may be nil to omit alerts.
@@ -87,16 +93,16 @@ func New(coll collector.View, engine *alert.Engine, cfg Config) *Server {
 	if !cfg.SF.Valid() {
 		cfg.SF = d.SF
 	}
-	s := &Server{
-		coll:   coll,
-		engine: engine,
-		cfg:    cfg,
-		tmpl:   template.Must(template.New("dash").Parse(pageTemplates)),
+	s := &Server{coll: coll, cfg: cfg}
+	if engine != nil { // a nil *alert.Engine must stay a nil alertSource
+		s.engine = engine
 	}
+	s.head = append(appendText([]byte(headTitle), cfg.Title), headH1...)
+	s.head = append(appendText(s.head, cfg.Title), headNav...)
 	s.epoch = func() uint64 {
 		e := coll.Epoch()
-		if engine != nil {
-			e += engine.Generation()
+		if s.engine != nil {
+			e += s.engine.Generation()
 		}
 		return e
 	}
@@ -108,7 +114,7 @@ func New(coll collector.View, engine *alert.Engine, cfg Config) *Server {
 			Inst:       s.inst,
 		})
 	}
-	s.hub = newStreamHub(coll, engine, s.epoch, s.inst, cfg.SSEQueue, cfg.StreamTick)
+	s.hub = newStreamHub(coll, s.engine, s.epoch, s.inst, cfg.SSEQueue, cfg.StreamTick)
 	return s
 }
 
@@ -158,44 +164,43 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-type overviewData struct {
-	Title   string
-	Now     string
-	Rows    template.HTML // node table rows, see appendOverviewRows
-	Alerts  []alert.Alert
-	Stats   collector.Stats
-	PDR     string
-	HavePDR bool
-}
-
 func (s *Server) handleOverview(w http.ResponseWriter, _ *http.Request) {
 	now := s.coll.MaxTS()
 	nodes := s.coll.Nodes()
-	data := overviewData{
-		Title: s.cfg.Title,
-		Now:   fmt.Sprintf("%.0fs", now),
-		Rows:  template.HTML(appendOverviewRows(make([]byte, 0, rowBytes*len(nodes)), nodes, now, s.cfg.DownAfterS)),
-		Stats: s.coll.Stats(),
-	}
-	if s.engine != nil {
-		data.Alerts = s.engine.Active()
-	}
+	st := s.coll.Stats()
+	b := s.page(1024 + rowBytes*len(nodes))
+	b = append(b, "\n<p class=\"meta\">record time "...)
+	b = appendFloat(b, now, 0)
+	b = appendUint(b, "s · ", st.BatchesIngested)
+	b = appendUint(b, " batches · ", st.RecordsIngested)
+	b = append(b, " records ingested"...)
 	if pdr, ok := analysis.NetworkPDRFromStats(s.coll); ok {
-		data.PDR = fmt.Sprintf("%.1f%%", 100*pdr)
-		data.HavePDR = true
+		b = append(b, " · network PDR "...)
+		b = appendFloat(b, 100*pdr, 1)
+		b = append(b, '%')
 	}
-	s.render(w, "overview", data)
+	b = append(b, "</p>\n"...)
+	if s.engine != nil {
+		for _, a := range s.engine.Active() {
+			b = append(b, `<div class="alert"><b>`...)
+			b = appendText(b, string(a.Kind))
+			b = append(b, "</b> ["...)
+			b = appendText(b, a.Severity.String())
+			b = append(b, "] "...)
+			b = appendText(b, a.Message)
+			b = append(b, "</div>"...)
+		}
+	}
+	b = append(b, "\n<h2>Nodes</h2>\n<table><tr><th>Node</th><th>Status</th><th>Last beat</th><th>Uptime</th>"+
+		"<th>Routes</th><th>Queue</th><th>Duty</th><th>Battery</th><th>Batches</th><th>Lost</th><th>Firmware</th></tr>\n"...)
+	b = appendOverviewRows(b, nodes, now, s.cfg.DownAfterS)
+	writePage(w, append(b, "\n</table>\n"...))
 }
 
-type nodeDetail struct {
-	Title   string
-	ID      string
-	Info    collector.NodeInfo
-	Stats   *wire.NodeStats
-	Routes  []wire.RouteEntry
-	Changes template.HTML // route-change rows, see appendRouteChangeRows
-	Charts  []template.URL
-}
+// nodeCharts are the node page's charts; battery nodes get all six,
+// the rest the first four.
+var nodeCharts = [...]string{"mesh_packet_rssi", "node_route_count", "node_queue_len", "node_duty_cycle",
+	"node_battery_frac", "node_harvest_w"}
 
 func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
 	id, err := collector.ParseNodeID(r.PathValue("id"))
@@ -208,48 +213,118 @@ func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	data := nodeDetail{Title: s.cfg.Title, ID: id.String(), Info: info, Stats: info.LastStats,
-		Changes: template.HTML(appendRouteChangeRows(nil, info.RouteHistory))}
+	var routes []wire.RouteEntry
 	if info.LastRoutes != nil {
-		data.Routes = info.LastRoutes.Routes
+		routes = info.LastRoutes.Routes
 	}
-	metrics := []string{
-		"mesh_packet_rssi", "node_route_count", "node_queue_len", "node_duty_cycle",
+	b := s.page(2048 + 100*len(routes) + 100*routeChangeRows)
+	b = append(b, "\n<h2>Node "...)
+	b = id.Append(b)
+	b = append(b, "</h2>\n<p class=\"meta\">first seen "...)
+	b = appendFloat(b, info.FirstSeenTS, 0)
+	b = append(b, "s · last batch "...)
+	b = appendFloat(b, info.LastSeenTS, 0)
+	b = appendUint(b, "s · ", info.Records)
+	b = append(b, " records</p>\n"...)
+	if st := info.LastStats; st != nil {
+		b = appendUint(b, "\n<table><tr><th>hello tx/rx</th><th>data tx/rx</th><th>fwd</th><th>delivered</th>"+
+			"<th>overheard</th><th>drops (route/ttl/queue/ack)</th><th>retries</th></tr>\n<tr><td>", st.HelloSent)
+		b = appendUint(b, "/", st.HelloRecv)
+		b = appendUint(b, "</td><td>", st.DataSent)
+		b = appendUint(b, "/", st.DataRecv)
+		b = appendUint(b, "</td>\n<td>", st.Forwarded)
+		b = appendUint(b, "</td><td>", st.Delivered)
+		b = appendUint(b, "</td><td>", st.Overheard)
+		b = appendUint(b, "</td>\n<td>", st.DropNoRoute)
+		b = appendUint(b, "/", st.DropTTL)
+		b = appendUint(b, "/", st.DropQueueFull)
+		b = appendUint(b, "/", st.DropAckTimeout)
+		b = appendUint(b, "</td>\n<td>", st.RetriesSpent)
+		b = append(b, "</td></tr></table>\n"...)
 	}
+	b = append(b, "\n<h2>Routing table</h2>\n"+
+		"<table><tr><th>Destination</th><th>Next hop</th><th>Metric</th><th>Age</th><th>SNR</th></tr>\n"...)
+	for _, e := range routes {
+		b = append(b, "<tr><td>"...)
+		b = e.Dst.Append(b)
+		b = append(b, "</td><td>"...)
+		b = e.NextHop.Append(b)
+		b = appendUint(b, "</td><td>", uint64(e.Metric))
+		b = append(b, "</td><td>"...)
+		b = appendFloat(b, e.AgeS, 0)
+		b = append(b, "s</td><td>"...)
+		b = appendFloat(b, e.SNRdB, 1)
+		b = append(b, " dB</td></tr>"...)
+	}
+	b = append(b, "\n</table>\n<h2>Route changes</h2>\n"+
+		"<table><tr><th>t</th><th>Destination</th><th>Next hop</th><th>Metric</th></tr>\n"...)
+	b = appendRouteChangeRows(b, info.RouteHistory)
+	b = append(b, "</table>\n<h2>Charts</h2>\n"...)
+	charts := nodeCharts[:4]
 	if info.LastStats != nil && info.LastStats.Energy {
-		metrics = append(metrics, "node_battery_frac", "node_harvest_w")
+		charts = nodeCharts[:]
 	}
-	for _, metric := range metrics {
-		data.Charts = append(data.Charts,
-			template.URL(fmt.Sprintf("/chart/%s.svg?node=%s", metric, id)))
+	for _, metric := range charts {
+		b = append(b, `<div><img src="/chart/`...)
+		b = append(b, metric...)
+		b = append(b, ".svg?node="...)
+		b = id.Append(b)
+		b = append(b, `" alt="chart"></div>`...)
 	}
-	s.render(w, "node", data)
-}
-
-type trafficData struct {
-	Title string
-	Rows  template.HTML // packet table rows, see appendTrafficRows
+	writePage(w, append(b, '\n'))
 }
 
 func (s *Server) handleTraffic(w http.ResponseWriter, _ *http.Request) {
 	pkts := s.coll.Recent(100)
-	rows := appendTrafficRows(make([]byte, 0, rowBytes*len(pkts)), pkts)
-	s.render(w, "traffic", trafficData{Title: s.cfg.Title, Rows: template.HTML(rows)})
-}
-
-type alertsData struct {
-	Title   string
-	Active  []alert.Alert
-	History []alert.Alert
+	b := s.page(1024 + rowBytes*len(pkts))
+	b = append(b, "\n<h2>Recent LoRa packets</h2>\n<table><tr><th>t</th><th>Node</th><th>Event</th><th>Type</th>"+
+		"<th>Src</th><th>Dst</th><th>Via</th><th>Seq</th><th>TTL</th><th>Bytes</th><th>RSSI</th><th>SNR</th><th>Reason</th></tr>\n"...)
+	b = appendTrafficRows(b, pkts)
+	writePage(w, append(b, "\n</table>\n"...))
 }
 
 func (s *Server) handleAlerts(w http.ResponseWriter, _ *http.Request) {
-	data := alertsData{Title: s.cfg.Title}
+	var active, history []alert.Alert
 	if s.engine != nil {
-		data.Active = s.engine.Active()
-		data.History = s.engine.History()
+		active, history = s.engine.Active(), s.engine.History()
 	}
-	s.render(w, "alerts", data)
+	b := s.page(1024 + 200*(len(active)+len(history)))
+	b = append(b, "\n<h2>Active alerts</h2>\n"...)
+	b = appendAlertTable(b, "<th>Since</th>", active, false)
+	b = append(b, "\n<h2>Resolved</h2>\n"...)
+	b = appendAlertTable(b, "<th>Fired</th><th>Resolved</th>", history, true)
+	writePage(w, append(b, '\n'))
+}
+
+// appendAlertTable appends the alerts page's table of alerts, whose
+// header row opens with the given time cells, or "none" when there are
+// no alerts. A resolved alert's row shows its resolution time too.
+func appendAlertTable(b []byte, timeCells string, alerts []alert.Alert, resolved bool) []byte {
+	if len(alerts) == 0 {
+		return append(b, `<p class="meta">none</p>`...)
+	}
+	b = append(b, "<table><tr>"...)
+	b = append(b, timeCells...)
+	b = append(b, "<th>Severity</th><th>Kind</th><th>Node</th><th>Message</th></tr>\n"...)
+	for i := range alerts {
+		a := &alerts[i]
+		b = append(b, "<tr><td>"...)
+		b = appendFloat(b, a.FiredAt, 0)
+		if resolved {
+			b = append(b, "s</td><td>"...)
+			b = appendFloat(b, a.ResolvedAt, 0)
+		}
+		b = append(b, "s</td><td>"...)
+		b = appendText(b, a.Severity.String())
+		b = append(b, "</td><td>"...)
+		b = appendText(b, string(a.Kind))
+		b = append(b, "</td><td>"...)
+		b = a.Node.Append(b)
+		b = append(b, "</td><td>"...)
+		b = appendText(b, a.Message)
+		b = append(b, "</td></tr>"...)
+	}
+	return append(b, "\n</table>"...)
 }
 
 // handleTopology draws every link the collector has heard, in one pass
@@ -291,17 +366,10 @@ func (s *Server) handleTopology(w http.ResponseWriter, _ *http.Request) {
 		}
 		g.Edges = append(g.Edges, topoEdge{From: set.index(l.Tx), To: set.index(l.Rx), RSSI: l.MeanRSSI})
 	}
-	// The SVG bytes go straight into the response between the page's
-	// head and foot: as a template.HTML value the ~300 KB graph would be
-	// copied into a string and again through the template's fmt.Fprint.
-	page := struct{ Title string }{s.cfg.Title}
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	if err := s.tmpl.ExecuteTemplate(w, "topology", page); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Write(append(g.Render(), '\n'))       //nolint:errcheck
-	s.tmpl.ExecuteTemplate(w, "foot", page) //nolint:errcheck // only a write can fail, mid-response
+	b := s.page(32 + g.renderBytes())
+	b = append(b, "\n<h2>Topology</h2>\n"...)
+	b = g.Render(b)
+	writePage(w, append(b, '\n'))
 }
 
 // nodeSet is a set over the 16-bit node address space that numbers its
@@ -354,21 +422,16 @@ func (s *Server) handleChartSVG(w http.ResponseWriter, r *http.Request, metric s
 		chart.Series = append(chart.Series, chartSeries{Label: res.Labels.String(), Points: res.Points})
 	}
 	w.Header().Set("Content-Type", "image/svg+xml")
-	fmt.Fprint(w, chart.Render()) //nolint:errcheck
+	w.Write(chart.Render()) //nolint:errcheck // a failed write has no one to report to
 }
 
-func (s *Server) render(w http.ResponseWriter, page string, data any) {
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	if err := s.tmpl.ExecuteTemplate(w, page, data); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
-}
-
-// pageTemplates holds all dashboard pages. A shared skeleton keeps the
-// look consistent.
-const pageTemplates = `
-{{define "head"}}<!DOCTYPE html>
-<html><head><meta charset="utf-8"><title>{{.Title}}</title>
+// The page skeleton every HTML page shares: the head, holding the
+// title twice (New appends it escaped between these parts), a body
+// each handler appends, and the foot.
+const (
+	headTitle = `<!DOCTYPE html>
+<html><head><meta charset="utf-8"><title>`
+	headH1 = `</title>
 <style>
 body{font-family:system-ui,sans-serif;margin:24px;color:#111}
 table{border-collapse:collapse;margin:12px 0}
@@ -380,77 +443,20 @@ nav a{margin-right:16px}
 h1{font-size:20px}h2{font-size:16px}
 .meta{color:#6b7280;font-size:12px}
 </style></head><body>
-<h1>{{.Title}}</h1>
+<h1>`
+	headNav = `</h1>
 <nav><a href="/">Overview</a><a href="/traffic">Traffic</a><a href="/topology">Topology</a><a href="/alerts">Alerts</a><a href="/health">Health</a></nav>
-{{end}}
-{{define "foot"}}</body></html>{{end}}
-
-{{define "overview"}}{{template "head" .}}
-<p class="meta">record time {{.Now}} · {{.Stats.BatchesIngested}} batches · {{.Stats.RecordsIngested}} records ingested{{if .HavePDR}} · network PDR {{.PDR}}{{end}}</p>
-{{range .Alerts}}<div class="alert"><b>{{.Kind}}</b> [{{.Severity}}] {{.Message}}</div>{{end}}
-<h2>Nodes</h2>
-<table><tr><th>Node</th><th>Status</th><th>Last beat</th><th>Uptime</th><th>Routes</th><th>Queue</th><th>Duty</th><th>Battery</th><th>Batches</th><th>Lost</th><th>Firmware</th></tr>
-{{.Rows}}
-</table>
-{{template "foot" .}}{{end}}
-
-{{define "node"}}{{template "head" .}}
-<h2>Node {{.ID}}</h2>
-<p class="meta">first seen {{printf "%.0fs" .Info.FirstSeenTS}} · last batch {{printf "%.0fs" .Info.LastSeenTS}} · {{.Info.Records}} records</p>
-{{if .Stats}}
-<table><tr><th>hello tx/rx</th><th>data tx/rx</th><th>fwd</th><th>delivered</th><th>overheard</th><th>drops (route/ttl/queue/ack)</th><th>retries</th></tr>
-<tr><td>{{.Stats.HelloSent}}/{{.Stats.HelloRecv}}</td><td>{{.Stats.DataSent}}/{{.Stats.DataRecv}}</td>
-<td>{{.Stats.Forwarded}}</td><td>{{.Stats.Delivered}}</td><td>{{.Stats.Overheard}}</td>
-<td>{{.Stats.DropNoRoute}}/{{.Stats.DropTTL}}/{{.Stats.DropQueueFull}}/{{.Stats.DropAckTimeout}}</td>
-<td>{{.Stats.RetriesSpent}}</td></tr></table>
-{{end}}
-<h2>Routing table</h2>
-<table><tr><th>Destination</th><th>Next hop</th><th>Metric</th><th>Age</th><th>SNR</th></tr>
-{{range .Routes}}<tr><td>{{.Dst}}</td><td>{{.NextHop}}</td><td>{{.Metric}}</td><td>{{printf "%.0fs" .AgeS}}</td><td>{{printf "%.1f" .SNRdB}} dB</td></tr>{{end}}
-</table>
-<h2>Route changes</h2>
-<table><tr><th>t</th><th>Destination</th><th>Next hop</th><th>Metric</th></tr>
-{{.Changes}}</table>
-<h2>Charts</h2>
-{{range .Charts}}<div><img src="{{.}}" alt="chart"></div>{{end}}
-{{template "foot" .}}{{end}}
-
-{{define "traffic"}}{{template "head" .}}
-<h2>Recent LoRa packets</h2>
-<table><tr><th>t</th><th>Node</th><th>Event</th><th>Type</th><th>Src</th><th>Dst</th><th>Via</th><th>Seq</th><th>TTL</th><th>Bytes</th><th>RSSI</th><th>SNR</th><th>Reason</th></tr>
-{{.Rows}}
-</table>
-{{template "foot" .}}{{end}}
-
-{{define "alerts"}}{{template "head" .}}
-<h2>Active alerts</h2>
-{{if .Active}}<table><tr><th>Since</th><th>Severity</th><th>Kind</th><th>Node</th><th>Message</th></tr>
-{{range .Active}}<tr><td>{{printf "%.0fs" .FiredAt}}</td><td>{{.Severity}}</td><td>{{.Kind}}</td><td>{{.Node}}</td><td>{{.Message}}</td></tr>{{end}}
-</table>{{else}}<p class="meta">none</p>{{end}}
-<h2>Resolved</h2>
-{{if .History}}<table><tr><th>Fired</th><th>Resolved</th><th>Severity</th><th>Kind</th><th>Node</th><th>Message</th></tr>
-{{range .History}}<tr><td>{{printf "%.0fs" .FiredAt}}</td><td>{{printf "%.0fs" .ResolvedAt}}</td><td>{{.Severity}}</td><td>{{.Kind}}</td><td>{{.Node}}</td><td>{{.Message}}</td></tr>{{end}}
-</table>{{else}}<p class="meta">none</p>{{end}}
-{{template "foot" .}}{{end}}
-
-{{define "topology"}}{{template "head" .}}
-<h2>Topology</h2>
-{{/* handleTopology writes the SVG, a newline and "foot" after this */}}{{end}}
-
-{{define "health"}}{{template "head" .}}
-<h2>Server health</h2>
-{{if .Stats}}<table><tr>{{range .Stats}}<th>{{.Label}}</th>{{end}}</tr>
-<tr>{{range .Stats}}<td>{{.Value}}</td>{{end}}</tr></table>
-{{else}}<p class="meta">no self-observability metrics recorded yet</p>{{end}}
-{{if .Routes}}<h2>API routes</h2>
-<table><tr><th>Route</th><th>Requests</th><th>Errors</th><th>p50</th><th>p99</th></tr>
-{{range .Routes}}<tr><td>{{.Route}}</td><td>{{.Requests}}</td><td>{{.Errors}}</td><td>{{.P50}}</td><td>{{.P99}}</td></tr>{{end}}
-</table>{{end}}
-<h2>All metric families</h2>
-<table><tr><th>Family</th><th>Kind</th><th>Labels</th><th>Value</th></tr>
-{{range .Families}}{{$f := .}}{{range .Samples}}<tr>
-<td title="{{$f.Help}}">{{$f.Name}}</td><td>{{$f.Kind}}</td><td>{{.Labels}}</td><td>{{.Summary}}</td>
-</tr>{{end}}{{end}}
-</table>
-{{template "foot" .}}{{end}}
 `
+	pageFoot = `</body></html>`
+)
+
+// page starts a page: the shared head, with room for n bytes of body.
+func (s *Server) page(n int) []byte {
+	return append(make([]byte, 0, len(s.head)+n+len(pageFoot)), s.head...)
+}
+
+// writePage ends b with the shared foot and writes it in one call.
+func writePage(w http.ResponseWriter, b []byte) {
+	w.Header().Set("Content-Type", "text/html; charset=utf-8")
+	w.Write(append(b, pageFoot...)) //nolint:errcheck // a failed write has no one to report to
+}

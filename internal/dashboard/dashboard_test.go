@@ -210,7 +210,7 @@ func TestChartMultiSeriesAndSinglePoint(t *testing.T) {
 
 func TestSVGEscaping(t *testing.T) {
 	chart := svgLineChart{Title: `<script>&"`, Series: []chartSeries{{Label: "a<b"}}}
-	out := chart.Render()
+	out := string(chart.Render())
 	if strings.Contains(out, "<script>") {
 		t.Fatal("title not escaped")
 	}
@@ -227,7 +227,7 @@ func TestTopologyGraphIgnoresBadEdges(t *testing.T) {
 		Nodes: []topoNode{{ID: 1}},
 		Edges: []topoEdge{{From: 0, To: 5}, {From: -1, To: 0}},
 	}
-	out := string(g.Render())
+	out := string(g.Render(nil))
 	if strings.Contains(out, "<line") {
 		t.Fatal("out-of-range edges drawn")
 	}

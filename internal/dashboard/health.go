@@ -1,10 +1,10 @@
 package dashboard
 
 import (
-	"fmt"
 	"math"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 
 	"lorameshmon/internal/metrics"
@@ -16,41 +16,8 @@ import (
 // into the shared registry (ingest, HTTP, tsdb, alerts, uplink clients)
 // shows up without dashboard changes.
 
-type healthStat struct {
-	Label string
-	Value string
-}
-
-type healthRoute struct {
-	Route    string
-	Requests string
-	Errors   string
-	P50      string
-	P99      string
-}
-
-type healthSample struct {
-	Labels  string
-	Summary string
-}
-
-type healthFamily struct {
-	Name    string
-	Kind    string
-	Help    string
-	Samples []healthSample
-}
-
-type healthData struct {
-	Title    string
-	Stats    []healthStat
-	Routes   []healthRoute
-	Families []healthFamily
-}
-
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	reg := s.coll.Metrics()
-	data := healthData{Title: s.cfg.Title}
 
 	counterVal := func(name string, labelValues ...string) (float64, bool) {
 		fam, ok := reg.Family(name)
@@ -67,82 +34,106 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		}
 		return total, matched
 	}
-	statS := func(label, value string) {
-		data.Stats = append(data.Stats, healthStat{Label: label, Value: value})
+	// The summary table is one header row over one value row: stat opens
+	// a column and leaves its value cell open for the caller to fill.
+	var th, td []byte
+	stat := func(label string) {
+		th = append(append(append(th, "<th>"...), label...), "</th>"...)
+		td = append(td, "<td>"...)
 	}
-	stat := func(label, format string, v float64) {
-		statS(label, fmt.Sprintf(format, v))
+	count := func(label string, v float64) {
+		stat(label)
+		td = append(appendFloat(td, v, 0), "</td>"...)
+	}
+	seconds := func(label string, v float64) {
+		stat(label)
+		td = append(appendSeconds(td, v), "</td>"...)
 	}
 
 	if v, ok := counterVal("meshmon_ingest_batches_total", "ok"); ok {
-		stat("batches ingested", "%.0f", v)
+		count("batches ingested", v)
 	}
 	if v, ok := counterVal("meshmon_ingest_batches_total", "dup"); ok {
-		stat("dup batches dropped", "%.0f", v)
+		count("dup batches dropped", v)
 	}
 	if v, ok := counterVal("meshmon_ingest_batches_total", "rejected"); ok {
-		stat("batches rejected", "%.0f", v)
+		count("batches rejected", v)
 	}
 	if v, ok := counterVal("meshmon_ingest_records_total"); ok {
-		stat("records ingested", "%.0f", v)
+		count("records ingested", v)
 	}
 	if v, ok := counterVal("meshmon_ingest_bytes_total"); ok {
-		stat("ingest bytes (HTTP)", "%.0f", v)
+		count("ingest bytes (HTTP)", v)
 	}
 	if fam, ok := reg.Family("meshmon_ingest_latency_seconds"); ok && len(fam.Samples) > 0 {
 		if h := fam.Samples[0].Hist; h != nil && h.Count > 0 {
-			statS("ingest p50", fmtSeconds(h.Quantile(0.5)))
-			statS("ingest p99", fmtSeconds(h.Quantile(0.99)))
+			seconds("ingest p50", h.Quantile(0.5))
+			seconds("ingest p99", h.Quantile(0.99))
 		}
 	}
 	if v, ok := counterVal("meshmon_tsdb_points"); ok {
-		stat("tsdb points", "%.0f", v)
+		count("tsdb points", v)
 	}
 	if v, ok := counterVal("meshmon_tsdb_series"); ok {
-		stat("tsdb series", "%.0f", v)
+		count("tsdb series", v)
 	}
 	if v, ok := counterVal("meshmon_tsdb_compressed_bytes"); ok {
-		stat("tsdb compressed bytes", "%.0f", v)
+		count("tsdb compressed bytes", v)
 	}
 	// Compression ratio: 16 raw bytes per (TS, Value) sample against the
 	// sealed chunks' actual footprint.
 	if bps, ok := counterVal("meshmon_tsdb_bytes_per_sample"); ok && bps > 0 {
-		statS("tsdb compression", fmt.Sprintf("%.1fx (%.2f B/sample)", 16/bps, bps))
+		stat("tsdb compression")
+		td = append(appendFloat(td, 16/bps, 1), "x ("...)
+		td = append(appendFloat(td, bps, 2), " B/sample)</td>"...)
 	}
 	if v, ok := counterVal("meshmon_alert_active"); ok {
-		stat("active alerts", "%.0f", v)
+		count("active alerts", v)
 	}
 	// The streaming read path (visible when the dashboard shares this
 	// registry, i.e. Config.Metrics = collector registry).
 	hits, okH := counterVal("meshmon_read_cache_requests_total", "hit")
 	misses, okM := counterVal("meshmon_read_cache_requests_total", "miss")
 	if okH && okM && hits+misses > 0 {
-		statS("panel cache hit rate", fmt.Sprintf("%.1f%% (%.0f/%.0f)",
-			100*hits/(hits+misses), hits, hits+misses))
+		stat("panel cache hit rate")
+		td = append(appendFloat(td, 100*hits/(hits+misses), 1), "% ("...)
+		td = append(appendFloat(td, hits, 0), '/')
+		td = append(appendFloat(td, hits+misses, 0), ")</td>"...)
 	}
 	if v, ok := counterVal("meshmon_read_cache_entries"); ok {
-		stat("panel cache entries", "%.0f", v)
+		count("panel cache entries", v)
 	}
 	if v, ok := counterVal("meshmon_read_sse_clients"); ok {
-		stat("sse clients", "%.0f", v)
+		count("sse clients", v)
 	}
 	if v, ok := counterVal("meshmon_read_sse_dropped_total"); ok {
-		stat("sse events dropped", "%.0f", v)
+		count("sse events dropped", v)
 	}
 	if v, ok := counterVal("meshmon_read_delta_bytes_total"); ok {
-		stat("delta bytes sent", "%.0f", v)
+		count("delta bytes sent", v)
 	}
 
-	data.Routes = httpRouteRows(reg)
-	data.Families = familyRows(reg)
-	s.render(w, "health", data)
+	b := s.page(16<<10 + len(th) + len(td))
+	b = append(b, "\n<h2>Server health</h2>\n"...)
+	if len(th) > 0 {
+		b = append(append(b, "<table><tr>"...), th...)
+		b = append(append(b, "</tr>\n<tr>"...), td...)
+		b = append(b, "</tr></table>\n"...)
+	} else {
+		b = append(b, `<p class="meta">no self-observability metrics recorded yet</p>`...)
+	}
+	b = appendRouteTable(append(b, '\n'), reg)
+	b = append(b, "\n<h2>All metric families</h2>\n<table><tr><th>Family</th><th>Kind</th><th>Labels</th><th>Value</th></tr>\n"...)
+	b = appendFamilyRows(b, reg)
+	writePage(w, append(b, "\n</table>\n"...))
 }
 
-// httpRouteRows folds the per-route HTTP families into one table.
-func httpRouteRows(reg *metrics.Registry) []healthRoute {
+// appendRouteTable folds the per-route HTTP families into one table,
+// if there are any.
+func appendRouteTable(b []byte, reg *metrics.Registry) []byte {
 	reqs, ok := reg.Family("meshmon_http_requests_total")
 	if !ok {
-		return nil
+		return b
 	}
 	type acc struct {
 		total, errors float64
@@ -163,6 +154,9 @@ func httpRouteRows(reg *metrics.Registry) []healthRoute {
 			a.errors += smp.Value
 		}
 	}
+	if len(routes) == 0 {
+		return b
+	}
 	lat, _ := reg.Family("meshmon_http_request_seconds")
 	latByRoute := map[string]*metrics.HistogramSnapshot{}
 	for _, smp := range lat.Samples {
@@ -175,53 +169,65 @@ func httpRouteRows(reg *metrics.Registry) []healthRoute {
 		names = append(names, r)
 	}
 	sort.Strings(names)
-	out := make([]healthRoute, 0, len(names))
+	b = append(b, "<h2>API routes</h2>\n<table><tr><th>Route</th><th>Requests</th><th>Errors</th><th>p50</th><th>p99</th></tr>\n"...)
 	for _, r := range names {
-		row := healthRoute{
-			Route:    r,
-			Requests: fmt.Sprintf("%.0f", routes[r].total),
-			Errors:   fmt.Sprintf("%.0f", routes[r].errors),
-			P50:      "—",
-			P99:      "—",
-		}
+		b = appendText(append(b, "<tr><td>"...), r)
+		b = appendFloat(append(b, "</td><td>"...), routes[r].total, 0)
+		b = appendFloat(append(b, "</td><td>"...), routes[r].errors, 0)
+		b = append(b, "</td><td>"...)
 		if h := latByRoute[r]; h != nil && h.Count > 0 {
-			row.P50 = fmtSeconds(h.Quantile(0.5))
-			row.P99 = fmtSeconds(h.Quantile(0.99))
+			b = appendSeconds(b, h.Quantile(0.5))
+			b = appendSeconds(append(b, "</td><td>"...), h.Quantile(0.99))
+		} else {
+			b = append(b, "—</td><td>—"...)
 		}
-		out = append(out, row)
+		b = append(b, "</td></tr>"...)
 	}
-	return out
+	return append(b, "\n</table>"...)
 }
 
-// familyRows renders the whole registry generically.
-func familyRows(reg *metrics.Registry) []healthFamily {
-	var out []healthFamily
+// appendFamilyRows renders the whole registry generically, one row per
+// sample.
+func appendFamilyRows(b []byte, reg *metrics.Registry) []byte {
 	for _, fam := range reg.Snapshot() {
-		hf := healthFamily{Name: fam.Name, Kind: string(fam.Kind), Help: fam.Help}
 		if len(fam.Samples) == 0 {
 			// A labeled family with no children yet — keep it visible so
 			// operators can discover what will be reported.
-			hf.Samples = append(hf.Samples, healthSample{Summary: "no samples yet"})
+			b = append(appendFamilyCells(b, &fam, metrics.Sample{}), "no samples yet</td>\n</tr>"...)
 		}
 		for _, smp := range fam.Samples {
-			row := healthSample{Labels: labelText(smp.LabelNames, smp.LabelValues)}
-			if smp.Hist != nil {
-				h := smp.Hist
-				if h.Count == 0 {
-					row.Summary = "no observations"
-				} else {
-					row.Summary = fmt.Sprintf("count %d · mean %s · p50 %s · p99 %s",
-						h.Count, fmtSeconds(h.Sum/float64(h.Count)),
-						fmtSeconds(h.Quantile(0.5)), fmtSeconds(h.Quantile(0.99)))
-				}
-			} else {
-				row.Summary = fmt.Sprintf("%g", smp.Value)
+			b = appendFamilyCells(b, &fam, smp)
+			switch h := smp.Hist; {
+			case h == nil:
+				b = appendText(b, strconv.FormatFloat(smp.Value, 'g', -1, 64))
+			case h.Count == 0:
+				b = append(b, "no observations"...)
+			default:
+				b = appendUint(b, "count ", h.Count)
+				b = appendSeconds(append(b, " · mean "...), h.Sum/float64(h.Count))
+				b = appendSeconds(append(b, " · p50 "...), h.Quantile(0.5))
+				b = appendSeconds(append(b, " · p99 "...), h.Quantile(0.99))
 			}
-			hf.Samples = append(hf.Samples, row)
+			b = append(b, "</td>\n</tr>"...)
 		}
-		out = append(out, hf)
 	}
-	return out
+	return b
+}
+
+// appendFamilyCells opens a family table row: the family's name (help
+// text on hover), kind and the sample's labels, then the value cell.
+func appendFamilyCells(b []byte, fam *metrics.FamilySnapshot, smp metrics.Sample) []byte {
+	b = appendText(append(b, "<tr>\n<td title=\""...), fam.Help)
+	b = appendText(append(b, "\">"...), fam.Name)
+	b = appendText(append(b, "</td><td>"...), string(fam.Kind))
+	b = append(b, "</td><td>"...)
+	for i, name := range smp.LabelNames {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = appendText(append(appendText(b, name), '='), smp.LabelValues[i])
+	}
+	return append(b, "</td><td>"...)
 }
 
 func labelsMatch(have, want []string) bool {
@@ -236,27 +242,16 @@ func labelsMatch(have, want []string) bool {
 	return true
 }
 
-func labelText(names, values []string) string {
-	if len(names) == 0 {
-		return ""
-	}
-	parts := make([]string, len(names))
-	for i := range names {
-		parts[i] = names[i] + "=" + values[i]
-	}
-	return strings.Join(parts, ", ")
-}
-
-// fmtSeconds renders a duration in seconds with a sensible unit.
-func fmtSeconds(s float64) string {
+// appendSeconds appends a duration in seconds with a sensible unit.
+func appendSeconds(b []byte, s float64) []byte {
 	switch {
 	case math.IsNaN(s):
-		return "—"
+		return append(b, "—"...)
 	case s < 1e-3:
-		return fmt.Sprintf("%.0fµs", s*1e6)
+		return append(appendFloat(b, s*1e6, 0), "µs"...)
 	case s < 1:
-		return fmt.Sprintf("%.2fms", s*1e3)
+		return append(appendFloat(b, s*1e3, 2), "ms"...)
 	default:
-		return fmt.Sprintf("%.3fs", s)
+		return append(appendFloat(b, s, 3), 's')
 	}
 }

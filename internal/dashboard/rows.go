@@ -9,16 +9,15 @@ import (
 )
 
 // Typed row appenders for the overview's node table, the traffic
-// page's packet table and the node page's route-change table. The first
-// two have one row per node (per packet) with a dozen cells each; as
+// page's packet table and the node page's route-change table, and the
+// text and number helpers every page is appended with. The first two
+// tables have one row per node (per packet) with a dozen cells each; as
 // html/template {{range}} bodies, every cell cost a reflective escaper
 // call on each render. Here each row is appended from its typed fields
 // — node IDs through wire.NodeID.Append, numbers through strconv and
-// appendFixed — and the page skeleton inserts the finished rows as one
-// template.HTML value. The output is
-// byte-identical to the templates these replaced (rows_test.go keeps
-// them, and the template form of the route-change rows, as the parity
-// reference).
+// appendFixed — straight into the page. The output is byte-identical
+// to the templates these replaced (rows_test.go keeps them, and the
+// template form of the route-change rows, as the parity reference).
 
 // rowBytes sizes a table's row buffer per row: rendered rows run to
 // ~250 bytes, so a page's rows append without regrowing.
@@ -63,6 +62,11 @@ func appendFloat(b []byte, v float64, prec int) []byte {
 		return append(b, "&#43;Inf"...)
 	}
 	return appendFixed(b, v, prec)
+}
+
+// appendUint appends s, then v in decimal.
+func appendUint(b []byte, s string, v uint64) []byte {
+	return strconv.AppendUint(append(b, s...), v, 10)
 }
 
 // appendOverviewRows appends the overview's node table rows: status

@@ -5,21 +5,17 @@ import (
 	"html/template"
 	"math"
 	"math/rand"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
-	"lorameshmon/internal/alert"
-	"lorameshmon/internal/analysis"
 	"lorameshmon/internal/collector"
 	"lorameshmon/internal/wire"
 )
 
-// The html/template {{range}} bodies the row appenders replaced, and
-// the complete page set they lived in, kept as the parity reference.
-// refChangeRows is the node page's route-change table written as the
-// template it would have been, and the page set holds it too.
+// The html/template {{range}} bodies the row appenders replaced, kept
+// as the parity reference; pages_test.go holds the page set they lived
+// in. refChangeRows is the node page's route-change table written as
+// the template it would have been, and the page set holds it too.
 const (
 	refChangeRows = `{{range $i, $c := .}}{{if lt $i 16}}<tr><td>{{printf "%.0fs" .TS}}</td><td>{{.Dst}}</td>` +
 		`<td>{{if .OldMetric}}{{.OldNextHop}}{{else}}—{{end}} → {{if .NewMetric}}{{.NewNextHop}}{{else}}—{{end}}</td>` +
@@ -38,95 +34,6 @@ const (
 <td>{{if .SNRdB}}{{printf "%.1f" .SNRdB}}{{end}}</td>
 <td>{{.Reason}}</td>
 </tr>{{end}}`
-	parentPageTemplates = `
-{{define "head"}}<!DOCTYPE html>
-<html><head><meta charset="utf-8"><title>{{.Title}}</title>
-<style>
-body{font-family:system-ui,sans-serif;margin:24px;color:#111}
-table{border-collapse:collapse;margin:12px 0}
-th,td{border:1px solid #d1d5db;padding:4px 10px;font-size:13px;text-align:left}
-th{background:#f3f4f6}
-.up{color:#16a34a;font-weight:600}.down{color:#dc2626;font-weight:600}
-nav a{margin-right:16px}
-.alert{background:#fef2f2;border:1px solid #fecaca;padding:6px 10px;margin:4px 0;font-size:13px}
-h1{font-size:20px}h2{font-size:16px}
-.meta{color:#6b7280;font-size:12px}
-</style></head><body>
-<h1>{{.Title}}</h1>
-<nav><a href="/">Overview</a><a href="/traffic">Traffic</a><a href="/topology">Topology</a><a href="/alerts">Alerts</a><a href="/health">Health</a></nav>
-{{end}}
-{{define "foot"}}</body></html>{{end}}
-
-{{define "overview"}}{{template "head" .}}
-<p class="meta">record time {{.Now}} · {{.Stats.BatchesIngested}} batches · {{.Stats.RecordsIngested}} records ingested{{if .HavePDR}} · network PDR {{.PDR}}{{end}}</p>
-{{range .Alerts}}<div class="alert"><b>{{.Kind}}</b> [{{.Severity}}] {{.Message}}</div>{{end}}
-<h2>Nodes</h2>
-<table><tr><th>Node</th><th>Status</th><th>Last beat</th><th>Uptime</th><th>Routes</th><th>Queue</th><th>Duty</th><th>Battery</th><th>Batches</th><th>Lost</th><th>Firmware</th></tr>
-` + refNodeRows + `
-</table>
-{{template "foot" .}}{{end}}
-
-{{define "node"}}{{template "head" .}}
-<h2>Node {{.ID}}</h2>
-<p class="meta">first seen {{printf "%.0fs" .Info.FirstSeenTS}} · last batch {{printf "%.0fs" .Info.LastSeenTS}} · {{.Info.Records}} records</p>
-{{if .Stats}}
-<table><tr><th>hello tx/rx</th><th>data tx/rx</th><th>fwd</th><th>delivered</th><th>overheard</th><th>drops (route/ttl/queue/ack)</th><th>retries</th></tr>
-<tr><td>{{.Stats.HelloSent}}/{{.Stats.HelloRecv}}</td><td>{{.Stats.DataSent}}/{{.Stats.DataRecv}}</td>
-<td>{{.Stats.Forwarded}}</td><td>{{.Stats.Delivered}}</td><td>{{.Stats.Overheard}}</td>
-<td>{{.Stats.DropNoRoute}}/{{.Stats.DropTTL}}/{{.Stats.DropQueueFull}}/{{.Stats.DropAckTimeout}}</td>
-<td>{{.Stats.RetriesSpent}}</td></tr></table>
-{{end}}
-<h2>Routing table</h2>
-<table><tr><th>Destination</th><th>Next hop</th><th>Metric</th><th>Age</th><th>SNR</th></tr>
-{{range .Routes}}<tr><td>{{.Dst}}</td><td>{{.NextHop}}</td><td>{{.Metric}}</td><td>{{printf "%.0fs" .AgeS}}</td><td>{{printf "%.1f" .SNRdB}} dB</td></tr>{{end}}
-</table>
-<h2>Route changes</h2>
-<table><tr><th>t</th><th>Destination</th><th>Next hop</th><th>Metric</th></tr>
-{{with .Info.RouteHistory}}` + refChangeRows + `{{end}}</table>
-<h2>Charts</h2>
-{{range .Charts}}<div><img src="{{.}}" alt="chart"></div>{{end}}
-{{template "foot" .}}{{end}}
-
-{{define "traffic"}}{{template "head" .}}
-<h2>Recent LoRa packets</h2>
-<table><tr><th>t</th><th>Node</th><th>Event</th><th>Type</th><th>Src</th><th>Dst</th><th>Via</th><th>Seq</th><th>TTL</th><th>Bytes</th><th>RSSI</th><th>SNR</th><th>Reason</th></tr>
-` + refPacketRows + `
-</table>
-{{template "foot" .}}{{end}}
-
-{{define "alerts"}}{{template "head" .}}
-<h2>Active alerts</h2>
-{{if .Active}}<table><tr><th>Since</th><th>Severity</th><th>Kind</th><th>Node</th><th>Message</th></tr>
-{{range .Active}}<tr><td>{{printf "%.0fs" .FiredAt}}</td><td>{{.Severity}}</td><td>{{.Kind}}</td><td>{{.Node}}</td><td>{{.Message}}</td></tr>{{end}}
-</table>{{else}}<p class="meta">none</p>{{end}}
-<h2>Resolved</h2>
-{{if .History}}<table><tr><th>Fired</th><th>Resolved</th><th>Severity</th><th>Kind</th><th>Node</th><th>Message</th></tr>
-{{range .History}}<tr><td>{{printf "%.0fs" .FiredAt}}</td><td>{{printf "%.0fs" .ResolvedAt}}</td><td>{{.Severity}}</td><td>{{.Kind}}</td><td>{{.Node}}</td><td>{{.Message}}</td></tr>{{end}}
-</table>{{else}}<p class="meta">none</p>{{end}}
-{{template "foot" .}}{{end}}
-
-{{define "topology"}}{{template "head" .}}
-<h2>Topology</h2>
-{{.SVG}}
-{{template "foot" .}}{{end}}
-
-{{define "health"}}{{template "head" .}}
-<h2>Server health</h2>
-{{if .Stats}}<table><tr>{{range .Stats}}<th>{{.Label}}</th>{{end}}</tr>
-<tr>{{range .Stats}}<td>{{.Value}}</td>{{end}}</tr></table>
-{{else}}<p class="meta">no self-observability metrics recorded yet</p>{{end}}
-{{if .Routes}}<h2>API routes</h2>
-<table><tr><th>Route</th><th>Requests</th><th>Errors</th><th>p50</th><th>p99</th></tr>
-{{range .Routes}}<tr><td>{{.Route}}</td><td>{{.Requests}}</td><td>{{.Errors}}</td><td>{{.P50}}</td><td>{{.P99}}</td></tr>{{end}}
-</table>{{end}}
-<h2>All metric families</h2>
-<table><tr><th>Family</th><th>Kind</th><th>Labels</th><th>Value</th></tr>
-{{range .Families}}{{$f := .}}{{range .Samples}}<tr>
-<td title="{{$f.Help}}">{{$f.Name}}</td><td>{{$f.Kind}}</td><td>{{.Labels}}</td><td>{{.Summary}}</td>
-</tr>{{end}}{{end}}
-</table>
-{{template "foot" .}}{{end}}
-`
 )
 
 // refNodeRow is an overview row in the string form the template took.
@@ -332,50 +239,6 @@ func FuzzOverviewRows(f *testing.F) {
 	})
 }
 
-// refServer renders every panel through the parent page set: the
-// overview and traffic pages with their former data, the topology and
-// SVG charts through the parent handler and renderers, the rest through
-// the unchanged handlers.
-func refServer(s *Server) http.Handler {
-	s.tmpl = template.Must(template.New("dash").Parse(parentPageTemplates))
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /{$}", func(w http.ResponseWriter, _ *http.Request) {
-		now := s.coll.MaxTS()
-		data := struct {
-			Title   string
-			Now     string
-			Nodes   []refNodeRow
-			Alerts  []alert.Alert
-			Stats   collector.Stats
-			PDR     string
-			HavePDR bool
-		}{
-			Title: s.cfg.Title,
-			Now:   fmt.Sprintf("%.0fs", now),
-			Nodes: refNodeRowsFor(s.coll.Nodes(), now, s.cfg.DownAfterS),
-			Stats: s.coll.Stats(),
-		}
-		if s.engine != nil {
-			data.Alerts = s.engine.Active()
-		}
-		if pdr, ok := analysis.NetworkPDRFromStats(s.coll); ok {
-			data.PDR = fmt.Sprintf("%.1f%%", 100*pdr)
-			data.HavePDR = true
-		}
-		s.render(w, "overview", data)
-	})
-	mux.HandleFunc("GET /traffic", func(w http.ResponseWriter, _ *http.Request) {
-		s.render(w, "traffic", struct {
-			Title   string
-			Packets []wire.PacketRecord
-		}{s.cfg.Title, s.coll.Recent(100)})
-	})
-	mux.HandleFunc("GET /topology", refHandleTopology(s))
-	mux.HandleFunc("GET /chart/{metric}", refHandleChart(s))
-	mux.Handle("/", s.Handler())
-	return mux
-}
-
 // TestRouteChangeRowsMatchTemplate: over 2 000 random histories of up
 // to 40 changes — added and removed routes, extreme node IDs and
 // metrics, special-float timestamps — the route-change appender writes
@@ -399,54 +262,5 @@ func TestRouteChangeRowsMatchTemplate(t *testing.T) {
 		if got, want := string(appendRouteChangeRows(nil, hist)), execRef(t, "changes", hist); got != want {
 			t.Fatalf("history %+v\n got %q\nwant %q", hist, got, want)
 		}
-	}
-}
-
-// TestPagesMatchParentTemplates renders every HTML panel for seeded
-// collectors — one with hostile firmware, packet types and drop
-// reasons and a node whose routes changed, one with battery-powered
-// nodes — and requires the bytes the parent page set, with the node
-// page's route-change table added, produced.
-func TestPagesMatchParentTemplates(t *testing.T) {
-	hostile := wire.Batch{
-		Node: 3, SeqNo: 1, SentAt: 100,
-		Heartbeats: []wire.Heartbeat{{TS: 99, Node: 3, UptimeS: 99, Firmware: "<b>&'\"+\u2028\x00"}},
-		Packets: []wire.PacketRecord{{TS: 98.25, Node: 3, Event: wire.EventDrop, Type: "DA<TA>", Src: 3, Dst: 0xABCD,
-			Via: 1, Seq: 65535, TTL: 255, Size: 30, Reason: "queue & \"full\" + 'x'"}},
-	}
-	rerouted := wire.Batch{Node: 1, SeqNo: 2, SentAt: 200, Routes: []wire.RouteSnapshot{{TS: 190, Node: 1,
-		Routes: []wire.RouteEntry{{Dst: 3, NextHop: 2, Metric: 2, AgeS: 5}, {Dst: 0xFFFE, NextHop: 3, Metric: 255}}}}}
-	seeds := map[string]func(*testing.T) *collector.Collector{
-		"seeded": func(t *testing.T) *collector.Collector {
-			c := seedCollector(t)
-			for _, b := range []wire.Batch{hostile, rerouted} {
-				if err := c.Ingest(b); err != nil {
-					t.Fatal(err)
-				}
-			}
-			return c
-		},
-		"energy": seedEnergyCollector,
-	}
-	routes := []string{"/", "/traffic", "/node/N0001", "/node/N0002", "/node/N0003", "/topology", "/alerts",
-		"/chart/mesh_packet_rssi.svg", "/chart/node_battery_frac.svg?node=N0001", "/chart/none.svg"}
-	for name, seed := range seeds {
-		c := seed(t)
-		eng := alert.NewEngine(c, alert.Config{})
-		eng.Check(c.MaxTS())
-		cur := New(c, eng, Config{DisableCache: true})
-		ref := New(c, eng, Config{DisableCache: true})
-		curH, refH := cur.Handler(), refServer(ref)
-		for _, route := range routes {
-			got, want := httptest.NewRecorder(), httptest.NewRecorder()
-			curH.ServeHTTP(got, httptest.NewRequest("GET", route, nil))
-			refH.ServeHTTP(want, httptest.NewRequest("GET", route, nil))
-			if got.Code != want.Code || got.Body.String() != want.Body.String() {
-				t.Errorf("%s %s: page differs from the parent page set (status %d vs %d)\n got %q\nwant %q",
-					name, route, got.Code, want.Code, got.Body.String(), want.Body.String())
-			}
-		}
-		cur.Close()
-		ref.Close()
 	}
 }

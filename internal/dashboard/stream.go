@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"lorameshmon/internal/alert"
 	"lorameshmon/internal/collector"
 	"lorameshmon/internal/readcache"
 )
@@ -62,7 +61,7 @@ type subscriber struct {
 // state, and sends each subscriber the diff against what it last heard.
 type streamHub struct {
 	view   collector.View
-	engine *alert.Engine // may be nil
+	engine alertSource   // may be nil
 	epoch  func() uint64 // composite clock, shared with the cache
 	inst   *readcache.Instruments
 	queue  int
@@ -79,7 +78,7 @@ type streamHub struct {
 	closed bool
 }
 
-func newStreamHub(view collector.View, engine *alert.Engine, epoch func() uint64, inst *readcache.Instruments, queue int, tick time.Duration) *streamHub {
+func newStreamHub(view collector.View, engine alertSource, epoch func() uint64, inst *readcache.Instruments, queue int, tick time.Duration) *streamHub {
 	if queue <= 0 {
 		queue = 16
 	}

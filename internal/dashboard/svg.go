@@ -2,6 +2,7 @@ package dashboard
 
 import (
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -45,7 +46,7 @@ func appendAxisValue(b []byte, v float64) []byte {
 }
 
 // Render produces the SVG document.
-func (c svgLineChart) Render() string {
+func (c svgLineChart) Render() []byte {
 	if c.Width <= 0 {
 		c.Width = 640
 	}
@@ -76,8 +77,7 @@ func (c svgLineChart) Render() string {
 	if total == 0 {
 		b = appendInt(b, `<text x="`, c.Width/2-24)
 		b = appendInt(b, `" y="`, c.Height/2)
-		b = append(b, `" font-family="sans-serif" font-size="12" fill="#666">no data</text></svg>`...)
-		return string(b)
+		return append(b, `" font-family="sans-serif" font-size="12" fill="#666">no data</text></svg>`...)
 	}
 	if maxX == minX {
 		maxX = minX + 1
@@ -151,7 +151,7 @@ func (c svgLineChart) Render() string {
 		b = append(b, xmlEscape(s.Label)...)
 		b = append(b, `</text>`...)
 	}
-	return string(append(b, `</svg>`...))
+	return append(b, `</svg>`...)
 }
 
 // topoNode is one vertex of the topology graph, labelled with its ID.
@@ -176,8 +176,11 @@ type svgTopology struct {
 	Edges []topoEdge
 }
 
-// Render lays the nodes on a circle and draws the SVG.
-func (g svgTopology) Render() []byte {
+// renderBytes bounds the size of the graph Render draws.
+func (g svgTopology) renderBytes() int { return 512 + 190*len(g.Nodes) + 200*len(g.Edges) }
+
+// Render lays the nodes on a circle and appends the SVG to b.
+func (g svgTopology) Render(b []byte) []byte {
 	if g.Size <= 0 {
 		g.Size = 480
 	}
@@ -202,7 +205,7 @@ func (g svgTopology) Render() []byte {
 	x := func(i int) []byte { return num[at[2*i]:at[2*i+1]] }
 	y := func(i int) []byte { return num[at[2*i+1]:at[2*i+2]] }
 
-	b := make([]byte, 0, 512+190*n+200*len(g.Edges))
+	b = slices.Grow(b, g.renderBytes())
 	b = appendSVGHead(b, g.Size, g.Size)
 	b = append(b, `<text x="16" y="22" font-family="sans-serif" font-size="13" fill="#111">`...)
 	b = append(b, xmlEscape(g.Title)...)

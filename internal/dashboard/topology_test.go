@@ -124,7 +124,7 @@ func refHandleTopology(s *Server) http.HandlerFunc {
 				Label: fmt.Sprintf("%.0fdBm", l.MeanRSSI),
 			})
 		}
-		s.render(w, "topology", struct {
+		refRender(w, "topology", struct {
 			Title string
 			SVG   template.HTML
 		}{s.cfg.Title, template.HTML(g.Render())})
@@ -371,7 +371,7 @@ func TestLineChartMatchesParent(t *testing.T) {
 			}
 			c.Series = append(c.Series, cs)
 		}
-		if got, want := c.Render(), refLineChart(c).Render(); got != want {
+		if got, want := string(c.Render()), refLineChart(c).Render(); got != want {
 			t.Fatalf("chart %d differs from the parent\n got %q\nwant %q", i, got, want)
 		}
 	}

@@ -158,10 +158,12 @@ stage_read() {
   # race regression (an ingest before the hub starts still streams), and
   # the counters the hub fingerprints from (Stats().NodesKnown and
   # LinksKnown == the materialised lists), the typed row appenders and
-  # every HTML panel against the former templates, the topology panel
-  # and line charts against the former fmt renderers, the fixed-point
-  # number appender against strconv, shard links sorted and unique
-  # through ingest and restore, Recent against a
+  # every HTML page, /health included, against the former templates and
+  # handlers (hostile alert text, a full stats report, battery nodes, a
+  # fixed hand-built registry), the alert history bound and its page,
+  # the topology panel and line charts against the former fmt
+  # renderers, the fixed-point number appender against strconv, shard
+  # links sorted and unique through ingest and restore, Recent against a
   # model of every accepted batch's packets in ingest order, the shard
   # merge (Nodes, Links, checkpoint dump) and Prometheus text against
   # the code they replaced, and concurrent writers on distinct shards
@@ -172,8 +174,9 @@ stage_read() {
   # and the SSE hub all share state, so -race is load-bearing here.
   go test -race -count=1 ./internal/readcache
   go test -race -count=1 \
-    -run 'CacheEquivalence|CacheServesStampedEpoch|SSE|LongPoll|CachedReadsAndSSEUnderIngest|ChartQuery|ChartJSON|SSEDeltaForIngestBeforeHubStart|Fingerprint|OverviewRowsMatchTemplate|TrafficRowsMatchTemplate|PagesMatchParentTemplates|TopologyMatchesParent|LineChartMatchesParent|AppendFixed' \
+    -run 'CacheEquivalence|CacheServesStampedEpoch|SSE|LongPoll|CachedReadsAndSSEUnderIngest|ChartQuery|ChartJSON|SSEDeltaForIngestBeforeHubStart|Fingerprint|OverviewRowsMatchTemplate|TrafficRowsMatchTemplate|PagesMatchParentTemplates|HealthMatchesParent|AlertHistoryBoundRendered|TopologyMatchesParent|LineChartMatchesParent|AppendFixed' \
     ./internal/dashboard
+  go test -race -count=1 -run 'HistoryBounded' ./internal/alert
   go test -race -count=1 -run 'KnownCountsMatchMaterialised|RecentMatchesIngestModel|ShardMergeMatchesParent|ShardedIngestReadersSeeWholeBatches|PrometheusExpositionMatchesParent|ShardLinksStaySorted' ./internal/collector
   go test -race -count=1 -run 'MergeRuns' ./internal/tsdb
 }
@@ -238,6 +241,12 @@ stage_fuzz() {
   # Same budget for the SVG and row number formatter: every float at
   # precisions 0-3 must match strconv.AppendFloat's 'f' bytes.
   go test -fuzz='^FuzzAppendFixed$' -fuzztime=20s -run '^FuzzAppendFixed$' \
+    ./internal/dashboard
+  echo "== bounded fuzz: page text =="
+  # Same budget for the page appenders: arbitrary titles, firmware
+  # strings, alert kinds and messages must render every HTML page
+  # byte-identically to the former templates and handlers.
+  go test -fuzz='^FuzzPageText$' -fuzztime=20s -run '^FuzzPageText$' \
     ./internal/dashboard
   echo "== bounded fuzz: route diff =="
   # Same budget for the collector's route-change log: any snapshot
