@@ -165,14 +165,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// record is a buffered telemetry item (exactly one field set).
-type record struct {
-	pkt   *wire.PacketRecord
-	route *wire.RouteSnapshot
-	stats *wire.NodeStats
-	hb    *wire.Heartbeat
-}
-
 // Counters tracks the agent's own health.
 type Counters struct {
 	PacketEvents    uint64 // LoRa packet events observed at the tap
@@ -197,11 +189,17 @@ type Agent struct {
 	started simkit.Time
 	running bool
 
-	buf          []record
-	seqNo        uint64
-	inFlight     bool
+	buf      buffer
+	seqNo    uint64
+	inFlight bool
+	// sending is the batch in flight and sentKinds its records' kinds in
+	// capture order: a failed upload puts them back as they were taken.
+	sending      wire.Batch
+	sentKinds    []kind
+	onUpload     func(error) // uploadDone, bound once
+	flushNow     func()      // flush, bound once
 	backoff      time.Duration
-	retryEv      *simkit.Event
+	retry        *simkit.Timer
 	retryPending bool
 	tickers      []*simkit.Ticker
 
@@ -219,6 +217,8 @@ func New(sim *simkit.Sim, router *mesh.Router, up uplink.Uplink, cfg Config) *Ag
 		cfg:    cfg.withDefaults(),
 		node:   wire.NodeID(router.ID()),
 	}
+	a.onUpload, a.flushNow = a.uploadDone, a.flush
+	a.retry = sim.NewTimer(a.retryFlush)
 	if a.cfg.Metrics != nil {
 		a.inst = a.cfg.Metrics.forNode(a.node)
 	}
@@ -239,7 +239,7 @@ func (a *Agent) Uplink() uplink.Uplink { return a.up }
 func (a *Agent) Counters() Counters { return a.counters }
 
 // BufferLen returns the number of records waiting to be shipped.
-func (a *Agent) BufferLen() int { return len(a.buf) }
+func (a *Agent) BufferLen() int { return a.buf.len() }
 
 // Running reports whether the agent is active.
 func (a *Agent) Running() bool { return a.running }
@@ -273,9 +273,7 @@ func (a *Agent) Stop() {
 		t.Stop()
 	}
 	a.tickers = nil
-	if a.retryEv != nil {
-		a.retryEv.Stop()
-	}
+	a.retry.Stop()
 	a.retryPending = false
 }
 
@@ -296,7 +294,7 @@ func (a *Agent) tap() mesh.Tap {
 			r.SNRdB = quarterDB(info.SNRdB)
 			r.ForUs = forUs
 			r.AirtimeMS = info.Airtime.Seconds() * 1000
-			a.push(record{pkt: r})
+			push(a, &a.buf.pkts, kindPacket, r)
 		},
 		PacketOut: func(p mesh.Packet, airtime time.Duration) {
 			if a.cfg.DisablePacketCapture || !a.running {
@@ -305,7 +303,7 @@ func (a *Agent) tap() mesh.Tap {
 			a.counters.PacketEvents++
 			r := a.packetRecord(p, wire.EventTx)
 			r.AirtimeMS = airtime.Seconds() * 1000
-			a.push(record{pkt: r})
+			push(a, &a.buf.pkts, kindPacket, r)
 		},
 		PacketDropped: func(p mesh.Packet, reason mesh.DropReason) {
 			if a.cfg.DisablePacketCapture || !a.running {
@@ -314,13 +312,13 @@ func (a *Agent) tap() mesh.Tap {
 			a.counters.PacketEvents++
 			r := a.packetRecord(p, wire.EventDrop)
 			r.Reason = string(reason)
-			a.push(record{pkt: r})
+			push(a, &a.buf.pkts, kindPacket, r)
 		},
 	}
 }
 
-func (a *Agent) packetRecord(p mesh.Packet, ev wire.Event) *wire.PacketRecord {
-	return &wire.PacketRecord{
+func (a *Agent) packetRecord(p mesh.Packet, ev wire.Event) wire.PacketRecord {
+	return wire.PacketRecord{
 		TS:    a.now(),
 		Node:  a.node,
 		Event: ev,
@@ -335,19 +333,19 @@ func (a *Agent) packetRecord(p mesh.Packet, ev wire.Event) *wire.PacketRecord {
 }
 
 func (a *Agent) recordHeartbeat() {
-	a.push(record{hb: &wire.Heartbeat{
+	push(a, &a.buf.hbs, kindHeartbeat, wire.Heartbeat{
 		TS:       a.now(),
 		Node:     a.node,
 		UptimeS:  a.sim.Now().Sub(a.started).Seconds(),
 		Firmware: a.cfg.Firmware,
-	}})
+	})
 }
 
 func (a *Agent) recordStats() {
 	c := a.router.Counters()
 	rc := a.router.Radio().Counters()
 	lim := a.router.Radio().Limiter()
-	st := &wire.NodeStats{
+	st := wire.NodeStats{
 		TS:      a.now(),
 		Node:    a.node,
 		UptimeS: a.sim.Now().Sub(a.started).Seconds(),
@@ -386,14 +384,15 @@ func (a *Agent) recordStats() {
 		st.BatteryV = p.BatteryVoltageV()
 		st.HarvestW = p.HarvestW()
 	}
-	a.push(record{stats: st})
+	push(a, &a.buf.stats, kindStats, st)
 }
 
 func (a *Agent) recordRoutes() {
 	now := a.sim.Now()
-	routes := a.router.Table().Snapshot()
-	entries := make([]wire.RouteEntry, len(routes))
-	for i, r := range routes {
+	tab := a.router.Table()
+	entries := make([]wire.RouteEntry, tab.Len())
+	for i := range entries {
+		r := tab.Entry(i)
 		entries[i] = wire.RouteEntry{
 			Dst:     wire.NodeID(r.Dst),
 			NextHop: wire.NodeID(r.NextHop),
@@ -402,7 +401,7 @@ func (a *Agent) recordRoutes() {
 			SNRdB:   quarterDB(r.SNRdB),
 		}
 	}
-	a.push(record{route: &wire.RouteSnapshot{TS: a.now(), Node: a.node, Routes: entries}})
+	push(a, &a.buf.routes, kindRoute, wire.RouteSnapshot{TS: a.now(), Node: a.node, Routes: entries})
 }
 
 // quarterDB rounds an SNR to the SX127x's resolution: RegPktSnrValue
@@ -411,25 +410,27 @@ func (a *Agent) recordRoutes() {
 // agent ships is what the node's firmware could have read.
 func quarterDB(snr float64) float64 { return math.Round(snr*4) / 4 }
 
-// push appends a record, applying the bounded-buffer drop policy.
-func (a *Agent) push(r record) {
+// push buffers v in its kind's ring r, applying the bounded-buffer drop
+// policy.
+func push[T any](a *Agent, r *ring[T], k kind, v T) {
 	if !a.running {
 		return
 	}
-	if len(a.buf) >= a.cfg.BufferCap {
+	if a.buf.len() >= a.cfg.BufferCap {
 		a.counters.OverflowDropped++
 		if a.cfg.DropNewest {
 			return // discard the incoming record
 		}
-		a.buf = a.buf[1:] // discard the oldest
+		a.buf.dropOldest()
 	}
-	a.buf = append(a.buf, r)
+	r.pushBack(v)
+	a.buf.order.pushBack(k)
 	a.counters.Captured++
-	if len(a.buf) > a.counters.BufferHighWater {
-		a.counters.BufferHighWater = len(a.buf)
+	if n := a.buf.len(); n > a.counters.BufferHighWater {
+		a.counters.BufferHighWater = n
 	}
 	if a.inst != nil {
-		a.inst.buffer.Set(float64(len(a.buf)))
+		a.inst.buffer.Set(float64(a.buf.len()))
 	}
 }
 
@@ -438,41 +439,41 @@ func (a *Agent) push(r record) {
 func (a *Agent) flush() {
 	// While a retry is scheduled the periodic ticker stays quiet; only
 	// the backoff timer (which clears retryPending) resumes uploads.
-	if !a.running || a.inFlight || a.retryPending || len(a.buf) == 0 {
+	if !a.running || a.inFlight || a.retryPending || a.buf.len() == 0 {
 		return
 	}
-	n := len(a.buf)
-	if n > a.cfg.MaxBatchRecords {
-		n = a.cfg.MaxBatchRecords
+	n := min(a.buf.len(), a.cfg.MaxBatchRecords)
+	var count [numKinds]int
+	a.sentKinds = a.sentKinds[:0]
+	for i := 0; i < n; i++ {
+		k := a.buf.order.popFront()
+		a.sentKinds = append(a.sentKinds, k)
+		count[k]++
 	}
-	take := make([]record, n)
-	copy(take, a.buf[:n])
-	a.buf = a.buf[n:]
 
 	a.seqNo++
-	batch := wire.Batch{Node: a.node, SeqNo: a.seqNo, SentAt: a.now()}
-	for _, r := range take {
-		switch {
-		case r.pkt != nil:
-			batch.Packets = append(batch.Packets, *r.pkt)
-		case r.route != nil:
-			batch.Routes = append(batch.Routes, *r.route)
-		case r.stats != nil:
-			batch.Stats = append(batch.Stats, *r.stats)
-		case r.hb != nil:
-			batch.Heartbeats = append(batch.Heartbeats, *r.hb)
-		}
+	batch := wire.Batch{
+		Node:       a.node,
+		SeqNo:      a.seqNo,
+		SentAt:     a.now(),
+		Packets:    take(&a.buf.pkts, count[kindPacket]),
+		Routes:     take(&a.buf.routes, count[kindRoute]),
+		Stats:      take(&a.buf.stats, count[kindStats]),
+		Heartbeats: take(&a.buf.hbs, count[kindHeartbeat]),
 	}
 	a.inFlight = true
+	a.sending = batch
 	a.counters.BatchesSent++
 	if a.inst != nil {
 		a.inst.sent.Inc()
-		a.inst.buffer.Set(float64(len(a.buf)))
+		a.inst.buffer.Set(float64(a.buf.len()))
 	}
-	a.up.Send(batch, func(err error) { a.uploadDone(take, batch, err) })
+	a.up.Send(batch, a.onUpload)
 }
 
-func (a *Agent) uploadDone(taken []record, batch wire.Batch, err error) {
+func (a *Agent) uploadDone(err error) {
+	batch := a.sending
+	a.sending = wire.Batch{}
 	a.inFlight = false
 	if err == nil {
 		a.counters.BatchesAcked++
@@ -483,8 +484,8 @@ func (a *Agent) uploadDone(taken []record, batch wire.Batch, err error) {
 			a.inst.backoff.Set(0)
 		}
 		// Drain any backlog promptly (post-outage recovery).
-		if len(a.buf) >= a.cfg.MaxBatchRecords {
-			a.sim.Do(0, a.flush)
+		if a.buf.len() >= a.cfg.MaxBatchRecords {
+			a.sim.Do(0, a.flushNow)
 		}
 		return
 	}
@@ -493,17 +494,17 @@ func (a *Agent) uploadDone(taken []record, batch wire.Batch, err error) {
 		a.inst.failed.Inc()
 	}
 	if a.cfg.DisableBuffering {
-		a.counters.UnbufferedLost += uint64(len(taken))
+		a.counters.UnbufferedLost += uint64(len(a.sentKinds))
 	} else {
 		// Re-queue the failed records ahead of newer ones, re-applying
 		// the buffer bound.
-		a.buf = append(taken, a.buf...)
-		for len(a.buf) > a.cfg.BufferCap {
+		a.buf.requeue(batch, a.sentKinds)
+		for a.buf.len() > a.cfg.BufferCap {
 			a.counters.OverflowDropped++
 			if a.cfg.DropNewest {
-				a.buf = a.buf[:len(a.buf)-1]
+				a.buf.dropNewest()
 			} else {
-				a.buf = a.buf[1:]
+				a.buf.dropOldest()
 			}
 		}
 	}
@@ -515,17 +516,16 @@ func (a *Agent) uploadDone(taken []record, batch wire.Batch, err error) {
 			a.backoff = a.cfg.RetryMax
 		}
 	}
-	if a.retryEv != nil {
-		a.retryEv.Stop()
-	}
 	a.retryPending = true
 	if a.inst != nil {
 		a.inst.retries.Inc()
 		a.inst.backoff.Set(a.backoff.Seconds())
-		a.inst.buffer.Set(float64(len(a.buf)))
+		a.inst.buffer.Set(float64(a.buf.len()))
 	}
-	a.retryEv = a.sim.After(a.backoff, func() {
-		a.retryPending = false
-		a.flush()
-	})
+	a.retry.Reset(a.backoff)
+}
+
+func (a *Agent) retryFlush() {
+	a.retryPending = false
+	a.flush()
 }

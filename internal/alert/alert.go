@@ -231,11 +231,14 @@ func (e *Engine) Check(now float64) []Alert {
 	start := time.Now()
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	// One registry read serves all four rules: on a collector Nodes
+	// copies and merges every shard's registry.
+	nodes := e.coll.Nodes()
 	var fired []Alert
-	fired = append(fired, e.checkNodeDown(now)...)
-	fired = append(fired, e.checkDutyCycle(now)...)
-	fired = append(fired, e.checkUploadLoss(now)...)
-	fired = append(fired, e.checkLowBattery(now)...)
+	fired = append(fired, e.checkNodeDown(nodes, now)...)
+	fired = append(fired, e.checkDutyCycle(nodes, now)...)
+	fired = append(fired, e.checkUploadLoss(nodes, now)...)
+	fired = append(fired, e.checkLowBattery(nodes, now)...)
 	if e.inst != nil {
 		e.inst.evaluations.Inc()
 		e.inst.active.Set(float64(len(e.active)))
@@ -273,9 +276,9 @@ func (e *Engine) resolve(key alertKey, now float64) {
 	}
 }
 
-func (e *Engine) checkNodeDown(now float64) []Alert {
+func (e *Engine) checkNodeDown(nodes []collector.NodeInfo, now float64) []Alert {
 	var fired []Alert
-	for _, n := range e.coll.Nodes() {
+	for _, n := range nodes {
 		key := alertKey{kind: KindNodeDown, node: n.ID}
 		silent := now-n.LastBeatTS > e.cfg.HeartbeatTimeoutS
 		switch {
@@ -294,10 +297,10 @@ func (e *Engine) checkNodeDown(now float64) []Alert {
 	return fired
 }
 
-func (e *Engine) checkDutyCycle(now float64) []Alert {
+func (e *Engine) checkDutyCycle(nodes []collector.NodeInfo, now float64) []Alert {
 	var fired []Alert
 	threshold := e.cfg.DutyWarnFraction * e.cfg.DutyLimit
-	for _, n := range e.coll.Nodes() {
+	for _, n := range nodes {
 		if n.LastStats == nil {
 			continue
 		}
@@ -320,9 +323,9 @@ func (e *Engine) checkDutyCycle(now float64) []Alert {
 	return fired
 }
 
-func (e *Engine) checkLowBattery(now float64) []Alert {
+func (e *Engine) checkLowBattery(nodes []collector.NodeInfo, now float64) []Alert {
 	var fired []Alert
-	for _, n := range e.coll.Nodes() {
+	for _, n := range nodes {
 		if n.LastStats == nil || !n.LastStats.Energy {
 			continue
 		}
@@ -346,9 +349,9 @@ func (e *Engine) checkLowBattery(now float64) []Alert {
 	return fired
 }
 
-func (e *Engine) checkUploadLoss(now float64) []Alert {
+func (e *Engine) checkUploadLoss(nodes []collector.NodeInfo, now float64) []Alert {
 	var fired []Alert
-	for _, n := range e.coll.Nodes() {
+	for _, n := range nodes {
 		key := alertKey{kind: KindUploadLoss, node: n.ID}
 		seen := e.lossSeen[n.ID]
 		if n.BatchesLost >= seen+e.cfg.LossWarnBatches {

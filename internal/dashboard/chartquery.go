@@ -1,7 +1,6 @@
 package dashboard
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
@@ -186,9 +185,13 @@ func (s *Server) handleChartJSON(w http.ResponseWriter, r *http.Request, metric 
 			out.Series = append(out.Series, so)
 		}
 	}
-	// Marshal before answering: a non-finite sample cannot be JSON, and
+	// Encode before answering: a non-finite sample cannot be JSON, and
 	// that is a 500 (never cached), not a 200 with an empty body.
-	body, err := json.Marshal(out)
+	size := 128
+	for _, so := range out.Series {
+		size += 64 + 40*len(so.Points)
+	}
+	body, err := appendChartJSON(make([]byte, 0, size), &out)
 	if err != nil {
 		http.Error(w, "dashboard: encode chart: "+err.Error(), http.StatusInternalServerError)
 		return

@@ -1,7 +1,6 @@
 package dashboard
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
@@ -295,11 +294,14 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 // writeEvent emits one SSE frame and accounts its payload bytes.
 func (s *Server) writeEvent(w http.ResponseWriter, event string, d delta) {
-	payload, err := json.Marshal(d)
+	frame := append(make([]byte, 0, 128), "event: "...)
+	frame = append(frame, event...)
+	frame = append(frame, "\ndata: "...)
+	frame, err := appendDeltaJSON(frame, &d)
 	if err != nil {
 		return
 	}
-	n, _ := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, payload)
+	n, _ := w.Write(append(frame, "\n\n"...))
 	s.inst.SSEEvents.Inc()
 	s.inst.DeltaBytes.Add(float64(n))
 }
@@ -338,7 +340,7 @@ func (s *Server) handleEventsPoll(w http.ResponseWriter, r *http.Request) {
 		ch := s.coll.Changed()
 		if e := s.epoch(); e > since {
 			d := delta{Epoch: e, MaxTS: s.coll.MaxTS()}
-			payload, _ := json.Marshal(d)
+			payload, _ := appendDeltaJSON(nil, &d)
 			w.Header().Set("Content-Type", "application/json")
 			n, _ := w.Write(append(payload, '\n'))
 			s.inst.PollChanged.Inc()

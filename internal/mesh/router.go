@@ -119,7 +119,7 @@ type Router struct {
 	dedup    map[dedupKey]simkit.Time
 	pending  map[uint16]*pendingAck
 	running  bool
-	helloEv  *simkit.Event
+	hello    *simkit.Timer
 	expireTk *simkit.Ticker
 	sweepTk  *simkit.Ticker
 
@@ -160,6 +160,7 @@ func NewRouter(sim *simkit.Sim, rad *radio.Radio, cfg Config) *Router {
 		inXfers:   make(map[xferKey]*inTransfer),
 		doneXfers: make(map[xferKey]simkit.Time),
 	}
+	r.hello = sim.NewTimer(r.helloRound)
 	r.table.SetSNRTiebreak(r.cfg.SNRTiebreakDB)
 	rad.SetHandler(r.onFrame)
 	return r
@@ -206,7 +207,7 @@ func (r *Router) Start() {
 	}
 	r.running = true
 	first := time.Duration(r.sim.Rand().Float64() * float64(r.cfg.HelloInterval))
-	r.helloEv = r.sim.After(first, r.helloRound)
+	r.hello.Reset(first)
 	r.expireTk = r.sim.Every(r.cfg.HelloInterval/2, r.expireRoutes)
 	r.sweepTk = r.sim.Every(r.cfg.DedupWindow, r.sweepDedup)
 }
@@ -220,9 +221,7 @@ func (r *Router) Stop() {
 		return
 	}
 	r.running = false
-	if r.helloEv != nil {
-		r.helloEv.Stop()
-	}
+	r.hello.Stop()
 	if r.expireTk != nil {
 		r.expireTk.Stop()
 	}
@@ -313,7 +312,7 @@ func (r *Router) helloRound() {
 	}
 	r.enqueue(outItem{pkt: pkt}) //nolint:errcheck // queue-full already tapped
 	next := simkit.Jitter(r.sim.Rand(), r.cfg.HelloInterval, r.cfg.HelloJitterFrac)
-	r.helloEv = r.sim.After(next, r.helloRound)
+	r.hello.Reset(next)
 }
 
 func (r *Router) expireRoutes() {

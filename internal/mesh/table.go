@@ -175,6 +175,10 @@ func (t *Table) Remove(dst radio.ID) bool {
 // Len returns the number of known destinations.
 func (t *Table) Len() int { return len(t.routes) }
 
+// Entry returns the i-th route in destination order, 0 <= i < Len: with
+// Len it reads the table in place, where Snapshot copies it.
+func (t *Table) Entry(i int) Route { return t.routes[i] }
+
 // Snapshot returns all routes ordered by destination address, suitable
 // for HELLO advertisement and telemetry.
 func (t *Table) Snapshot() []Route {

@@ -7,6 +7,7 @@ package node
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"lorameshmon/internal/agent"
@@ -14,6 +15,7 @@ import (
 	"lorameshmon/internal/mesh"
 	"lorameshmon/internal/radio"
 	"lorameshmon/internal/simkit"
+	"lorameshmon/internal/wire"
 )
 
 // TrafficConfig describes one application traffic flow.
@@ -132,6 +134,7 @@ func (n *Node) AddTraffic(cfg TrafficConfig) error {
 		return fmt.Errorf("node: payload %d exceeds mesh maximum %d", cfg.PayloadBytes, mesh.MaxPayload)
 	}
 	g := &trafficGen{node: n, cfg: cfg}
+	g.timer = n.sim.NewTimer(g.fire)
 	n.gens = append(n.gens, g)
 	if n.running {
 		g.start()
@@ -203,7 +206,7 @@ func (n *Node) Running() bool { return n.running }
 type trafficGen struct {
 	node    *Node
 	cfg     TrafficConfig
-	ev      *simkit.Event
+	timer   *simkit.Timer
 	stopped bool
 	seq     uint64
 }
@@ -214,14 +217,12 @@ func (g *trafficGen) start() {
 	if first <= 0 {
 		first = g.next()
 	}
-	g.ev = g.node.sim.After(first, g.fire)
+	g.timer.Reset(first)
 }
 
 func (g *trafficGen) stop() {
 	g.stopped = true
-	if g.ev != nil {
-		g.ev.Stop()
-	}
+	g.timer.Stop()
 }
 
 // next draws the following inter-packet gap.
@@ -253,12 +254,14 @@ func (g *trafficGen) fire() {
 	// marker for debugging.
 	stampPayload(payload, g.node.sim.Now())
 	if len(payload) > latencyHeaderBytes {
-		copy(payload[latencyHeaderBytes:], fmt.Sprintf("%v/%d", g.node.ID(), g.seq))
+		var marker [32]byte
+		m := append(wire.NodeID(g.node.ID()).Append(marker[:0]), '/')
+		copy(payload[latencyHeaderBytes:], strconv.AppendUint(m, g.seq, 10))
 	}
 	if _, err := g.node.router.Send(dst, payload, g.cfg.Reliable); err != nil {
 		g.node.app.SendErrs++
 	} else {
 		g.node.app.Enqueued++
 	}
-	g.ev = g.node.sim.After(g.next(), g.fire)
+	g.timer.Reset(g.next())
 }

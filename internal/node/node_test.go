@@ -1,6 +1,8 @@
 package node
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -41,6 +43,13 @@ func TestPeriodicTrafficDelivers(t *testing.T) {
 	b.OnReceive(func(src radio.ID, payload []byte, _ radio.RxInfo) {
 		if len(payload) != 24 {
 			t.Errorf("payload len = %d", len(payload))
+		}
+		// After the latency stamp, the flow marker "<src>/<seq>",
+		// zero-padded.
+		marker := make([]byte, 24-latencyHeaderBytes)
+		copy(marker, fmt.Sprintf("%v/%d", src, len(got)+1))
+		if !bytes.Equal(payload[latencyHeaderBytes:], marker) {
+			t.Errorf("flow marker = %q, want %q", payload[latencyHeaderBytes:], marker)
 		}
 		got = append(got, src)
 	})

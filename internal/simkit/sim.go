@@ -6,6 +6,16 @@
 // order. Determinism is guaranteed by a strict (time, sequence) ordering
 // and a seeded random source, so every simulation run is exactly
 // reproducible from its seed.
+//
+// Events come in three forms. Do/DoAt schedule fire-and-forget callbacks
+// whose Event objects the kernel recycles through a free list. At/After
+// return a handle the caller may Stop at any later time. A Timer is a
+// handle its owner keeps for its lifetime: one Event and one bound
+// callback, re-armed in place by Reset, so a protocol timer that fires
+// thousands of times allocates once. Ticker is built on Timer. Every
+// arming — At, After, Do, DoAt or Reset — takes exactly one sequence
+// number, so the (time, sequence) order of a run does not depend on
+// which form scheduled an event.
 package simkit
 
 import (
@@ -152,12 +162,17 @@ func (s *Sim) schedule(at Time, fn func(), recycled bool) *Event {
 	} else {
 		e = &Event{}
 	}
-	e.at, e.seq, e.fn = at, s.seq, fn
-	e.index, e.stopped = -1, false
-	e.sim, e.recycled = s, recycled
+	e.fn, e.index, e.sim, e.recycled = fn, -1, s, recycled
+	s.arm(e, at)
+	return e
+}
+
+// arm queues e, which must not be queued, at the absolute time at under
+// the next sequence number.
+func (s *Sim) arm(e *Event, at Time) {
+	e.at, e.seq, e.stopped = at, s.seq, false
 	s.seq++
 	heap.Push(&s.queue, e)
-	return e
 }
 
 // release returns a fired Do/DoAt event to the free list. Handle events
@@ -212,9 +227,15 @@ func (s *Sim) Every(interval Duration, fn func()) *Ticker {
 	if interval <= 0 {
 		panic("simkit: Every requires a positive interval")
 	}
-	t := &Ticker{sim: s, interval: interval, fn: fn}
-	t.schedule()
+	t := &Ticker{interval: interval, fn: fn}
+	t.timer = s.NewTimer(t.tick)
+	t.timer.Reset(interval)
 	return t
+}
+
+// NewTimer returns an unarmed Timer that runs fn each time it fires.
+func (s *Sim) NewTimer(fn func()) *Timer {
+	return &Timer{ev: Event{fn: fn, index: -1, sim: s}}
 }
 
 // Halt stops the run loop after the currently executing event returns.
@@ -286,33 +307,51 @@ func (s *Sim) peek() *Event {
 	return s.queue[0]
 }
 
+// Timer is a handle event owned for its lifetime: one Event and one
+// bound callback, re-armed in place. Reset takes one sequence number,
+// exactly as After does, so replacing a chain of After calls with one
+// Timer leaves every run unchanged. A Timer is armed at most once at a
+// time; re-arming a pending Timer moves it.
+type Timer struct {
+	ev Event
+}
+
+// Reset arms the timer to fire d after Now, with negative d clamped to
+// zero, replacing any pending firing.
+func (t *Timer) Reset(d Duration) {
+	if d < 0 {
+		d = 0
+	}
+	s := t.ev.sim
+	if t.ev.index >= 0 {
+		heap.Remove(&s.queue, t.ev.index)
+	}
+	s.arm(&t.ev, s.now.Add(d))
+}
+
+// Stop cancels the pending firing, reporting whether there was one. The
+// timer may be re-armed afterwards.
+func (t *Timer) Stop() bool { return t.ev.Stop() }
+
 // Ticker repeats a callback at a fixed virtual interval.
 type Ticker struct {
-	sim      *Sim
+	timer    *Timer
 	interval Duration
 	fn       func()
-	ev       *Event
 	stopped  bool
 }
 
-func (t *Ticker) schedule() {
-	t.ev = t.sim.After(t.interval, func() {
-		if t.stopped {
-			return
-		}
-		t.fn()
-		if !t.stopped {
-			t.schedule()
-		}
-	})
+func (t *Ticker) tick() {
+	t.fn()
+	if !t.stopped { // fn may stop its own ticker
+		t.timer.Reset(t.interval)
+	}
 }
 
 // Stop cancels future ticks. It is idempotent.
 func (t *Ticker) Stop() {
 	t.stopped = true
-	if t.ev != nil {
-		t.ev.Stop()
-	}
+	t.timer.Stop()
 }
 
 // Jitter returns d scaled by a uniform factor in [1-frac, 1+frac]. It is

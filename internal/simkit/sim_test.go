@@ -1,7 +1,9 @@
 package simkit
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -400,5 +402,108 @@ func TestMixedDoAndHandleEvents(t *testing.T) {
 	s.Run()
 	if fired != 50+25 {
 		t.Fatalf("fired = %d, want 75", fired)
+	}
+}
+
+// TestTimerOrdersLikeAfter: every Reset takes one sequence number, as
+// After does, so a re-armed Timer fires in the slot a fresh After
+// scheduled at the same moment would take; re-arming a pending Timer
+// moves it, and Stop cancels it until the next Reset.
+func TestTimerOrdersLikeAfter(t *testing.T) {
+	run := func(useTimer bool) []string {
+		s := New(1)
+		var log []string
+		var ev *Event
+		var tm *Timer
+		arm := func(d Duration, fn func()) {
+			if useTimer {
+				tm.Reset(d)
+				return
+			}
+			if ev != nil {
+				ev.Stop()
+			}
+			ev = s.After(d, fn)
+		}
+		n := 0
+		var fire func()
+		fire = func() {
+			n++
+			log = append(log, fmt.Sprintf("timer %d at %v", n, s.Now()))
+			if n < 20 {
+				arm(Duration(n%3)*time.Second, fire)
+			}
+		}
+		tm = s.NewTimer(fire)
+		for i := 0; i < 30; i++ {
+			i := i
+			s.Do(Duration(i%4)*time.Second, func() {
+				log = append(log, fmt.Sprintf("do %d at %v", i, s.Now()))
+				if i == 5 {
+					arm(2*time.Second, fire) // moves a pending firing
+				}
+			})
+			if i == 3 {
+				arm(time.Second, fire)
+			}
+		}
+		s.Run()
+		return log
+	}
+	want, got := run(false), run(true)
+	if !slices.Equal(got, want) {
+		t.Fatalf("Timer order differs from After:\n got %q\nwant %q", got, want)
+	}
+
+	s := New(1)
+	fired := 0
+	tm := s.NewTimer(func() { fired++ })
+	if tm.Stop() {
+		t.Fatal("a new timer is pending")
+	}
+	tm.Reset(time.Second)
+	if !tm.Stop() || tm.Stop() {
+		t.Fatal("Stop did not cancel an armed timer exactly once")
+	}
+	s.Run()
+	tm.Reset(3 * time.Second)
+	s.Run()
+	if fired != 1 || s.Now() != Time(3*time.Second) || tm.Stop() {
+		t.Fatalf("fired %d times by %v, want once at 3s", fired, s.Now())
+	}
+}
+
+// TestTickerTickAllocationFree: a ticker's tick re-arms its one event
+// in place.
+func TestTickerTickAllocationFree(t *testing.T) {
+	s := New(1)
+	n := 0
+	s.Every(time.Millisecond, func() { n++ })
+	s.RunFor(10 * time.Millisecond)
+	if allocs := testing.AllocsPerRun(1000, func() { s.RunFor(time.Millisecond) }); allocs != 0 {
+		t.Fatalf("a ticker tick allocates %v times", allocs)
+	}
+	if n != 1011 {
+		t.Fatalf("ticked %d times, want 1011", n)
+	}
+}
+
+// TestTimerResetAllocationFree: re-arming a Timer, pending or fired,
+// allocates nothing.
+func TestTimerResetAllocationFree(t *testing.T) {
+	s := New(1)
+	fired := 0
+	tm := s.NewTimer(func() { fired++ })
+	tm.Reset(time.Second)
+	s.Run()
+	if allocs := testing.AllocsPerRun(1000, func() {
+		tm.Reset(time.Second)
+		tm.Reset(2 * time.Second) // moves the pending firing
+		s.Run()
+	}); allocs != 0 {
+		t.Fatalf("a timer re-arm allocates %v times", allocs)
+	}
+	if fired != 1002 {
+		t.Fatalf("fired %d times, want 1002", fired)
 	}
 }

@@ -127,6 +127,10 @@ func (l Labels) String() string { return "{" + l.canonical() + "}" }
 // head copy stays cheap, large enough that chunk overheads amortise.
 const defaultSealEvery = 512
 
+// headStep is how many points a full head grows by once it holds that
+// many; smaller heads grow by doubling.
+const headStep = 64
+
 // chunkKind is what the sealed chunks of one kind of tier share across
 // the store: the value columns per sample (1 raw, rollupCols rollup)
 // and the compressed bytes and samples they hold.
@@ -300,6 +304,13 @@ func (s *series) sortHead() {
 func (s *series) append(db *DB, ts, value float64) {
 	if s.headSorted && len(s.head) > 0 && ts < s.head[len(s.head)-1].TS {
 		s.headSorted = false
+	}
+	if n := len(s.head); n == cap(s.head) && n >= headStep {
+		// Every series fed at one cadence fills its head in step, so
+		// doubling would grow all heads at once by their whole size.
+		head := make([]Point, n, n+headStep)
+		copy(head, s.head)
+		s.head = head
 	}
 	s.head = append(s.head, Point{TS: ts, Value: value})
 	switch {

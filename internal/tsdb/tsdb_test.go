@@ -431,3 +431,22 @@ func TestConcurrentReadWrite(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestHeadGrowsInSteps: past headStep points a head grows by headStep,
+// never doubling, so series fed in step cannot all double at once; the
+// points stay intact across the regrowth.
+func TestHeadGrowsInSteps(t *testing.T) {
+	db := New()
+	h := db.Series("m", Labels{"node": "N0001"})
+	for i := 0; i < defaultSealEvery-1; i++ {
+		h.Append(float64(i), float64(i))
+		s := h.s.Load()
+		if n := len(s.head); n >= headStep && cap(s.head) > n+headStep {
+			t.Fatalf("%d points in a head of capacity %d", n, cap(s.head))
+		}
+	}
+	res, ok := db.QueryOne("m", Labels{"node": "N0001"}, 0, defaultSealEvery)
+	if !ok || len(res.Points) != defaultSealEvery-1 || res.Points[300].Value != 300 {
+		t.Fatalf("query after regrowth: ok=%v, %d points", ok, len(res.Points))
+	}
+}

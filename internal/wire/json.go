@@ -23,6 +23,26 @@ func AppendBatchJSON(dst []byte, b *Batch) ([]byte, error) {
 	return a.buf, nil
 }
 
+// AppendJSONFloat appends f as encoding/json encodes a float64 and
+// returns the extended slice. Like json.Marshal it refuses NaN and ±Inf,
+// returning dst unextended and the error json.Marshal returns.
+func AppendJSONFloat(dst []byte, f float64) ([]byte, error) {
+	a := jsonAppender{buf: dst}
+	a.float(f)
+	if a.err != nil {
+		return dst, a.err
+	}
+	return a.buf, nil
+}
+
+// AppendJSONString appends s as encoding/json encodes a string, with its
+// HTML-safe escaping, and returns the extended slice.
+func AppendJSONString(dst []byte, s string) []byte {
+	a := jsonAppender{buf: dst}
+	a.str(s)
+	return a.buf
+}
+
 // jsonSize returns len(AppendBatchJSON(nil, b)) by counting the bytes
 // the same walk would write, without writing them.
 func jsonSize(b *Batch) (int, error) {

@@ -10,7 +10,7 @@
 #   scripts/ci.sh scale     # spatial-index suite (grid vs brute, reindex, mobility)
 #   scripts/ci.sh read      # streaming read path (cache equivalence, SSE, long-poll) under -race
 #   scripts/ci.sh energy    # energy-model suite (conservation, depletion/revival, lifetime) under -race
-#   scripts/ci.sh fuzz      # bounded fuzzing: chunk codec round-trip + chart query parser + batch JSON appender + batch JSON decoder + binary batch decoder + overview row appender + route diff
+#   scripts/ci.sh fuzz      # bounded fuzzing: chunk codec round-trip + chart query parser + batch JSON appender + batch JSON decoder + binary batch decoder + overview row appender + chart/delta JSON + route diff
 #   scripts/ci.sh perfsmoke # every perfbench workload for 3 s: correctness checks and golden counters, no numbers gated
 #   scripts/ci.sh bench     # perf harness -> BENCH_NEW.json
 #   scripts/ci.sh compare   # perf gate vs committed BENCH_1.json
@@ -88,6 +88,23 @@ stage_test() {
   go test -race -count=1 -run 'TelemetryAtRegisterResolution' ./internal/agent
   go test -race -count=1 -run 'AppendBatchJSONMatchesMarshal|AppendFloatQuarterGrid|DigitsMatchesFormat|EncodedSizeAllocationFree' ./internal/wire
   go test -race -count=1 -run 'QueueSlotsReleased' ./internal/mesh
+  # Agents hold records by value and zero every buffer slot they vacate
+  # (flush, overflow, retry requeue); a retry ships its records in
+  # capture order; a re-armed Timer takes its (time, sequence) slot as a
+  # fresh After would.
+  go test -race -count=1 -run 'AgentBufferReleasesRecords|BufferRequeueKeepsCaptureOrder' ./internal/agent
+  go test -race -count=1 -run 'TimerOrdersLikeAfter' ./internal/simkit
+  echo "== allocation guards (no -race) =="
+  # The allocation guards run by name without -race: the race runtime
+  # drops a random share of sync.Pool Puts, so EncodedSizeAllocationFree
+  # skips itself there, and counts taken under it are not the shipped
+  # binary's. Ticker ticks, Timer re-arms, Do events, agent captures and
+  # a HELLO on a known link allocate nothing; a flush allocates at most
+  # one slice per record kind.
+  go test -count=1 -run 'DoRecyclesEventObjects|TickerTickAllocationFree|TimerResetAllocationFree' ./internal/simkit
+  go test -count=1 -run 'CaptureAllocationFree|FlushAllocationBound' ./internal/agent
+  go test -count=1 -run 'EncodedSizeAllocationFree' ./internal/wire
+  go test -count=1 -run 'ShardLinksStaySorted' ./internal/collector
 }
 
 stage_recover() {
@@ -170,13 +187,14 @@ stage_read() {
   # against Recent/Stats/Nodes/Links/Checkpoint readers (whole,
   # contiguous batches; counters equal the sums). The readcache suite
   # includes a panel that writes nothing (200, empty, cached); ChartJSON
-  # includes a NaN sample (500, cache on and off). Writers, HTTP readers
+  # includes a NaN sample (500, cache on and off), and ChartJSONMatchesMarshal
+  # pins the reflection-free chart and SSE delta encoders to json.Marshal. Writers, HTTP readers
   # and the SSE hub all share state, so -race is load-bearing here.
   go test -race -count=1 ./internal/readcache
   go test -race -count=1 \
     -run 'CacheEquivalence|CacheServesStampedEpoch|SSE|LongPoll|CachedReadsAndSSEUnderIngest|ChartQuery|ChartJSON|SSEDeltaForIngestBeforeHubStart|Fingerprint|OverviewRowsMatchTemplate|TrafficRowsMatchTemplate|PagesMatchParentTemplates|HealthMatchesParent|AlertHistoryBoundRendered|TopologyMatchesParent|LineChartMatchesParent|AppendFixed' \
     ./internal/dashboard
-  go test -race -count=1 -run 'HistoryBounded' ./internal/alert
+  go test -race -count=1 -run 'HistoryBounded|CheckReadsRegistryOnce' ./internal/alert
   go test -race -count=1 -run 'KnownCountsMatchMaterialised|RecentMatchesIngestModel|ShardMergeMatchesParent|ShardedIngestReadersSeeWholeBatches|PrometheusExpositionMatchesParent|ShardLinksStaySorted' ./internal/collector
   go test -race -count=1 -run 'MergeRuns' ./internal/tsdb
 }
@@ -247,6 +265,12 @@ stage_fuzz() {
   # strings, alert kinds and messages must render every HTML page
   # byte-identically to the former templates and handlers.
   go test -fuzz='^FuzzPageText$' -fuzztime=20s -run '^FuzzPageText$' \
+    ./internal/dashboard
+  echo "== bounded fuzz: chart and delta JSON =="
+  # Same budget for the chart and SSE delta encoders: arbitrary label
+  # text and floats must encode byte-identically to json.Marshal, or
+  # fail with its error.
+  go test -fuzz='^FuzzChartJSON$' -fuzztime=20s -run '^FuzzChartJSON$' \
     ./internal/dashboard
   echo "== bounded fuzz: route diff =="
   # Same budget for the collector's route-change log: any snapshot
