@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -58,5 +59,42 @@ func BenchmarkRetainNothingExpired(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		db.Retain(7200)
+	}
+}
+
+// BenchmarkAppendOutOfOrder appends batches that each carry 32 samples
+// from a 10 s window in shuffled order, as an agent's packet records
+// arrive, to one series; windows follow each other in time.
+func BenchmarkAppendOutOfOrder(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	const batch = 32
+	ts := make([]float64, batch*64)
+	for i := range ts {
+		ts[i] = float64(i/batch)*10 + 10*rng.Float64()
+	}
+	db := New()
+	h := db.Series("m", Labels{"node": "N0001"})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(ts)
+		h.Append(ts[k]+float64(i/len(ts))*640, float64(i%97))
+	}
+}
+
+// BenchmarkQueryHead reads a whole 300-sample series that has not
+// sealed yet: the open head is the only chunk.
+func BenchmarkQueryHead(b *testing.B) {
+	db := New()
+	lbl := Labels{"node": "N0001"}
+	for i := 0; i < 300; i++ {
+		db.Append("m", lbl, float64(i), float64(i%13))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res, ok := db.QueryOne("m", lbl, 0, 300); !ok || len(res.Points) != 300 {
+			b.Fatal("short read")
+		}
 	}
 }

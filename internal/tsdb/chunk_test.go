@@ -14,7 +14,7 @@ import (
 func encodeDecode(t *testing.T, cols int, ts []float64, vals [][]float64) *Chunk {
 	t.Helper()
 	var enc Encoder
-	enc.Reset(cols, len(ts))
+	enc.Reset(cols)
 	for i := range ts {
 		enc.AppendVals(ts[i], vals[i])
 	}

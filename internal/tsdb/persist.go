@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 )
@@ -54,7 +55,7 @@ type SnapshotDump struct {
 // a single gob encoder, since two encoders cannot safely share one
 // buffered reader on the decode side).
 // Sealed chunks are immutable, so the dump shares their byte slices
-// instead of copying; only the head blocks are copied.
+// instead of copying; only the open head chunks are decoded.
 // Each series is captured under its own lock, so a Dump taken while
 // other series ingest is per-series atomic; callers needing a cut that
 // is consistent across series (the collector's checkpoint path) must
@@ -69,29 +70,37 @@ func (db *DB) Dump() SnapshotDump {
 	for name, byLabels := range db.metrics {
 		for _, s := range byLabels {
 			s.mu.Lock()
-			s.sortHead()
+			s.head.compact()
 			sd := SeriesDump{
 				Labels: exportLabels(s.labels),
-				Points: append([]Point(nil), s.head...),
 				Blocks: s.sealed.dump(),
+			}
+			head := s.head.run.view()
+			for it := head.Iter(); it.Next(); {
+				ts, v := it.At()
+				sd.Points = append(sd.Points, Point{TS: ts, Value: v})
 			}
 			if s.hasLast {
 				sd.Last = Point{TS: s.lastTS, Value: s.lastVal}
 				sd.HasLast = true
 			}
 			for t := range s.rolls {
-				rs := &s.rolls[t]
-				if rs.empty() {
+				if s.rolls == nil || s.rolls[t].empty() {
 					continue
 				}
-				sd.Rollups = append(sd.Rollups, RollupDump{
+				rs := &s.rolls[t]
+				rd := RollupDump{
 					Step:       tierSteps[t],
 					Blocks:     rs.sealed.dump(),
-					Head:       append([]RollupSample(nil), rs.head...),
 					Open:       rs.open,
 					HasOpen:    rs.hasOpen,
 					OpenLastTS: rs.openLastTS,
-				})
+				}
+				head := rs.head.view()
+				for it := head.Iter(); it.Next(); {
+					rd.Head = append(rd.Head, it.bucket())
+				}
+				sd.Rollups = append(sd.Rollups, rd)
 			}
 			dump.Metrics[name] = append(dump.Metrics[name], sd)
 			s.mu.Unlock()
@@ -103,8 +112,9 @@ func (db *DB) Dump() SnapshotDump {
 // Load replaces the store's contents with the dump. Both the current
 // (v2, compressed blocks) and legacy (v1, raw points) formats load;
 // retention/tier configuration is not part of a dump and is preserved
-// as configured on db. Head points with a NaN timestamp, which dumps
-// taken before Append refused them may hold, are dropped.
+// as configured on db. Head points are appended to the open head chunks
+// as Append would, in time order, and those with a NaN timestamp, which
+// dumps taken before Append refused them may hold, are dropped.
 func (db *DB) Load(dump SnapshotDump) error {
 	if dump.Version < 1 || dump.Version > snapshotVersion {
 		return fmt.Errorf("tsdb: restore: unsupported snapshot version %d", dump.Version)
@@ -120,10 +130,11 @@ func (db *DB) Load(dump SnapshotDump) error {
 			if _, dup := byLabels[key]; dup {
 				return fmt.Errorf("tsdb: restore: duplicate series %s%v", name, sd.Labels)
 			}
-			s := &series{
-				labels: compactLabels(sd.Labels),
-				key:    key,
-				head:   slices.DeleteFunc(append([]Point(nil), sd.Points...), func(p Point) bool { return p.TS != p.TS }),
+			s := &series{labels: compactLabels(sd.Labels), key: key}
+			head := slices.DeleteFunc(append([]Point(nil), sd.Points...), func(p Point) bool { return p.TS != p.TS })
+			slices.SortStableFunc(head, func(a, b Point) int { return cmp.Compare(a.TS, b.TS) })
+			for _, p := range head {
+				s.head.add(p.TS, p.Value)
 			}
 			for _, c := range sd.Blocks {
 				if err := s.sealed.attach(&raw, c); err != nil {
@@ -131,14 +142,12 @@ func (db *DB) Load(dump SnapshotDump) error {
 				}
 			}
 			points += s.rawCount()
-			// headSorted starts false: snapshots are written sorted but the
-			// first read re-checks defensively, as the old store did.
 			if sd.HasLast {
 				s.lastTS, s.lastVal, s.hasLast = sd.Last.TS, sd.Last.Value, true
 			} else {
 				// v1 dump, whose points are all in the head: recover the
 				// newest sample by scanning.
-				for _, p := range s.head {
+				for _, p := range head {
 					if !s.hasLast || p.TS >= s.lastTS {
 						s.lastTS, s.lastVal, s.hasLast = p.TS, p.Value, true
 					}
@@ -154,8 +163,13 @@ func (db *DB) Load(dump SnapshotDump) error {
 				if t < 0 {
 					return fmt.Errorf("tsdb: restore: series %s%v: unknown rollup step %g", name, sd.Labels, rd.Step)
 				}
+				if s.rolls == nil {
+					s.rolls = new([tierCount]rollState)
+				}
 				rs := &s.rolls[t]
-				rs.head = append([]RollupSample(nil), rd.Head...)
+				for _, b := range rd.Head {
+					rs.push(b)
+				}
 				rs.open, rs.hasOpen, rs.openLastTS = rd.Open, rd.HasOpen, rd.OpenLastTS
 				for _, c := range rd.Blocks {
 					if err := rs.sealed.attach(&roll, c); err != nil {

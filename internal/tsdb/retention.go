@@ -119,7 +119,7 @@ func (db *DB) sweepLocked(req evictAt) int {
 				dropped += s.pruneRaw(db, req.before[0])
 			}
 			for t := range s.rolls {
-				if req.on[t+1] {
+				if req.on[t+1] && s.rolls != nil {
 					s.rolls[t].prune(db, req.before[t+1])
 				}
 			}
@@ -144,20 +144,15 @@ func (db *DB) sweepLocked(req evictAt) int {
 // the series: the raw tier's, and the bucket starts of every rollup
 // tier with a horizon. Callers hold s.mu.
 func (s *series) oldest(db *DB) float64 {
-	low := math.Inf(1)
-	if len(s.head) > 0 {
-		s.sortHead()
-		low = s.head[0].TS
-	}
-	low = s.sealed.oldest(low)
+	low := s.sealed.oldest(s.head.oldest())
 	for t := range s.rolls {
-		if db.retain[t+1] <= 0 {
+		if db.retain[t+1] <= 0 || s.rolls == nil {
 			continue
 		}
 		rs := &s.rolls[t]
 		low = rs.sealed.oldest(low)
-		if len(rs.head) > 0 && rs.head[0].TS < low {
-			low = rs.head[0].TS
+		if rs.head.count > 0 && rs.head.minTS() < low {
+			low = rs.head.minTS()
 		}
 		if rs.hasOpen && rs.open.TS < low {
 			low = rs.open.TS

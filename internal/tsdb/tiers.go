@@ -83,12 +83,13 @@ func (acc RollupSample) value(agg Agg) float64 {
 	}
 }
 
-// rollState is one rollup tier of one series: sealed chunks, an
-// uncompressed head of closed buckets, and the single open bucket that
-// the append path folds into. Guarded by the owning series' mutex.
+// rollState is one rollup tier of one series: sealed chunks, the open
+// chunk its closed buckets are encoded into (buckets close in time
+// order), and the single open bucket that the append path folds into.
+// Guarded by the owning series' mutex.
 type rollState struct {
 	sealed chunkList
-	head   []RollupSample
+	head   Encoder
 	// open is the in-progress bucket; openLastTS is the timestamp of
 	// the newest sample folded into it (tracks which value is Last).
 	open       RollupSample
@@ -129,18 +130,9 @@ func (rs *rollState) feed(db *DB, step, ts, value float64) {
 	}
 	switch {
 	case bucket > rs.open.TS:
-		rs.head = append(rs.head, rs.open)
-		if len(rs.head) >= rollupSealEvery {
-			rs.sealed.seal(db, &db.roll, func() *Chunk {
-				var enc Encoder
-				enc.Reset(rollupCols, len(rs.head))
-				for _, b := range rs.head {
-					vals := [rollupCols]float64{b.Count, b.Sum, b.Min, b.Max, b.Last}
-					enc.AppendVals(b.TS, vals[:])
-				}
-				return enc.Chunk()
-			})
-			rs.head = rs.head[:0]
+		rs.push(rs.open)
+		if rs.head.count >= rollupSealEvery {
+			rs.sealed.seal(db, &db.roll, &rs.head)
 		}
 		rs.open = RollupSample{TS: bucket, Count: 1, Sum: value, Min: value, Max: value, Last: value}
 		rs.openLastTS = ts
@@ -152,10 +144,20 @@ func (rs *rollState) feed(db *DB, step, ts, value float64) {
 	}
 }
 
+// push encodes a closed bucket into the head. Callers hold the series
+// mutex.
+func (rs *rollState) push(b RollupSample) {
+	if rs.head.count == 0 {
+		rs.head.Reset(rollupCols)
+	}
+	vals := [rollupCols]float64{b.Count, b.Sum, b.Min, b.Max, b.Last}
+	rs.head.AppendVals(b.TS, vals[:])
+}
+
 // count returns the number of buckets held by the tier. Callers hold
 // the series mutex.
 func (rs *rollState) count() int {
-	n := len(rs.head) + rs.sealed.count()
+	n := rs.head.Count() + rs.sealed.count()
 	if rs.hasOpen {
 		n++
 	}
@@ -165,20 +167,15 @@ func (rs *rollState) count() int {
 // empty reports whether the tier holds no bucket. Callers hold the
 // series mutex.
 func (rs *rollState) empty() bool {
-	return len(rs.sealed.chunks) == 0 && len(rs.head) == 0 && !rs.hasOpen
+	return len(rs.sealed.chunks) == 0 && rs.head.count == 0 && !rs.hasOpen
 }
 
 // prune drops buckets with TS < before. Callers hold the series mutex.
 func (rs *rollState) prune(db *DB, before float64) {
 	rs.sealed.prune(&db.roll, before)
-	if len(rs.head) > 0 {
-		cut := 0
-		for cut < len(rs.head) && rs.head[cut].TS < before {
-			cut++
-		}
-		if cut > 0 {
-			rs.head = append(rs.head[:0], rs.head[cut:]...)
-		}
+	if rs.head.count > 0 && rs.head.minTS() < before {
+		c := rs.head.view()
+		rs.head, _ = keepFrom(&c, before)
 	}
 	if rs.hasOpen && rs.open.TS < before {
 		rs.hasOpen = false
@@ -186,21 +183,17 @@ func (rs *rollState) prune(db *DB, before float64) {
 }
 
 // rollSnap is a point-in-time view of one series' rollup tier, readable
-// without locks (chunks are immutable, head and open are copied).
+// without locks: chunks are immutable, the head is a view and the open
+// bucket a copy.
 type rollSnap struct {
-	blocks  []*Chunk
-	head    []RollupSample
+	chunks  seriesSnap
 	open    RollupSample
 	hasOpen bool
 }
 
 // snapshot captures the tier under the series mutex.
 func (rs *rollState) snapshot() rollSnap {
-	sn := rollSnap{blocks: rs.sealed.chunks, open: rs.open, hasOpen: rs.hasOpen}
-	if len(rs.head) > 0 {
-		sn.head = append(sn.head, rs.head...)
-	}
-	return sn
+	return rollSnap{chunks: seriesSnap{blocks: rs.sealed.chunks, open: rs.head.view()}, open: rs.open, hasOpen: rs.hasOpen}
 }
 
 // visitRange streams the tier's buckets with from <= TS <= to, in time
@@ -211,20 +204,18 @@ func (sn rollSnap) visitRange(from, to float64, fn func(RollupSample)) {
 			fn(b)
 		}
 	}
-	for _, c := range sn.blocks {
+	for i := 0; ; i++ {
+		c, tail := sn.chunks.chunk(i)
+		if c == nil {
+			break
+		}
 		if c.MaxTS < from || c.MinTS > to {
 			continue
 		}
-		it := c.Iter()
+		it := c.iter(tail)
 		for it.Next() {
-			emit(RollupSample{
-				TS: it.TS(), Count: it.Value(0), Sum: it.Value(1),
-				Min: it.Value(2), Max: it.Value(3), Last: it.Value(4),
-			})
+			emit(it.bucket())
 		}
-	}
-	for _, b := range sn.head {
-		emit(b)
 	}
 	if sn.hasOpen {
 		emit(sn.open)
@@ -291,7 +282,8 @@ func (db *DB) tierCounts(t int) (seriesN, points int) {
 	for _, byLabels := range db.metrics {
 		for _, s := range byLabels {
 			s.mu.Lock()
-			if n := s.rolls[t].count(); n > 0 {
+			if s.rolls == nil {
+			} else if n := s.rolls[t].count(); n > 0 {
 				seriesN++
 				points += n
 			}
@@ -380,8 +372,11 @@ func (db *DB) QueryRange(name string, matcher Labels, from, to, step float64, ag
 		if tier == 0 {
 			pts = downsampleIter(snap(s).Iter(from, to), from, step, agg)
 		} else {
+			var sn rollSnap
 			s.mu.Lock()
-			sn := s.rolls[tier-1].snapshot()
+			if s.rolls != nil {
+				sn = s.rolls[tier-1].snapshot()
+			}
 			s.mu.Unlock()
 			pts = sn.downsample(from, to, step, agg)
 		}

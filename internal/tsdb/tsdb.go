@@ -4,14 +4,16 @@
 // aggregation, downsampling, tiered retention and compressed storage —
 // everything the dashboard and the analysis library need.
 //
-// Storage follows the Gorilla design: each series keeps a small
-// mutable head block of recent raw points; once the head fills it is
-// sealed into an immutable compressed chunk (delta-of-delta timestamps,
-// XOR values — see chunk.go). Sealed chunks are never mutated, so the
-// read path snapshots a series' chunk list under its lock and decodes
-// entirely outside it: queries cost ingest only a head copy, never a
-// full-series copy. Optional rollup tiers (1-minute and 1-hour buckets
-// of count/sum/min/max/last) are maintained on the ingest path and let
+// Storage follows the Gorilla design: samples are compressed as they
+// arrive (delta-of-delta timestamps, XOR values — see chunk.go) into
+// each series' open head chunk, which is sealed into an immutable chunk
+// once it holds sealEvery samples. Samples that arrive behind the
+// head's newest one wait in a small bounded buffer and are merged into
+// the head in time order (see rawHead). Readers take a view of the head
+// that shares its written bytes, so the read path snapshots a series
+// under its lock without copying anything and decodes entirely outside
+// it. Optional rollup tiers (1-minute and 1-hour buckets of
+// count/sum/min/max/last) are maintained on the ingest path and let
 // range queries pick the coarsest tier that satisfies the requested
 // resolution and retention window (see tiers.go).
 //
@@ -122,18 +124,15 @@ func matchLabels(pairs []labelPair, m Labels) bool {
 // String renders labels like {a=1,b=2}.
 func (l Labels) String() string { return "{" + l.canonical() + "}" }
 
-// defaultSealEvery is the head-block size at which a series seals its
-// raw points into a compressed chunk. Small enough that the per-query
-// head copy stays cheap, large enough that chunk overheads amortise.
+// defaultSealEvery is the head size at which a series seals its open
+// chunk: large enough that chunk overheads amortise, small enough that
+// merging a late point into the head stays cheap.
 const defaultSealEvery = 512
-
-// headStep is how many points a full head grows by once it holds that
-// many; smaller heads grow by doubling.
-const headStep = 64
 
 // chunkKind is what the sealed chunks of one kind of tier share across
 // the store: the value columns per sample (1 raw, rollupCols rollup)
-// and the compressed bytes and samples they hold.
+// and the compressed bytes and samples they hold. Open head chunks are
+// counted by DB.headBytes instead.
 type chunkKind struct {
 	cols           int
 	bytes, samples atomic.Int64
@@ -162,15 +161,16 @@ func (l *chunkList) add(k *chunkKind, c *Chunk) {
 	k.samples.Add(int64(c.Count))
 }
 
-// seal appends the chunk of kind k that encode compresses a head into,
-// timing the compression when the store is instrumented.
-func (l *chunkList) seal(db *DB, k *chunkKind, encode func() *Chunk) {
+// seal closes the open chunk enc into a chunk of kind k and resets enc
+// to an empty stream, timing it when the store is instrumented.
+func (l *chunkList) seal(db *DB, k *chunkKind, enc *Encoder) {
 	var start time.Time
 	inst := db.inst.Load()
 	if inst != nil {
 		start = time.Now()
 	}
-	l.add(k, encode())
+	l.add(k, enc.Chunk())
+	enc.Reset(k.cols)
 	if inst != nil {
 		inst.sealDuration.Observe(time.Since(start).Seconds())
 	}
@@ -206,16 +206,8 @@ func (l *chunkList) prune(k *chunkKind, before float64) int {
 			dropped += c.Count
 			continue
 		}
-		var enc Encoder
-		enc.Reset(c.Cols, c.Count)
-		it := c.Iter()
-		for it.Next() {
-			if it.TS() < before {
-				dropped++
-			} else {
-				enc.AppendVals(it.TS(), it.vals[:c.Cols])
-			}
-		}
+		enc, n := keepFrom(&chunkView{Chunk: *c}, before)
+		dropped += n
 		if enc.Count() > 0 {
 			nc := enc.Chunk()
 			kept = append(kept, nc)
@@ -228,6 +220,23 @@ func (l *chunkList) prune(k *chunkKind, before float64) int {
 		l.overlap = false
 	}
 	return dropped
+}
+
+// keepFrom re-encodes c's samples with TS >= before into an open
+// encoder and returns it with how many samples it dropped.
+func keepFrom(c *chunkView, before float64) (Encoder, int) {
+	var enc Encoder
+	enc.Reset(c.Cols)
+	dropped := 0
+	it := c.Iter()
+	for it.Next() {
+		if it.TS() < before {
+			dropped++
+		} else {
+			enc.AppendVals(it.TS(), it.vals[:c.Cols])
+		}
+	}
+	return enc, dropped
 }
 
 // count returns the samples the chunks hold.
@@ -266,19 +275,17 @@ type series struct {
 	key    string // canonical form of labels, the index key
 
 	mu sync.Mutex
-	// sealed is the raw tier's compressed chunks.
+	// sealed is the raw tier's compressed chunks, head its open one.
 	sealed chunkList
-	// head is the mutable tail of recent raw points.
-	head       []Point
-	headSorted bool
+	head   rawHead
 	// lastTS/lastVal track the newest sample ever appended, making
 	// Latest O(1) instead of a tail scan.
 	lastTS  float64
 	lastVal float64
+	// rolls are the optional downsampled tiers (1m, 1h), allocated and
+	// fed on the append path when the DB has tiers configured.
+	rolls   *[tierCount]rollState
 	hasLast bool
-	// rolls are the optional downsampled tiers (1m, 1h), fed on the
-	// append path when the DB has tiers configured.
-	rolls [tierCount]rollState
 	// dead marks a series removed from the index by retention (or
 	// replaced wholesale by Load); cached Series handles revalidate
 	// against it before appending.
@@ -287,32 +294,14 @@ type series struct {
 	// one whose appends maintain the retention watermark (see
 	// retention.go).
 	fresh, armed bool
-}
-
-// sortHead restores time order after out-of-order appends. Callers
-// hold s.mu.
-func (s *series) sortHead() {
-	if s.headSorted {
-		return
-	}
-	sort.SliceStable(s.head, func(i, j int) bool { return s.head[i].TS < s.head[j].TS })
-	s.headSorted = true
+	// queued marks a series on the store's pending ring (see DB.queue).
+	queued bool
 }
 
 // append adds one sample, whose timestamp is not NaN, sealing the head
 // into a compressed chunk when it fills. Callers hold s.mu.
 func (s *series) append(db *DB, ts, value float64) {
-	if s.headSorted && len(s.head) > 0 && ts < s.head[len(s.head)-1].TS {
-		s.headSorted = false
-	}
-	if n := len(s.head); n == cap(s.head) && n >= headStep {
-		// Every series fed at one cadence fills its head in step, so
-		// doubling would grow all heads at once by their whole size.
-		head := make([]Point, n, n+headStep)
-		copy(head, s.head)
-		s.head = head
-	}
-	s.head = append(s.head, Point{TS: ts, Value: value})
+	s.head.add(ts, value)
 	switch {
 	case !s.hasLast:
 		s.lastTS, s.lastVal, s.hasLast = ts, value, true
@@ -324,6 +313,9 @@ func (s *series) append(db *DB, ts, value float64) {
 		s.lastTS, s.lastVal = ts, value
 	}
 	if db.tiersOn {
+		if s.rolls == nil {
+			s.rolls = new([tierCount]rollState)
+		}
 		for t := range s.rolls {
 			s.rolls[t].feed(db, tierSteps[t], ts, value)
 		}
@@ -331,46 +323,50 @@ func (s *series) append(db *DB, ts, value float64) {
 	if s.armed {
 		db.lowerWatermark(db.evictBound(ts))
 	}
-	if len(s.head) >= db.sealEvery {
-		s.sealed.seal(db, &db.raw, func() *Chunk {
-			s.sortHead()
-			var enc Encoder
-			enc.Reset(1, len(s.head))
-			for _, p := range s.head {
-				enc.Append(p.TS, p.Value)
-			}
-			return enc.Chunk()
-		})
-		s.head = s.head[:0]
+	if s.head.count() >= db.sealEvery {
+		s.head.compact()
+		s.sealed.seal(db, &db.raw, &s.head.run)
+		s.head.mark = mark{}
 	}
 }
 
 // rawCount returns the series' raw sample count. Callers hold s.mu.
 func (s *series) rawCount() int {
-	return len(s.head) + s.sealed.count()
+	return s.head.count() + s.sealed.count()
 }
 
 // snapshot captures the series' raw data for lock-free reading: the
-// immutable chunk list is shared, only the (small) head is copied.
-// Callers hold s.mu.
+// immutable chunk list is shared, and the head, once compacted, by a
+// view. Nothing is copied. Callers hold s.mu.
 func (s *series) snapshot() seriesSnap {
-	s.sortHead()
-	sn := seriesSnap{blocks: s.sealed.chunks, overlap: s.sealed.overlap}
-	if len(s.head) > 0 {
-		sn.head = append(sn.head, s.head...)
-		if n := len(sn.blocks); n > 0 && sn.head[0].TS < sn.blocks[n-1].MaxTS {
-			sn.overlap = true
-		}
+	s.head.compact()
+	sn := seriesSnap{blocks: s.sealed.chunks, open: s.head.run.view(), overlap: s.sealed.overlap}
+	if n := len(sn.blocks); n > 0 && sn.open.Count > 0 && sn.open.MinTS < sn.blocks[n-1].MaxTS {
+		sn.overlap = true
 	}
 	return sn
 }
 
-// seriesSnap is a point-in-time view of one series' raw tier. Sealed
-// chunks are immutable, so the snapshot reads without any lock.
+// seriesSnap is a point-in-time view of one series' raw tier: its
+// sealed chunks and a view of its open one. Both only ever change by
+// appending past what the snapshot holds, so it reads without any lock.
 type seriesSnap struct {
 	blocks  []*Chunk
-	head    []Point
+	open    chunkView
 	overlap bool
+}
+
+// chunk returns the snapshot's i-th chunk and the bits that follow its
+// bytes — the open one comes after the sealed ones — or nil past the
+// last.
+func (sn *seriesSnap) chunk(i int) (*Chunk, pending) {
+	switch {
+	case i < len(sn.blocks):
+		return sn.blocks[i], pending{}
+	case i == len(sn.blocks) && sn.open.Count > 0:
+		return &sn.open.Chunk, sn.open.tail
+	}
+	return nil, pending{}
 }
 
 // Iter returns a streaming iterator over the snapshot's points within
@@ -379,34 +375,37 @@ func (sn seriesSnap) Iter(from, to float64) Iter {
 	if sn.overlap {
 		return PointsIter(sn.rangePoints(from, to))
 	}
-	return Iter{blocks: sn.blocks, head: sn.head, from: from, to: to}
+	return Iter{sn: sn, from: from, to: to}
 }
 
 // materialize decodes the snapshot's points within [from, to] into a
 // fresh slice (chunk order, not globally sorted when overlap is set).
 func (sn seriesSnap) materialize(from, to float64) []Point {
-	est := len(sn.head)
-	for _, c := range sn.blocks {
+	est := 0
+	for i := 0; ; i++ {
+		c, _ := sn.chunk(i)
+		if c == nil {
+			break
+		}
 		if c.MaxTS >= from && c.MinTS <= to {
 			est += c.Count
 		}
 	}
 	out := make([]Point, 0, est)
-	for _, c := range sn.blocks {
+	for i := 0; ; i++ {
+		c, tail := sn.chunk(i)
+		if c == nil {
+			break
+		}
 		if c.MaxTS < from || c.MinTS > to {
 			continue
 		}
-		it := c.Iter()
+		it := c.iter(tail)
 		for it.Next() {
 			ts, v := it.At()
 			if ts >= from && ts <= to {
 				out = append(out, Point{TS: ts, Value: v})
 			}
-		}
-	}
-	for _, p := range sn.head {
-		if p.TS >= from && p.TS <= to {
-			out = append(out, Point{TS: p.TS, Value: p.Value})
 		}
 	}
 	return out
@@ -429,17 +428,15 @@ func (sn seriesSnap) rangePoints(from, to float64) []Point {
 // materialising them — the aggregate-pushdown building block. The
 // zero value is an empty iterator.
 type Iter struct {
-	blocks  []*Chunk
+	sn      seriesSnap // chunks that do not overlap
 	bi      int
 	cur     ChunkIter
 	inChunk bool
-	head    []Point
-	hi      int
 	from    float64
 	to      float64
 
 	// flat is a PointsIter's already time-ordered points; such an Iter
-	// has no blocks or head.
+	// has no chunks.
 	flat []Point
 	fi   int
 
@@ -456,21 +453,23 @@ func (it *Iter) Next() bool {
 		it.ts, it.val = p.TS, p.Value
 		return true
 	}
-	for it.bi < len(it.blocks) {
+	for {
 		if !it.inChunk {
-			c := it.blocks[it.bi]
+			c, tail := it.sn.chunk(it.bi)
+			if c == nil {
+				return false
+			}
+			it.bi++
 			if c.MaxTS < it.from {
-				it.bi++
 				continue
 			}
 			if c.MinTS > it.to {
 				// Chunks are time-ordered: everything later is out of
-				// range too, including the head.
-				it.bi = len(it.blocks)
-				it.hi = len(it.head)
+				// range too.
+				it.bi = len(it.sn.blocks) + 1
 				return false
 			}
-			it.cur = c.Iter()
+			it.cur = c.iter(tail)
 			it.inChunk = true
 		}
 		for it.cur.Next() {
@@ -479,8 +478,7 @@ func (it *Iter) Next() bool {
 				continue
 			}
 			if ts > it.to {
-				it.bi = len(it.blocks)
-				it.hi = len(it.head)
+				it.bi = len(it.sn.blocks) + 1
 				it.inChunk = false
 				return false
 			}
@@ -488,22 +486,7 @@ func (it *Iter) Next() bool {
 			return true
 		}
 		it.inChunk = false
-		it.bi++
 	}
-	for it.hi < len(it.head) {
-		p := it.head[it.hi]
-		it.hi++
-		if p.TS < it.from {
-			continue
-		}
-		if p.TS > it.to {
-			it.hi = len(it.head)
-			return false
-		}
-		it.ts, it.val = p.TS, p.Value
-		return true
-	}
-	return false
 }
 
 // At returns the current point.
@@ -540,8 +523,14 @@ type DB struct {
 	fresh atomic.Int64
 
 	// raw and roll account for the sealed chunks of the raw tier and of
-	// every rollup tier (the heads are uncompressed and not counted).
+	// every rollup tier; headBytes counts the open ones.
 	raw, roll chunkKind
+
+	// pend is the pending ring of series whose heads buffer samples,
+	// pend0 its oldest entry once full (see DB.queue).
+	pendMu sync.Mutex
+	pend   []*series
+	pend0  int
 
 	// inst holds the optional self-observability instruments; an atomic
 	// pointer so readers on the append fast path never take an extra lock.
@@ -590,6 +579,9 @@ func (db *DB) Instrument(reg *metrics.Registry) {
 	reg.NewGaugeFunc("meshmon_tsdb_compressed_bytes",
 		"Bytes held in sealed compressed chunks across all tiers.",
 		func() float64 { return float64(db.raw.bytes.Load() + db.roll.bytes.Load()) })
+	reg.NewGaugeFunc("meshmon_tsdb_head_bytes",
+		"Bytes held in open head chunks across all tiers, plus 16 per raw sample slot buffered for a merge.",
+		func() float64 { return float64(db.headBytes()) })
 	reg.NewGaugeFunc("meshmon_tsdb_bytes_per_sample",
 		"Compressed bytes per sealed raw sample (16 uncompressed).",
 		func() float64 {
@@ -653,7 +645,7 @@ func (db *DB) getOrCreateLocked(name, key string, labels []labelPair) *series {
 	}
 	s, ok := byLabels[key]
 	if !ok {
-		s = &series{labels: labels, key: key, headSorted: true, fresh: true, armed: db.armed}
+		s = &series{labels: labels, key: key, fresh: true, armed: db.armed}
 		byLabels[key] = s
 		db.fresh.Add(1)
 	}
@@ -713,7 +705,14 @@ func (db *DB) append(name string, s *series, labels Labels, ts, value float64) *
 	}
 	s = db.lockLive(name, s)
 	s.append(db, ts, value)
+	queue := len(s.head.late) > 0 && !s.queued
+	if queue {
+		s.queued = true
+	}
 	s.mu.Unlock()
+	if queue {
+		db.queue(s)
+	}
 	db.points.Add(1)
 	if m := db.inst.Load(); m != nil {
 		m.appends.Inc()
@@ -788,8 +787,8 @@ func snap(s *series) seriesSnap {
 
 // Query returns every series of the metric whose labels contain matcher,
 // restricted to from <= TS <= to, sorted by canonical label string.
-// Sealed chunks decode outside any lock, so queries only briefly touch
-// each series (to copy its head) and proceed concurrently with ingest.
+// Chunks decode outside any lock, so queries only briefly touch each
+// series (to take its snapshot) and proceed concurrently with ingest.
 func (db *DB) Query(name string, matcher Labels, from, to float64) []Result {
 	defer db.observeQuery(time.Now())
 	matched := db.match(name, matcher)
@@ -815,7 +814,7 @@ func (db *DB) QueryOne(name string, labels Labels, from, to float64) (Result, bo
 // IterOne returns a streaming iterator over the exact series' raw
 // points in [from, to] — the no-materialisation read path for analysis
 // passes that fold or early-exit. The iterator is independent of
-// subsequent ingest (sealed chunks are immutable; the head is copied).
+// subsequent ingest (sealed chunks are immutable; the head is a view).
 func (db *DB) IterOne(name string, labels Labels, from, to float64) (Iter, bool) {
 	s := db.lookup(name, labels.canonical())
 	if s == nil {
@@ -846,23 +845,22 @@ func (db *DB) Latest(name string, labels Labels) (Point, bool) {
 // full-range counts cost O(chunks), not O(points).
 func (sn seriesSnap) countRange(from, to float64) int {
 	n := 0
-	for _, c := range sn.blocks {
+	for i := 0; ; i++ {
+		c, tail := sn.chunk(i)
+		if c == nil {
+			break
+		}
 		switch {
 		case c.MaxTS < from || c.MinTS > to:
 		case c.MinTS >= from && c.MaxTS <= to:
 			n += c.Count
 		default:
-			it := c.Iter()
+			it := c.iter(tail)
 			for it.Next() {
 				if ts, _ := it.At(); ts >= from && ts <= to {
 					n++
 				}
 			}
-		}
-	}
-	for _, p := range sn.head {
-		if p.TS >= from && p.TS <= to {
-			n++
 		}
 	}
 	return n
@@ -953,6 +951,27 @@ func (db *DB) PointCount() int {
 	return int(db.points.Load())
 }
 
+// headBytes returns the bytes the open head chunks of every tier hold,
+// counting 16 per sample slot a raw head buffers.
+func (db *DB) headBytes() int {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	n := 0
+	for _, byLabels := range db.metrics {
+		for _, s := range byLabels {
+			s.mu.Lock()
+			n += s.head.bytes()
+			if s.rolls != nil {
+				for t := range s.rolls {
+					n += s.rolls[t].head.size()
+				}
+			}
+			s.mu.Unlock()
+		}
+	}
+	return n
+}
+
 // observeQuery records one read-path latency sample when instrumented.
 func (db *DB) observeQuery(start time.Time) {
 	if m := db.inst.Load(); m != nil {
@@ -965,17 +984,22 @@ func (db *DB) observeQuery(start time.Time) {
 // dropped.
 func (s *series) pruneRaw(db *DB, before float64) int {
 	dropped := s.sealed.prune(&db.raw, before)
-	s.sortHead()
-	cut := sort.Search(len(s.head), func(i int) bool { return !(s.head[i].TS < before) })
-	if cut > 0 {
-		s.head = append(s.head[:0], s.head[cut:]...)
+	if !(s.head.oldest() < before) {
+		return dropped
 	}
-	return dropped + cut
+	s.head.compact()
+	c := s.head.run.view()
+	run, n := keepFrom(&c, before)
+	s.head.run, s.head.mark = run, mark{}
+	return dropped + n
 }
 
 // hasRollupData reports whether any rollup tier still holds buckets.
 // Callers hold s.mu.
 func (s *series) hasRollupData() bool {
+	if s.rolls == nil {
+		return false
+	}
 	for t := range s.rolls {
 		if !s.rolls[t].empty() {
 			return true

@@ -432,17 +432,17 @@ func TestConcurrentReadWrite(t *testing.T) {
 	wg.Wait()
 }
 
-// TestHeadGrowsInSteps: past headStep points a head grows by headStep,
-// never doubling, so series fed in step cannot all double at once; the
-// points stay intact across the regrowth.
-func TestHeadGrowsInSteps(t *testing.T) {
+// TestHeadGrowsByAppend: the open chunk is not pre-sized; its stream
+// grows by append and stays within twice its written length plus one
+// growth step, and the points stay intact across the regrowth.
+func TestHeadGrowsByAppend(t *testing.T) {
 	db := New()
 	h := db.Series("m", Labels{"node": "N0001"})
 	for i := 0; i < defaultSealEvery-1; i++ {
 		h.Append(float64(i), float64(i))
-		s := h.s.Load()
-		if n := len(s.head); n >= headStep && cap(s.head) > n+headStep {
-			t.Fatalf("%d points in a head of capacity %d", n, cap(s.head))
+		run := &h.s.Load().head.run
+		if n, c := len(run.w.b), cap(run.w.b); c > 2*n+128 {
+			t.Fatalf("%d points: %d stream bytes in a buffer of capacity %d", i+1, n, c)
 		}
 	}
 	res, ok := db.QueryOne("m", Labels{"node": "N0001"}, 0, defaultSealEvery)

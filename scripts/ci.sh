@@ -47,8 +47,12 @@ stage_test() {
   # out-of-order-append race hammer. So do the NaN rules (a NaN timestamp
   # never enters the store, a NaN cutoff evicts nothing) and the digest
   # of every read pinned to the store before its sealed blocks shared
-  # one implementation.
-  go test -race -count=1 -run 'ChunkRoundTrip|ChunkTruncated|DBOutOfOrder|FuzzChunkRoundTrip|RetainMatchesFullSweep|RetainRaceOutOfOrderAppends|NaNTimestampNeverStored|NaNCutoffEvictsNothing|StoreMatchesParentDigest' \
+  # one implementation. Open heads hold compressed bits: every sealed
+  # chunk, dump and read must equal a []Point-head reference's bit for
+  # bit over in-order, shuffled, reversed, equal-timestamp, signed-zero
+  # and infinite sequences, and a snapshot must keep yielding exactly
+  # its points while the writer appends, compacts, seals and prunes.
+  go test -race -count=1 -run 'ChunkRoundTrip|ChunkTruncated|DBOutOfOrder|FuzzChunkRoundTrip|RetainMatchesFullSweep|RetainRaceOutOfOrderAppends|NaNTimestampNeverStored|NaNCutoffEvictsNothing|StoreMatchesParentDigest|HeadMatchesPointHead|HeadSnapshotIsolation|HeadCompactionOrder' \
     ./internal/tsdb
   # Non-finite timestamps are refused at the wire (every record type and
   # sent_at, and over HTTP ingest), yet logs holding them still replay.
@@ -100,11 +104,15 @@ stage_test() {
   # skips itself there, and counts taken under it are not the shipped
   # binary's. Ticker ticks, Timer re-arms, Do events, agent captures and
   # a HELLO on a known link allocate nothing; a flush allocates at most
-  # one slice per record kind.
+  # one slice per record kind. Store budgets: an in-order append
+  # amortises to under 0.1 allocations, a read of an open head allocates
+  # as often at 500 samples as at 10, and dash_read-shaped heads hold at
+  # most 8 bytes per sample.
   go test -count=1 -run 'DoRecyclesEventObjects|TickerTickAllocationFree|TimerResetAllocationFree' ./internal/simkit
   go test -count=1 -run 'CaptureAllocationFree|FlushAllocationBound' ./internal/agent
   go test -count=1 -run 'EncodedSizeAllocationFree' ./internal/wire
   go test -count=1 -run 'ShardLinksStaySorted' ./internal/collector
+  go test -count=1 -run 'HeadAppendAllocations|HeadQueryAllocations|HeadBytesBudget' ./internal/tsdb
 }
 
 stage_recover() {
