@@ -361,11 +361,9 @@ type Collector struct {
 	// restores counts RestoreSnapshot calls — the only event that can
 	// shrink or replace the node registry and link table.
 	restores atomic.Uint64
-	// notifyMu guards notifyCh, the lazily created broadcast channel
-	// closed on the next epoch advance. Lazy creation keeps ingest
-	// allocation-free when nothing subscribes.
-	notifyMu sync.Mutex
-	notifyCh chan struct{}
+	// notify is woken on every epoch advance: it closes the Changed
+	// channel a waiter took and calls the subscribed fan-in views.
+	notify Broadcast
 }
 
 // New builds a collector writing into db.
@@ -595,27 +593,19 @@ func (c *Collector) Restores() uint64 { return c.restores.Load() }
 // Changed returns a channel closed on the next epoch advance. Callers
 // re-arm by calling Changed again after a wake-up; the channel is
 // shared by all waiters, so a thousand SSE clients cost one close.
-func (c *Collector) Changed() <-chan struct{} {
-	c.notifyMu.Lock()
-	defer c.notifyMu.Unlock()
-	if c.notifyCh == nil {
-		c.notifyCh = make(chan struct{})
-	}
-	return c.notifyCh
-}
+func (c *Collector) Changed() <-chan struct{} { return c.notify.Changed() }
 
-// bumpEpoch advances the ingest epoch and wakes every Changed waiter.
-// Called after the shard lock is released, so waiters that wake and
-// read see the full batch.
+// Subscribe registers wake to run after every epoch advance, on the
+// ingesting goroutine (see Broadcast.Subscribe). A federated view
+// subscribes to each member this way.
+func (c *Collector) Subscribe(wake func()) { c.notify.Subscribe(wake) }
+
+// bumpEpoch advances the ingest epoch and wakes every Changed waiter
+// and subscriber. Called after the shard lock is released, so waiters
+// that wake and read see the full batch.
 func (c *Collector) bumpEpoch() {
 	c.epoch.Add(1)
-	c.notifyMu.Lock()
-	ch := c.notifyCh
-	c.notifyCh = nil
-	c.notifyMu.Unlock()
-	if ch != nil {
-		close(ch)
-	}
+	c.notify.Wake()
 }
 
 // ErrDurability wraps write-ahead-log failures on the ingest path, so

@@ -245,3 +245,13 @@ func TestParseNodeID(t *testing.T) {
 		}
 	}
 }
+
+// TestBumpEpochAllocationFree: an epoch advance nobody waits on or
+// subscribes to allocates nothing, so ingest into a collector without a
+// federated view or SSE watcher pays nothing for the push path.
+func TestBumpEpochAllocationFree(t *testing.T) {
+	c := New(tsdb.New(), DefaultConfig())
+	if n := testing.AllocsPerRun(1000, c.bumpEpoch); n != 0 {
+		t.Fatalf("bumpEpoch: %v allocations per call, want 0", n)
+	}
+}

@@ -1,6 +1,8 @@
 package collector
 
 import (
+	"sync"
+
 	"lorameshmon/internal/metrics"
 	"lorameshmon/internal/tsdb"
 	"lorameshmon/internal/wire"
@@ -59,6 +61,51 @@ type View interface {
 	DB() tsdb.Querier
 	// Metrics exposes the self-observability registry.
 	Metrics() *metrics.Registry
+}
+
+// Broadcast is the push side of Changed: Wake closes the channel
+// Changed handed out, then calls every function Subscribe registered,
+// on the waking goroutine. A fan-in View subscribes its own Broadcast's
+// Wake to each member's, so no goroutine has to watch the members. The
+// zero value is ready to use.
+type Broadcast struct {
+	mu   sync.Mutex
+	ch   chan struct{} // made on demand: unwatched, Wake allocates nothing
+	subs []func()      // only appended to, so Wake iterates a snapshot
+}
+
+// Changed returns the channel the next Wake closes.
+func (b *Broadcast) Changed() <-chan struct{} {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.ch == nil {
+		b.ch = make(chan struct{})
+	}
+	return b.ch
+}
+
+// Subscribe registers wake to run after every later Wake, for as long
+// as b lives. wake runs after the epoch advance is visible and must not
+// block.
+func (b *Broadcast) Subscribe(wake func()) {
+	b.mu.Lock()
+	b.subs = append(b.subs, wake)
+	b.mu.Unlock()
+}
+
+// Wake closes the current Changed channel and calls every subscriber.
+// Callers advance their epoch first.
+func (b *Broadcast) Wake() {
+	b.mu.Lock()
+	ch, subs := b.ch, b.subs
+	b.ch = nil
+	b.mu.Unlock()
+	if ch != nil {
+		close(ch)
+	}
+	for _, wake := range subs {
+		wake()
+	}
 }
 
 // Store is the write side of the collector — the uplink.Sink shape.

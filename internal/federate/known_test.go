@@ -13,20 +13,21 @@ import (
 )
 
 // countingMember counts the member reads that copy and sort the whole
-// registry or link table.
+// registry or link table. It embeds the concrete collector, so the
+// push half (Subscribe) that NewView requires is promoted.
 type countingMember struct {
-	collector.View
+	*collector.Collector
 	calls atomic.Int64
 }
 
 func (m *countingMember) Nodes() []collector.NodeInfo {
 	m.calls.Add(1)
-	return m.View.Nodes()
+	return m.Collector.Nodes()
 }
 
 func (m *countingMember) Links(from float64) []collector.LinkObs {
 	m.calls.Add(1)
-	return m.View.Links(from)
+	return m.Collector.Links(from)
 }
 
 // snapshotOf ingests batches into a fresh collector and returns its
@@ -80,7 +81,7 @@ func TestFederateKnownCounts(t *testing.T) {
 	}
 
 	members := []*countingMember{
-		{View: owners["m1"]}, {View: owners["m2"]}, {View: restored}, {View: res.Legacy},
+		{Collector: owners["m1"]}, {Collector: owners["m2"]}, {Collector: restored}, {Collector: res.Legacy},
 	}
 	fed, err := NewView([]MemberView{
 		{Name: "m1", View: members[0]},

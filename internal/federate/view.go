@@ -15,10 +15,16 @@ import (
 )
 
 // MemberView pairs a member's ring identity with its read side. The
-// View fans every read out to all members concurrently and merges.
+// member must push its epoch advances (Subscribe), as a
+// *collector.Collector and a *View do.
 type MemberView struct {
 	Name string
 	View collector.View
+}
+
+// notifier is a member that pushes its epoch advances (see NewView).
+type notifier interface {
+	Subscribe(wake func())
 }
 
 // ViewConfig tunes the federated view.
@@ -27,14 +33,16 @@ type ViewConfig struct {
 	Metrics *metrics.Registry
 }
 
-// View implements collector.View over a set of member collectors: every
-// read fans out to all members concurrently, and the members' sorted
-// answers go through the same k-way merge (tsdb.MergeRuns) the
-// collector runs over its shards, in the order the single-process
-// collector guarantees (Nodes by ID, Links by (tx, rx), Recent
-// newest-first, query results by canonical label string), so the
-// dashboard, the alert engine and all analysis functions run unchanged
-// on a federation.
+// View implements collector.View over a set of member collectors.
+// Counter reads (Epoch, MaxTS, Stats, Restores) are lock-free loads on
+// each member and run inline, member by member. Materialising reads
+// (Nodes, Links, Recent and every querier read) fan out to all members
+// concurrently, and the members' sorted answers go through the same
+// k-way merge (tsdb.MergeRuns) the collector runs over its shards, in
+// the order the single-process collector guarantees (Nodes by ID, Links
+// by (tx, rx), Recent newest-first, query results by canonical label
+// string), so the dashboard, the alert engine and all analysis
+// functions run unchanged on a federation.
 //
 // Merge semantics assume members hold *disjoint* samples — the
 // steady-state guarantee of ring partitioning, preserved across
@@ -50,14 +58,10 @@ type View struct {
 	reg     *metrics.Registry
 	obs     map[string]*metrics.Histogram
 
-	// watch is the federated change notifier: one persistent goroutine
-	// per member (started lazily on the first Changed call) waits on
-	// that member's Changed channel and rolls the view's own broadcast
-	// channel forward, so a dashboard's SSE hub sees one channel no
-	// matter how many collectors back the view.
-	watchOnce sync.Once
-	watchMu   sync.Mutex
-	watchCh   chan struct{}
+	// notify is woken by every member after each of its epoch advances,
+	// so a dashboard's SSE hub sees one channel however many collectors
+	// back the view. No goroutine holds the view or its members.
+	notify collector.Broadcast
 
 	// distinct caches the federation's distinct node and link counts
 	// (see distinctCounts), keyed per member by the set sizes and
@@ -77,7 +81,9 @@ type setsKey struct {
 
 var _ collector.View = (*View)(nil)
 
-// NewView builds a federated view over the members.
+// NewView builds a federated view over the members and subscribes it to
+// each member's epoch advances. A member that cannot push them is
+// refused.
 func NewView(members []MemberView, cfg ViewConfig) (*View, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("federate: view needs at least one member")
@@ -91,6 +97,9 @@ func NewView(members []MemberView, cfg ViewConfig) (*View, error) {
 			return nil, fmt.Errorf("federate: duplicate view member %q", m.Name)
 		}
 		seen[m.Name] = true
+		if _, ok := m.View.(notifier); !ok {
+			return nil, fmt.Errorf("federate: member %q (%T) cannot notify its epoch advances", m.Name, m.View)
+		}
 	}
 	reg := cfg.Metrics
 	if reg == nil {
@@ -99,13 +108,16 @@ func NewView(members []MemberView, cfg ViewConfig) (*View, error) {
 	v := &View{
 		members: append([]MemberView(nil), members...),
 		fanout: reg.NewHistogramVec("meshmon_federate_fanout_seconds",
-			"Wall-clock duration of one fanned-out federated read, by operation.", nil, "op"),
+			"Wall-clock duration of one federated read, by operation.", nil, "op"),
 		reg: reg,
 		obs: make(map[string]*metrics.Histogram),
 	}
 	for _, op := range []string{"nodes", "node", "links", "recent", "stats",
 		"distinct", "maxts", "epoch", "restores", "query", "query_range", "aggregate", "iter", "latest"} {
 		v.obs[op] = v.fanout.With(op)
+	}
+	for _, m := range v.members {
+		m.View.(notifier).Subscribe(v.notify.Wake)
 	}
 	return v, nil
 }
@@ -114,12 +126,17 @@ func NewView(members []MemberView, cfg ViewConfig) (*View, error) {
 // Member registries stay separate — each member exposes its own.
 func (v *View) Metrics() *metrics.Registry { return v.reg }
 
+// observe records one federated read under op, timed from start.
+func (v *View) observe(op string, start time.Time) {
+	v.obs[op].Observe(time.Since(start).Seconds())
+}
+
 // fan runs fn once per member concurrently and returns when all are
 // done. Results land in index-ordered slots, so merges iterate members
 // in configured order regardless of response timing — determinism does
 // not depend on scheduling.
 func (v *View) fan(op string, fn func(i int, m MemberView)) {
-	start := time.Now()
+	defer v.observe(op, time.Now())
 	var wg sync.WaitGroup
 	for i := range v.members {
 		wg.Add(1)
@@ -129,7 +146,6 @@ func (v *View) fan(op string, fn func(i int, m MemberView)) {
 		}(i)
 	}
 	wg.Wait()
-	v.obs[op].Observe(time.Since(start).Seconds())
 }
 
 // Nodes returns the merged registry, sorted by node ID.
@@ -181,39 +197,36 @@ func (v *View) Recent(limit int) []wire.PacketRecord {
 // Stats sums the members' counters; NodesKnown and LinksKnown count
 // distinct node IDs and (tx, rx) links across the federation (a node
 // handed off appears on two members but is still one node). In steady
-// state this fans out only Stats and Restores: member sets are
+// state it reads only each member's Stats and Restores: member sets are
 // materialised only when some member's key has moved.
 func (v *View) Stats() collector.Stats {
-	parts := make([]collector.Stats, len(v.members))
-	keys := make([]setsKey, len(v.members))
-	v.fan("stats", func(i int, m MemberView) {
-		parts[i] = m.View.Stats()
-		// Restores after Stats: a restore that lands between the two
-		// reads shows up as a moved key rather than a stale match.
-		keys[i] = setsKey{m.View.Restores(), parts[i].NodesKnown, parts[i].LinksKnown}
-	})
+	start := time.Now()
+	v.distinctMu.Lock()
+	keys, nodes, links := v.distinctKeys, v.distinctNodes, v.distinctLinks
+	v.distinctMu.Unlock()
+	hit := len(keys) == len(v.members)
 	var out collector.Stats
-	for _, p := range parts {
+	for i, m := range v.members {
+		p := m.View.Stats()
 		out.BatchesIngested += p.BatchesIngested
 		out.BatchesRejected += p.BatchesRejected
 		out.RecordsIngested += p.RecordsIngested
+		// Restores after Stats: a restore that lands between the two
+		// reads shows up as a moved key rather than a stale match.
+		hit = hit && keys[i] == setsKey{m.View.Restores(), p.NodesKnown, p.LinksKnown}
 	}
-	out.NodesKnown, out.LinksKnown = v.distinctCounts(keys)
+	v.observe("stats", start)
+	if !hit {
+		nodes, links = v.distinctCounts()
+	}
+	out.NodesKnown, out.LinksKnown = nodes, links
 	return out
 }
 
-// distinctCounts returns the federation's distinct node and link
-// counts, answering from the cache while every member's key equals the
-// one its sets were last materialised at, and otherwise fanning Nodes
-// and Links out once to rebuild it.
-func (v *View) distinctCounts(keys []setsKey) (nodes, links int) {
-	v.distinctMu.Lock()
-	if slices.Equal(keys, v.distinctKeys) {
-		defer v.distinctMu.Unlock()
-		return v.distinctNodes, v.distinctLinks
-	}
-	v.distinctMu.Unlock()
-
+// distinctCounts fans Nodes and Links out once to count the
+// federation's distinct nodes and links, and caches the counts under
+// the member keys they were materialised at.
+func (v *View) distinctCounts() (nodes, links int) {
 	fresh := make([]setsKey, len(v.members))
 	nodeSets := make([][]collector.NodeInfo, len(v.members))
 	linkSets := make([][]collector.LinkObs, len(v.members))
@@ -233,11 +246,10 @@ func (v *View) distinctCounts(keys []setsKey) (nodes, links int) {
 
 // MaxTS is the newest record timestamp across the federation.
 func (v *View) MaxTS() float64 {
-	parts := make([]float64, len(v.members))
-	v.fan("maxts", func(i int, m MemberView) { parts[i] = m.View.MaxTS() })
+	defer v.observe("maxts", time.Now())
 	out := 0.0
-	for _, ts := range parts {
-		if ts > out {
+	for _, m := range v.members {
+		if ts := m.View.MaxTS(); ts > out {
 			out = ts
 		}
 	}
@@ -249,11 +261,10 @@ func (v *View) MaxTS() float64 {
 // federation advances it, which is exactly the invalidation contract
 // the read cache needs.
 func (v *View) Epoch() uint64 {
-	parts := make([]uint64, len(v.members))
-	v.fan("epoch", func(i int, m MemberView) { parts[i] = m.View.Epoch() })
+	defer v.observe("epoch", time.Now())
 	var sum uint64
-	for _, p := range parts {
-		sum += p
+	for _, m := range v.members {
+		sum += m.View.Epoch()
 	}
 	return sum
 }
@@ -262,49 +273,21 @@ func (v *View) Epoch() uint64 {
 // node and link sets are unions of member sets, so they too only grow
 // while the sum stands still.
 func (v *View) Restores() uint64 {
-	parts := make([]uint64, len(v.members))
-	v.fan("restores", func(i int, m MemberView) { parts[i] = m.View.Restores() })
+	defer v.observe("restores", time.Now())
 	var sum uint64
-	for _, p := range parts {
-		sum += p
+	for _, m := range v.members {
+		sum += m.View.Restores()
 	}
 	return sum
 }
 
 // Changed returns a channel closed the next time any member's epoch
-// advances. The first call starts one watcher goroutine per member;
-// they live for the view's lifetime and re-arm themselves, so repeated
-// Changed calls are cheap (a mutex and a channel read).
-func (v *View) Changed() <-chan struct{} {
-	v.watchOnce.Do(func() {
-		v.watchCh = make(chan struct{})
-		for _, m := range v.members {
-			go func(mv MemberView) {
-				// Obtain the channel before reading the epoch: a bump
-				// that lands after the epoch read closes the channel we
-				// already hold, and one that landed before shows up in
-				// the epoch re-check — no advance is ever missed.
-				var last uint64
-				for {
-					ch := mv.View.Changed()
-					if e := mv.View.Epoch(); e != last {
-						last = e
-						v.watchMu.Lock()
-						rolled := v.watchCh
-						v.watchCh = make(chan struct{})
-						v.watchMu.Unlock()
-						close(rolled)
-						continue
-					}
-					<-ch
-				}
-			}(m)
-		}
-	})
-	v.watchMu.Lock()
-	defer v.watchMu.Unlock()
-	return v.watchCh
-}
+// advances: the members push each advance into the view (see NewView).
+func (v *View) Changed() <-chan struct{} { return v.notify.Changed() }
+
+// Subscribe registers wake to run after every member epoch advance, so
+// a View can itself be a member of another View.
+func (v *View) Subscribe(wake func()) { v.notify.Subscribe(wake) }
 
 // DB returns the federated querier: the same tsdb read interface,
 // answered by fanning each query out to every member's store and

@@ -279,4 +279,8 @@ func TestFederateViewRejectsBadMembership(t *testing.T) {
 	}, ViewConfig{}); err == nil {
 		t.Fatal("duplicate member accepted")
 	}
+	// A member that only reads, with no way to push its epoch advances.
+	if _, err := NewView([]MemberView{{Name: "a", View: struct{ collector.View }{c}}}, ViewConfig{}); err == nil {
+		t.Fatal("member without Subscribe accepted")
+	}
 }

@@ -372,6 +372,16 @@ func (e *Encoder) view() chunkView {
 	return v
 }
 
+// chunk returns the view as a standalone chunk: a copy of its bytes,
+// then its pending bits zero-padded to a byte — what Encoder.Chunk
+// would seal, with the encoder left open.
+func (v *chunkView) chunk() Chunk {
+	w := bitWriter{b: slices.Clone(v.Data), buf: v.tail.bits, n: v.tail.n}
+	c := v.Chunk
+	c.Data = w.finish()
+	return c
+}
+
 // --- iterator ---
 
 // ChunkIter decodes a chunk sample by sample. It is a value type: a

@@ -128,41 +128,10 @@ func (r *refRoll) feed(step, ts, v float64) {
 }
 
 // reload models a Dump/Load through gob: the head is stored sorted,
-// and gob, which omits zero-valued fields, brings -0 back as +0 in
-// head points, the last sample, rollup buckets and chunk bounds (chunk
-// bytes keep it).
+// and every float, -0 included, comes back bit for bit.
 func (ps *pointStore) reload() {
-	z := func(v float64) float64 {
-		if v == 0 {
-			return 0
-		}
-		return v
-	}
-	zb := func(b RollupSample) RollupSample {
-		return RollupSample{z(b.TS), z(b.Count), z(b.Sum), z(b.Min), z(b.Max), z(b.Last)}
-	}
-	zc := func(cs []*Chunk) {
-		for i, c := range cs {
-			cz := *c
-			cz.MinTS, cz.MaxTS = z(c.MinTS), z(c.MaxTS)
-			cs[i] = &cz
-		}
-	}
 	for _, s := range ps.series {
-		zc(s.chunks)
 		s.head = sortedPoints(s.head)
-		for i, p := range s.head {
-			s.head[i] = Point{z(p.TS), z(p.Value)}
-		}
-		s.last = Point{z(s.last.TS), z(s.last.Value)}
-		for t := range s.rolls {
-			r := &s.rolls[t]
-			zc(r.chunks)
-			for i, b := range r.head {
-				r.head[i] = zb(b)
-			}
-			r.open, r.openLastTS = zb(r.open), z(r.openLastTS)
-		}
 	}
 }
 
@@ -336,6 +305,9 @@ func (ps *pointStore) check(t *testing.T, db *DB, where string) {
 	for name, sds := range dump.Metrics {
 		for _, sd := range sds {
 			n++
+			if err := sd.decodeV3(); err != nil {
+				t.Fatalf("%s: %s%v: %v", where, name, sd.Labels, err)
+			}
 			s := ps.series[name+"|"+sd.Labels.canonical()]
 			if s == nil {
 				t.Fatalf("%s: dump has series %s%v the reference lacks", where, name, sd.Labels)

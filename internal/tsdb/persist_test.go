@@ -111,6 +111,9 @@ func TestRestoreGarbageFails(t *testing.T) {
 		"raw chunk columns": {Version: snapshotVersion, Metrics: map[string][]SeriesDump{
 			"m": {{Labels: Labels{"a": "1"}, Blocks: []Chunk{{Cols: rollupCols}}}},
 		}},
+		"truncated head": {Version: snapshotVersion, Metrics: map[string][]SeriesDump{
+			"m": {{Labels: Labels{"a": "1"}, Head: Chunk{Cols: 1, Count: 3}}},
+		}},
 	}
 	for name, dump := range bad {
 		db := populated()
@@ -128,5 +131,115 @@ func TestSnapshotEmptyDB(t *testing.T) {
 	}
 	if db.PointCount() != 0 || db.SeriesCount() != 0 {
 		t.Fatal("empty snapshot produced data")
+	}
+}
+
+// TestSnapshotKeepsNegativeZero: gob omits a float field equal to zero,
+// so before v3 a -0 in a head sample, the last sample, a rollup bucket
+// or a chunk bound came back from a checkpoint as +0. Every one must
+// now keep its sign.
+func TestSnapshotKeepsNegativeZero(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	db := New()
+	db.SetSealEvery(4)
+	db.ConfigureTiers(Retention{})
+	// Series s seals a chunk starting at -0 and keeps -0 in its head;
+	// h closes a 1m bucket starting at -0 into its rollup head; l holds
+	// the single sample (-0, -0), its last and its open bucket's.
+	for i, ts := range []float64{negZero, 1, 2, 3, 4} {
+		db.Append("s", nil, ts, []float64{negZero, 5}[i%2])
+	}
+	db.Append("h", nil, negZero, negZero)
+	db.Append("h", nil, 60, 2)
+	db.Append("l", nil, negZero, negZero)
+
+	restored, again := New(), New()
+	restored.ConfigureTiers(Retention{})
+	again.ConfigureTiers(Retention{})
+	dump := gobDump(t, db)
+	// Loading leaves the dump as it was: a second Load of it restores
+	// the same store.
+	for _, into := range []*DB{restored, again} {
+		if err := into.Load(dump); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if dumpString(again) != dumpString(restored) {
+		t.Fatal("a second Load of the same dump restored a different store")
+	}
+	neg := func(where string, v float64) {
+		t.Helper()
+		if v != 0 || !math.Signbit(v) {
+			t.Errorf("%s = %v (signbit %v), want -0", where, v, math.Signbit(v))
+		}
+	}
+	if r, ok := restored.QueryOne("s", nil, -1, 10); !ok || len(r.Points) != 5 {
+		t.Fatalf("s restored as %v", r.Points)
+	} else {
+		neg("sealed ts", r.Points[0].TS)
+		neg("sealed value", r.Points[0].Value)
+		neg("head value", r.Points[4].Value)
+	}
+	p, _ := restored.Latest("l", nil)
+	neg("last ts", p.TS)
+	neg("last value", p.Value)
+
+	dumped := restored.Dump()
+	sd := func(name string) SeriesDump {
+		t.Helper()
+		sd := dumped.Metrics[name][0]
+		if err := sd.decodeV3(); err != nil {
+			t.Fatal(err)
+		}
+		return sd
+	}
+	s, h, l := sd("s"), sd("h"), sd("l")
+	neg("chunk MinTS", s.Blocks[0].MinTS)
+	neg("rollup open TS", s.Rollups[0].Open.TS)
+	neg("rollup head TS", h.Rollups[0].Head[0].TS)
+	neg("rollup head last", h.Rollups[0].Head[0].Last)
+	neg("rollup open last", l.Rollups[0].Open.Last)
+	neg("rollup open last TS", l.Rollups[0].OpenLastTS)
+}
+
+// TestSnapshotLoadsV2: a v2 dump, which holds heads, the last sample
+// and open rollup buckets in float fields, still loads into the store
+// it was taken from.
+func TestSnapshotLoadsV2(t *testing.T) {
+	db := New()
+	db.SetSealEvery(16)
+	db.ConfigureTiers(Retention{})
+	for i := 0; i < 500; i++ {
+		db.Append("m", Labels{"node": string(rune('a' + i%3))}, float64(i*7), float64(i%11))
+	}
+	dump := db.Dump()
+	dump.Version = 2
+	for _, sds := range dump.Metrics {
+		for i := range sds {
+			sd := &sds[i]
+			if err := sd.decodeV3(); err != nil {
+				t.Fatal(err)
+			}
+			sd.Head, sd.LastBits = Chunk{}, [2]uint64{}
+			for j := range sd.Rollups {
+				sd.Rollups[j].Buckets, sd.Rollups[j].OpenBits = Chunk{}, [7]uint64{}
+			}
+		}
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(dump); err != nil {
+		t.Fatal(err)
+	}
+	var v2 SnapshotDump
+	if err := gob.NewDecoder(&buf).Decode(&v2); err != nil {
+		t.Fatal(err)
+	}
+	restored := New()
+	restored.ConfigureTiers(Retention{})
+	if err := restored.Load(v2); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := dumpString(restored), dumpString(db); got != want {
+		t.Fatalf("v2 dump restored as\n%s\nwant\n%s", got, want)
 	}
 }

@@ -367,7 +367,7 @@ func TestNaNTimestampNeverStored(t *testing.T) {
 		t.Fatalf("after Prune(2.5): metrics %v, %d points; want [m n] and 1", names, db.PointCount())
 	}
 
-	dump := SnapshotDump{Version: snapshotVersion, Metrics: map[string][]SeriesDump{
+	dump := SnapshotDump{Version: 2, Metrics: map[string][]SeriesDump{
 		"m": {{Labels: lbl, Points: []Point{{1, 1}, {nan, 9}, {2, 2}}, Last: Point{2, 2}, HasLast: true}},
 	}}
 	if err := db.Load(dump); err != nil {

@@ -102,16 +102,19 @@ stage_test() {
   # The allocation guards run by name without -race: the race runtime
   # drops a random share of sync.Pool Puts, so EncodedSizeAllocationFree
   # skips itself there, and counts taken under it are not the shipped
-  # binary's. Ticker ticks, Timer re-arms, Do events, agent captures and
-  # a HELLO on a known link allocate nothing; a flush allocates at most
-  # one slice per record kind. Store budgets: an in-order append
+  # binary's. Ticker ticks, Timer re-arms, Do events, agent captures, a
+  # HELLO on a known link, an epoch advance nobody watches and the
+  # federated counter reads (Stats while no member's sets moved)
+  # allocate nothing; a flush allocates at most one slice per record
+  # kind. Store budgets: an in-order append
   # amortises to under 0.1 allocations, a read of an open head allocates
   # as often at 500 samples as at 10, and dash_read-shaped heads hold at
   # most 8 bytes per sample.
   go test -count=1 -run 'DoRecyclesEventObjects|TickerTickAllocationFree|TimerResetAllocationFree' ./internal/simkit
   go test -count=1 -run 'CaptureAllocationFree|FlushAllocationBound' ./internal/agent
   go test -count=1 -run 'EncodedSizeAllocationFree' ./internal/wire
-  go test -count=1 -run 'ShardLinksStaySorted' ./internal/collector
+  go test -count=1 -run 'ShardLinksStaySorted|BumpEpochAllocationFree' ./internal/collector
+  go test -count=1 -run 'FederateCounterReadsAllocationFree' ./internal/federate
   go test -count=1 -run 'HeadAppendAllocations|HeadQueryAllocations|HeadBytesBudget' ./internal/tsdb
 }
 
@@ -146,8 +149,13 @@ stage_federate() {
   # order a single store answers in.
   # HandoffFoldsRouteHistory pins the federated fold of a handed-off
   # node's route history (legacy before the checkpoint, new owner after).
-  go test -race -count=1 -run 'Federate|Ring|Router|Handoff|FederateKnownCounts|FederatedMergeMatchesParent|FederatedQueryOrderMatchesDB|HandoffFoldsRouteHistory' \
+  # FederateViewReleasesMembers pins that a dropped view and dashboard
+  # leave no goroutine and no member memory behind, and
+  # FederateNotifyNested that members' pushed epoch advances reach
+  # waiters on a view and on a view nested in it.
+  go test -race -count=1 -run 'Federate|Ring|Router|Handoff|FederateKnownCounts|FederatedMergeMatchesParent|FederatedQueryOrderMatchesDB|HandoffFoldsRouteHistory|FederateViewReleasesMembers|FederateNotifyNested' \
     ./internal/federate
+  go test -race -count=10 -run 'FederateNotifyNested' ./internal/federate
 }
 
 stage_scale() {
