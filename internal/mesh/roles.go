@@ -70,9 +70,17 @@ func (r *Router) SendToGateway(payload []byte, reliable bool) (uint16, error) {
 }
 
 // buildAds assembles HELLO advertisements from the routing table plus
-// the roles learned for each destination.
-func (r *Router) buildAds() []RouteAd {
-	ads := make([]RouteAd, len(r.table.routes))
+// the roles learned for each destination, in a new array.
+func (r *Router) buildAds() []RouteAd { return r.buildAdsInto(nil) }
+
+// buildAdsInto is buildAds writing into dst's array when its capacity
+// fits the table, and otherwise into one new array of exact size.
+func (r *Router) buildAdsInto(dst []RouteAd) []RouteAd {
+	n := len(r.table.routes)
+	if cap(dst) < n {
+		dst = make([]RouteAd, n)
+	}
+	ads := dst[:n]
 	for i, route := range r.table.routes {
 		ads[i] = RouteAd{
 			Addr:   route.Dst,
