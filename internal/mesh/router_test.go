@@ -529,3 +529,29 @@ func TestHelloMergeMatchesPerAdUpdates(t *testing.T) {
 		}
 	}
 }
+
+// TestPumpRearmAllocationFree pins that arming and firing the transmit
+// pump re-arms the router's one bound Timer instead of scheduling a new
+// closure each time.
+func TestPumpRearmAllocationFree(t *testing.T) {
+	sim := simkit.New(1)
+	medium := radio.NewMedium(sim, testMediumConfig())
+	rad, err := medium.AttachRadio(1, phy.Point{}, phy.DefaultParams(), phy.Unregulated())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRouter(sim, rad, Config{}) // not started: a fired pump finds nothing to do
+	if allocs := testing.AllocsPerRun(1000, func() {
+		r.schedulePump(time.Millisecond)
+		r.schedulePump(0) // already armed: no second firing
+		if !r.pumpArm || sim.Pending() != 1 {
+			t.Fatalf("armed pump: pumpArm %v, %d events pending, want true and 1", r.pumpArm, sim.Pending())
+		}
+		sim.RunFor(time.Millisecond)
+		if r.pumpArm {
+			t.Fatal("pumpArm still set after the pump fired")
+		}
+	}); allocs != 0 {
+		t.Fatalf("a pump re-arm allocates %v times, want 0", allocs)
+	}
+}
