@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -305,4 +306,88 @@ func TestSimBinaryCodecAccountsSmallerBytes(t *testing.T) {
 	if jsonBytes != uint64(wantJSON) || binBytes != uint64(wantBin) {
 		t.Fatalf("accounted JSON %dB / binary %dB, want %dB / %dB", jsonBytes, binBytes, wantJSON, wantBin)
 	}
+}
+
+type nopSink struct{}
+
+func (nopSink) Ingest(wire.Batch) error { return nil }
+
+// TestSimSendAllocationFree pins that a steady stream of batches through
+// the simulated uplink allocates nothing per batch: each Send re-arms a
+// pooled in-flight record's bound Timer instead of scheduling a closure,
+// on delivery, loss and outage alike.
+func TestSimSendAllocationFree(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("sync.Pool, which batch sizing uses, drops a random share of Puts under -race")
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  SimConfig
+		down bool
+		want error
+	}{
+		{"delivered", DefaultSimConfig(), false, nil},
+		{"lost", SimConfig{LossRate: 1, LatencyMax: time.Second}, false, ErrLost},
+		{"down", DefaultSimConfig(), true, ErrDown},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sim := simkit.New(1)
+			u := NewSim(sim, nopSink{}, tc.cfg)
+			u.SetDown(tc.down)
+			b := testBatch(1)
+			done := func(err error) {
+				if !errors.Is(err, tc.want) {
+					t.Fatalf("outcome %v, want %v", err, tc.want)
+				}
+			}
+			send := func() {
+				u.Send(b, done)
+				sim.Run()
+			}
+			send() // the first Send creates the in-flight record
+			if allocs := testing.AllocsPerRun(1000, send); allocs != 0 {
+				t.Fatalf("Send allocates %v times per batch, want 0", allocs)
+			}
+		})
+	}
+}
+
+// TestSimSendFromDone pins that a callback may Send the next batch: the
+// landed record is already back in the pool and is reused for it.
+func TestSimSendFromDone(t *testing.T) {
+	sim := simkit.New(1)
+	sink := &captureSink{}
+	u := NewSim(sim, sink, DefaultSimConfig())
+	var done func(error)
+	seq := uint64(1)
+	done = func(err error) {
+		if err != nil {
+			t.Fatalf("batch %d: %v", seq, err)
+		}
+		if seq++; seq <= 5 {
+			u.Send(testBatch(seq), done)
+		}
+	}
+	u.Send(testBatch(1), done)
+	sim.Run()
+	if len(sink.batches) != 5 || len(u.free) != 1 {
+		t.Fatalf("sink got %d batches, pool holds %d records; want 5 and 1", len(sink.batches), len(u.free))
+	}
+	for i, b := range sink.batches {
+		if b.SeqNo != uint64(i+1) {
+			t.Fatalf("batch %d has seq %d", i, b.SeqNo)
+		}
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race.
+func raceEnabled() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
 }
