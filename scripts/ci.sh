@@ -98,6 +98,14 @@ stage_test() {
   # fresh After would.
   go test -race -count=1 -run 'AgentBufferReleasesRecords|BufferRequeueKeepsCaptureOrder' ./internal/agent
   go test -race -count=1 -run 'TimerOrdersLikeAfter' ./internal/simkit
+  # A HELLO round overwrites the router's still-queued HELLO in place:
+  # the queue never holds two of them, the one sent carries the latest
+  # round's seq and table, and every replaced round is counted.
+  go test -race -count=1 -run 'HelloSupersededInQueue' ./internal/mesh
+  # The 21 seed-deterministic tables equal testdata/<ID>.golden byte for
+  # byte. The -race run above already ran them; by name, without -race,
+  # this is a 2 s check instead of a 30 s one.
+  go test -count=1 -run 'TablesMatchGolden' ./internal/experiments
   echo "== allocation guards (no -race) =="
   # The allocation guards run by name without -race: the race runtime
   # drops a random share of sync.Pool Puts, so EncodedSizeAllocationFree
@@ -116,6 +124,11 @@ stage_test() {
   go test -count=1 -run 'ShardLinksStaySorted|BumpEpochAllocationFree' ./internal/collector
   go test -count=1 -run 'FederateCounterReadsAllocationFree' ./internal/federate
   go test -count=1 -run 'HeadAppendAllocations|HeadQueryAllocations|HeadBytesBudget' ./internal/tsdb
+  # The transmit pump re-arms the router's one bound Timer, and the
+  # simulated uplink lands each batch on a pooled in-flight record's
+  # Timer: neither allocates per arming or per batch.
+  go test -count=1 -run 'PumpRearmAllocationFree' ./internal/mesh
+  go test -count=1 -run 'SimSendAllocationFree' ./internal/uplink
 }
 
 stage_recover() {
