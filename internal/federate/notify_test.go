@@ -188,3 +188,28 @@ func TestFederateCounterReadsAllocationFree(t *testing.T) {
 		}
 	}
 }
+
+// TestFanoutBucketsResolveInlineReads: a 2 µs federated read reports a
+// median below 5 µs, not the ~5 µs every read under the default 10 µs
+// floor interpolates to.
+func TestFanoutBucketsResolveInlineReads(t *testing.T) {
+	fed, _ := buildFederation(t, []string{"m1", "m2"}, 2, 1)
+	fed.obs["epoch"].Observe(2e-6)
+	fam, ok := fed.Metrics().Family("meshmon_federate_fanout_seconds")
+	if !ok {
+		t.Fatal("no fanout histogram family")
+	}
+	for _, s := range fam.Samples {
+		if len(s.LabelValues) != 1 || s.LabelValues[0] != "epoch" {
+			continue
+		}
+		if s.Hist.Count != 1 {
+			t.Fatalf("epoch histogram holds %d observations, want 1", s.Hist.Count)
+		}
+		if p50 := s.Hist.Quantile(0.5); p50 >= 5e-6 {
+			t.Fatalf("p50 of one 2 µs read = %.2f µs, want < 5 µs", p50*1e6)
+		}
+		return
+	}
+	t.Fatal("no epoch sample")
+}

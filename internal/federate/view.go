@@ -108,7 +108,7 @@ func NewView(members []MemberView, cfg ViewConfig) (*View, error) {
 	v := &View{
 		members: append([]MemberView(nil), members...),
 		fanout: reg.NewHistogramVec("meshmon_federate_fanout_seconds",
-			"Wall-clock duration of one federated read, by operation.", nil, "op"),
+			"Wall-clock duration of one federated read, by operation.", fanoutBuckets, "op"),
 		reg: reg,
 		obs: make(map[string]*metrics.Histogram),
 	}
@@ -121,6 +121,11 @@ func NewView(members []MemberView, cfg ViewConfig) (*View, error) {
 	}
 	return v, nil
 }
+
+// fanoutBuckets spans 0.5 µs to ~4.2 s in powers of two. Inline reads
+// (epoch, counters) finish in 1-3 µs, below DefLatencyBuckets' 10 µs
+// floor, where every one of them would interpolate to ~5 µs.
+var fanoutBuckets = metrics.ExpBuckets(0.5e-6, 2, 24)
 
 // Metrics returns the view's own registry (fan-out instrumentation).
 // Member registries stay separate — each member exposes its own.

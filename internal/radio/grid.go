@@ -149,3 +149,17 @@ func (g *grid) appendWithin(dst []*Radio, from *Radio, radiusM float64) []*Radio
 	}
 	return dst
 }
+
+// eachNear calls fn for every radio whose query could scan cell k. A
+// query radius never exceeds cellM, so it spans at most one cell either
+// side of its sender's; the second ring absorbs floor rounding at cell
+// edges.
+func (g *grid) eachNear(k cellKey, fn func(*Radio)) {
+	for cy := k.y - 2; cy <= k.y+2; cy++ {
+		for cx := k.x - 2; cx <= k.x+2; cx++ {
+			for _, r := range g.cells[cellKey{cx, cy}] {
+				fn(r)
+			}
+		}
+	}
+}

@@ -17,8 +17,21 @@
 // demodulation range (path loss inverted at the configured cutoff
 // margin plus 3σ shadowing headroom). Receivers beyond that radius
 // would fail the same hard cutoff the in-range path applies, so the
-// indexed medium is outcome-identical to the all-pairs scan while doing
-// O(in-range neighbours) work per frame instead of O(N).
+// indexed medium is outcome-identical to an all-pairs scan (the test
+// suite keeps one as its oracle) while doing O(in-range neighbours)
+// work per frame instead of O(N).
+//
+// Each radio keeps a link table: the static mean path loss (log-distance
+// loss plus shadowing) to each of its grid candidates, a float64 per
+// receiver index, built from the grid the first time it transmits.
+// Delivery, the interferer loop and BusyAt read path loss from the
+// tables instead of recomputing a logarithm and a shadowing draw per
+// pair per frame. A table is kept only where its candidates' indices
+// are nearly contiguous, at most 10 bytes per candidate: a 500-radio
+// mesh in which every radio hears every other holds 500 4 KB tables,
+// 2 MB, while in a mesh much larger than a radio's reach indices are
+// scattered and path loss is computed per use as before. A move drops
+// the mover's table and marks its entry stale in nearby radios' tables.
 package radio
 
 import (
@@ -132,11 +145,6 @@ type Config struct {
 	// what gives every transmission a finite candidate radius for the
 	// spatial index. Zero or negative selects DefaultCutoffMarginDB.
 	CutoffMarginDB float64
-	// DisableSpatialIndex falls back to evaluating every registered
-	// radio for every frame — the all-pairs reference the equivalence
-	// tests compare the grid against. Outcomes are identical; only the
-	// amount of work differs.
-	DisableSpatialIndex bool
 }
 
 // DefaultConfig returns the standard campus channel with 6 dB capture.
@@ -156,12 +164,14 @@ type Medium struct {
 	sim    *simkit.Sim
 	cfg    Config
 	radios map[ID]*Radio
-	// order lists radios sorted by ID: the all-pairs fallback iterates
-	// it so simulations are deterministic (map iteration order would
-	// otherwise leak into event ordering).
+	// order lists radios sorted by ID, for Radios.
 	order []*Radio
-	// grid indexes radio positions; unused when DisableSpatialIndex.
-	grid grid
+	// all lists radios in attach order; link tables key receivers by
+	// their index here (Radio.idx).
+	all []*Radio
+	// grid indexes radio positions; moves counts SetPosition calls.
+	grid  grid
+	moves uint64
 	// minNoiseFloorDBm tracks the most sensitive noise floor among
 	// attached radios; it sizes per-transmission detection ranges for
 	// the BusyAt prefilter.
@@ -179,7 +189,8 @@ type Medium struct {
 
 // transmission is pooled: acquired on transmit, recycled once it has
 // left the active list and no other overlapping frame's interferer list
-// still references it (refs tracks those references).
+// still references it (refs tracks those references). Its timer, bound
+// to finish once, is re-armed for every frame the object carries.
 type transmission struct {
 	seq            uint64
 	from           *Radio
@@ -189,6 +200,7 @@ type transmission struct {
 	detectRangeSqM float64
 	interferers    []*transmission
 	candidates     []*Radio
+	timer          *simkit.Timer
 	activeIdx      int
 	refs           int
 	done           bool
@@ -246,6 +258,7 @@ func (m *Medium) AttachRadio(id ID, pos phy.Point, params phy.Params, region phy
 	}
 	r := &Radio{
 		id:         id,
+		idx:        uint16(len(m.all)),
 		pos:        pos,
 		params:     params,
 		medium:     m,
@@ -253,6 +266,7 @@ func (m *Medium) AttachRadio(id ID, pos phy.Point, params phy.Params, region phy
 		candidateM: m.candidateRangeM(params),
 	}
 	m.radios[id] = r
+	m.all = append(m.all, r)
 	if nf := m.cfg.Channel.NoiseFloorDBm(params.BW); nf < m.minNoiseFloorDBm {
 		m.minNoiseFloorDBm = nf
 	}
@@ -267,16 +281,14 @@ func (m *Medium) AttachRadio(id ID, pos phy.Point, params phy.Params, region phy
 		copy(m.order[at+1:], m.order[at:])
 		m.order[at] = r
 	}
-	if !m.cfg.DisableSpatialIndex {
-		// Cells are sized to the largest candidate radius so a query
-		// never spans more than the 3x3 block around the sender; a new
-		// radio with longer reach (larger SF, more power) forces a
-		// re-bucketing of everything attached so far.
-		if r.candidateM > m.grid.cellM {
-			m.grid.rebuild(r.candidateM, m.order)
-		} else {
-			m.grid.insert(r)
-		}
+	// Cells are sized to the largest candidate radius so a query never
+	// spans more than the 3x3 block around the sender; a new radio with
+	// longer reach (larger SF, more power) forces a re-bucketing of
+	// everything attached so far.
+	if r.candidateM > m.grid.cellM {
+		m.grid.rebuild(r.candidateM, m.order)
+	} else {
+		m.grid.insert(r)
 	}
 	return r, nil
 }
@@ -317,9 +329,7 @@ func (m *Medium) shadowOffset(a, b ID) float64 {
 // meanRSSI returns the static (no fast fading) received power from tx at
 // rx for the given params.
 func (m *Medium) meanRSSI(tx, rx *Radio, p phy.Params) float64 {
-	d := tx.pos.Distance(rx.pos)
-	pl := m.cfg.Channel.PathLossDB(d) + m.shadowOffset(tx.id, rx.id)
-	return p.TxPowerDBm + m.cfg.Channel.AntennaGainDBi - pl
+	return p.TxPowerDBm + m.cfg.Channel.AntennaGainDBi - m.linkPathLoss(tx, rx)
 }
 
 // MeanLink returns the deterministic link from a to b using a's params —
@@ -342,15 +352,14 @@ func (m *Medium) MeanLink(a, b ID) (phy.Link, error) {
 
 // BusyAt reports whether r would sense the channel busy right now: some
 // other radio's ongoing transmission is detectable above the noise floor
-// plus the detection margin, or r itself is transmitting. With the
-// spatial index on, transmissions whose precomputed detection range
-// cannot reach r are skipped before the link-budget evaluation.
+// plus the detection margin, or r itself is transmitting. Transmissions
+// whose precomputed detection range cannot reach r are skipped before
+// the link-budget evaluation.
 func (m *Medium) BusyAt(r *Radio) bool {
 	now := m.sim.Now()
 	if r.txUntil > now {
 		return true
 	}
-	prefilter := !m.cfg.DisableSpatialIndex
 	threshold := m.cfg.Channel.NoiseFloorDBm(r.params.BW) + m.cfg.DetectionMarginDB
 	for _, t := range m.active {
 		if t.from == r || t.end <= now {
@@ -359,12 +368,10 @@ func (m *Medium) BusyAt(r *Radio) bool {
 		if phy.Orthogonal(t.params, r.params) {
 			continue
 		}
-		if prefilter {
-			dx := r.pos.X - t.from.pos.X
-			dy := r.pos.Y - t.from.pos.Y
-			if dx*dx+dy*dy > t.detectRangeSqM {
-				continue
-			}
+		dx := r.pos.X - t.from.pos.X
+		dy := r.pos.Y - t.from.pos.Y
+		if dx*dx+dy*dy > t.detectRangeSqM {
+			continue
 		}
 		if m.meanRSSI(t.from, r, t.params) >= threshold {
 			return true
@@ -381,7 +388,9 @@ func (m *Medium) acquire() *transmission {
 		m.pool = m.pool[:n-1]
 		return t
 	}
-	return &transmission{activeIdx: -1}
+	t := &transmission{activeIdx: -1}
+	t.timer = m.sim.NewTimer(func() { m.finish(t) })
+	return t
 }
 
 // release resets a finished, unreferenced transmission for reuse. The
@@ -412,17 +421,15 @@ func (m *Medium) transmit(r *Radio, frame Frame) (time.Duration, error) {
 	t.frame = frame
 	t.start = now
 	t.end = now.Add(airtime)
-	if !m.cfg.DisableSpatialIndex {
-		// Precompute how far this frame remains detectable by carrier
-		// sense at the most sensitive attached bandwidth, with the same
-		// 3σ shadowing headroom as delivery: BusyAt's distance prefilter.
-		ch := &m.cfg.Channel
-		budget := t.params.TxPowerDBm + ch.AntennaGainDBi +
-			shadowClampSigma*ch.ShadowingSigmaDB -
-			(m.minNoiseFloorDBm + m.cfg.DetectionMarginDB)
-		d := ch.DistanceAtPathLossDB(budget) * rangeSlack
-		t.detectRangeSqM = d * d
-	}
+	// Precompute how far this frame remains detectable by carrier sense
+	// at the most sensitive attached bandwidth, with the same 3σ
+	// shadowing headroom as delivery: BusyAt's distance prefilter.
+	ch := &m.cfg.Channel
+	budget := t.params.TxPowerDBm + ch.AntennaGainDBi +
+		shadowClampSigma*ch.ShadowingSigmaDB -
+		(m.minNoiseFloorDBm + m.cfg.DetectionMarginDB)
+	d := ch.DistanceAtPathLossDB(budget) * rangeSlack
+	t.detectRangeSqM = d * d
 	// Cross-register interference with every active overlapping frame;
 	// refs counts the interferer-list references so pooled transmissions
 	// are recycled only once nobody can still inspect them.
@@ -449,55 +456,70 @@ func (m *Medium) transmit(r *Radio, frame Frame) (time.Duration, error) {
 	// candidate receivers (positions as of the delivery decision, so
 	// mobility during the airtime is honoured), decide each reception,
 	// then retire the transmission.
-	m.sim.DoAt(t.end, func() { m.finish(t) })
+	t.timer.Reset(airtime)
 	return airtime, nil
 }
 
 // finish runs at end-of-air: candidate collection, per-receiver delivery
-// decisions, then pruning.
+// decisions, then pruning. The checks every candidate needs (state,
+// decodability, the hard cutoff) run here against per-frame constants
+// and the sender's link table; deliver sees only receivers inside the
+// cutoff.
 func (m *Medium) finish(t *transmission) {
-	if m.cfg.DisableSpatialIndex {
-		for _, rx := range m.order {
-			if rx != t.from {
-				t.candidates = append(t.candidates, rx)
+	t.candidates = m.grid.appendWithin(t.candidates, t.from, t.from.candidateM)
+	m.stats.DeliveryAttempts += uint64(len(t.candidates))
+	if t.from.links.pl == nil {
+		buildLinks(t.from, t.candidates)
+	}
+	eirp := t.params.TxPowerDBm + m.cfg.Channel.AntennaGainDBi
+	noise := m.cfg.Channel.NoiseFloorDBm(t.params.BW)
+	floor := phy.SNRFloorDB(t.params.SF)
+	// A copy of the row: handlers that move radios may drop or rebuild
+	// the sender's row, and drop poisons the arrays this copy still
+	// shares, so every entry read here is current or recomputed. Entries
+	// are stored only while nothing has moved since the candidates were
+	// collected: a receiver a handler moved may have left the sender's
+	// neighbourhood, and its next move marks only rows near it stale.
+	row, moves := t.from.links, m.moves
+	for _, rx := range t.candidates {
+		if rx.down || rx.handler == nil {
+			continue
+		}
+		// A receiver tuned to different settings cannot demodulate the
+		// frame (multi-SF gateways demodulate every spreading factor
+		// concurrently, like an SX1301 concentrator).
+		if !rx.multiSF && !phy.CanDecode(rx.params, t.params) {
+			continue
+		}
+		var pl float64
+		if i := row.slot(rx.idx); i < 0 {
+			pl = m.pathLoss(t.from, rx)
+		} else if pl = row.pl[i]; pl != pl {
+			pl = m.pathLoss(t.from, rx)
+			if m.moves == moves {
+				row.pl[i] = pl
 			}
 		}
-	} else {
-		t.candidates = m.grid.appendWithin(t.candidates, t.from, t.from.candidateM)
-	}
-	m.stats.DeliveryAttempts += uint64(len(t.candidates))
-	for _, rx := range t.candidates {
-		m.deliver(t, rx)
+		// Hard cutoff on the mean (pre-fading) margin: receivers this
+		// far below the floor are out of demodulation range, full stop.
+		// The grid never yields receivers beyond the radius where this
+		// check could pass, so indexed and all-pairs runs agree exactly.
+		meanRSSI := eirp - pl
+		if meanRSSI-noise-floor < -m.cfg.CutoffMarginDB {
+			m.stats.BelowSensitivity++
+			rx.missWeak++
+			continue
+		}
+		m.deliver(t, rx, meanRSSI, noise, floor)
 	}
 	m.prune(t)
 }
 
-// deliver decides whether rx successfully receives t. All randomness is
-// drawn from a stream keyed by (medium seed, transmission sequence,
-// receiver), so the outcome does not depend on evaluation order or on
-// which other receivers were considered.
-func (m *Medium) deliver(t *transmission, rx *Radio) {
-	if rx.down || rx.handler == nil {
-		return
-	}
-	// A receiver tuned to different settings cannot demodulate the frame
-	// (multi-SF gateways demodulate every spreading factor concurrently,
-	// like an SX1301 concentrator).
-	if !rx.multiSF && !phy.CanDecode(rx.params, t.params) {
-		return
-	}
-	meanRSSI := m.meanRSSI(t.from, rx, t.params)
-	noise := m.cfg.Channel.NoiseFloorDBm(t.params.BW)
-	floor := phy.SNRFloorDB(t.params.SF)
-	// Hard cutoff on the mean (pre-fading) margin: receivers this far
-	// below the floor are out of demodulation range, full stop. The
-	// spatial index never schedules receivers beyond the radius where
-	// this check could pass, so grid and all-pairs runs agree exactly.
-	if meanRSSI-noise-floor < -m.cfg.CutoffMarginDB {
-		m.stats.BelowSensitivity++
-		rx.missWeak++
-		return
-	}
+// deliver decides whether rx, inside the cutoff, successfully receives
+// t. All randomness is drawn from a stream keyed by (medium seed,
+// transmission sequence, receiver), so the outcome does not depend on
+// evaluation order or on which other receivers were considered.
+func (m *Medium) deliver(t *transmission, rx *Radio, meanRSSI, noise, floor float64) {
 	// Half-duplex: the receiver was transmitting during t if any of t's
 	// interferers (or t-overlapping frames sent later) came from rx.
 	for _, u := range t.interferers {
@@ -610,10 +632,13 @@ type Radio struct {
 
 	// candidateM is the delivery candidate radius for frames this radio
 	// sends (a function of its params and the channel); cell and
-	// cellIdx locate the radio inside the medium's spatial grid.
+	// cellIdx locate the radio inside the medium's spatial grid; idx is
+	// its position in Medium.all; links is its link table.
 	candidateM float64
 	cell       cellKey
 	cellIdx    int
+	idx        uint16
+	links      linkRow
 
 	txCount        uint64
 	rxCount        uint64
@@ -629,16 +654,17 @@ func (r *Radio) ID() ID { return r.id }
 // Position returns the radio's location.
 func (r *Radio) Position() phy.Point { return r.pos }
 
-// SetPosition moves the radio (mobile deployments) and reindexes it in
-// the medium's spatial grid. Propagation always uses positions as of
+// SetPosition moves the radio (mobile deployments), reindexes it in the
+// medium's spatial grid, drops its link table and marks its entry stale
+// in its neighbours' tables. Propagation always uses positions as of
 // the delivery decision; the static per-pair shadowing offset is kept,
 // modelling terrain rather than location.
 func (r *Radio) SetPosition(p phy.Point) {
-	if r.medium != nil && !r.medium.cfg.DisableSpatialIndex {
-		r.medium.grid.move(r, p)
+	if r.medium == nil {
+		r.pos = p
 		return
 	}
-	r.pos = p
+	r.medium.move(r, p)
 }
 
 // Params returns the radio's current transmission parameters.

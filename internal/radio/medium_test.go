@@ -433,3 +433,126 @@ func TestReceptionOutcomeConservation(t *testing.T) {
 		t.Fatalf("DeliveryAttempts = %d beyond all-pairs bound %d", st.DeliveryAttempts, max)
 	}
 }
+
+// TestTransmitAllocationFree pins that a steady-state frame allocates
+// nothing once the transmission pool and the link tables are warm:
+// transmit re-arms the pooled transmission's bound timer, and the
+// end-of-air walk reads the sender's link table, delivering to some
+// receivers and colliding at others.
+func TestTransmitAllocationFree(t *testing.T) {
+	sim := simkit.New(1)
+	m := NewMedium(sim, DefaultConfig())
+	var rads []*Radio
+	for i := 0; i < 8; i++ {
+		r, err := m.AttachRadio(ID(i+1), phy.Point{X: float64(i) * 400}, phy.DefaultParams(), phy.Unregulated())
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.SetHandler(func(Frame, RxInfo) {})
+		rads = append(rads, r)
+	}
+	frame := func() {
+		// Two overlapping frames: both walk interferer lists.
+		if _, err := rads[0].Transmit(Frame{Bytes: 20}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rads[7].Transmit(Frame{Bytes: 30}); err != nil {
+			t.Fatal(err)
+		}
+		if !m.BusyAt(rads[3]) {
+			t.Fatal("channel idle mid-frame")
+		}
+		sim.Run()
+	}
+	for i := 0; i < 4; i++ {
+		frame()
+	}
+	before := m.Stats()
+	if allocs := testing.AllocsPerRun(200, frame); allocs != 0 {
+		t.Fatalf("a steady-state frame allocates %v times, want 0", allocs)
+	}
+	if st := m.Stats(); st.Delivered == before.Delivered || st.Collided == before.Collided {
+		t.Fatalf("frames neither delivered nor collided: %+v", st)
+	}
+}
+
+// TestHandlerMoveDuringDelivery pins the end-of-air walk against a
+// receive handler that moves the sender: receivers decided after the
+// move see the sender's new position, as a medium without link tables
+// computes it, not the path loss cached before.
+func TestHandlerMoveDuringDelivery(t *testing.T) {
+	sim := simkit.New(1)
+	m := NewMedium(sim, quietConfig())
+	var rads []*Radio
+	for i := 0; i < 4; i++ {
+		r, err := m.AttachRadio(ID(i+1), phy.Point{X: float64(i) * 100}, phy.DefaultParams(), phy.Unregulated())
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.SetHandler(func(Frame, RxInfo) {})
+		rads = append(rads, r)
+	}
+	// Two frames give the sender a filled link table.
+	for i := 0; i < 2; i++ {
+		if _, err := rads[0].Transmit(Frame{Bytes: 10}); err != nil {
+			t.Fatal(err)
+		}
+		sim.Run()
+	}
+	if rads[0].links.pl == nil {
+		t.Fatal("no link table after two frames")
+	}
+	// The candidates were collected before the walk; from this far away
+	// every later one fails the cutoff.
+	far := rads[0].candidateM * 10
+	rads[1].SetHandler(func(Frame, RxInfo) { rads[0].SetPosition(phy.Point{X: -far}) })
+	if _, err := rads[0].Transmit(Frame{Bytes: 10}); err != nil {
+		t.Fatal(err)
+	}
+	sim.Run()
+	if got := rads[1].Counters().Rx; got != 3 {
+		t.Fatalf("first receiver got %d frames, want 3", got)
+	}
+	for _, r := range rads[2:] {
+		if c := r.Counters(); c.Rx != 2 || c.MissWeak != 1 {
+			t.Fatalf("%v decided after the sender moved away: %+v, want two receptions and one weak miss", r.ID(), c)
+		}
+	}
+}
+
+// TestHandlerMoveKeepsNoStaleEntry: a receive handler moves a later
+// candidate far away mid-walk and a second move brings it back beside
+// the sender; the sender's next frame must reach it at its new
+// position, not with a path loss cached from where it was.
+func TestHandlerMoveKeepsNoStaleEntry(t *testing.T) {
+	sim := simkit.New(1)
+	m := NewMedium(sim, quietConfig())
+	var rads []*Radio
+	for i := 0; i < 3; i++ {
+		r, err := m.AttachRadio(ID(i+1), phy.Point{X: float64(i) * 100}, phy.DefaultParams(), phy.Unregulated())
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.SetHandler(func(Frame, RxInfo) {})
+		rads = append(rads, r)
+	}
+	a, b, x := rads[0], rads[1], rads[2]
+	far := a.candidateM * 10
+	b.SetHandler(func(Frame, RxInfo) { x.SetPosition(phy.Point{X: far}) })
+	if _, err := a.Transmit(Frame{Bytes: 10}); err != nil {
+		t.Fatal(err)
+	}
+	sim.Run()
+	if c := x.Counters(); c.Rx != 0 || c.MissWeak != 1 {
+		t.Fatalf("receiver moved away mid-walk: %+v, want one weak miss", c)
+	}
+	b.SetHandler(func(Frame, RxInfo) {})
+	x.SetPosition(phy.Point{X: 200})
+	if _, err := a.Transmit(Frame{Bytes: 10}); err != nil {
+		t.Fatal(err)
+	}
+	sim.Run()
+	if c := x.Counters(); c.Rx != 1 {
+		t.Fatalf("receiver moved back beside the sender: %+v, want one reception", c)
+	}
+}

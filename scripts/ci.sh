@@ -124,11 +124,14 @@ stage_test() {
   go test -count=1 -run 'ShardLinksStaySorted|BumpEpochAllocationFree' ./internal/collector
   go test -count=1 -run 'FederateCounterReadsAllocationFree' ./internal/federate
   go test -count=1 -run 'HeadAppendAllocations|HeadQueryAllocations|HeadBytesBudget' ./internal/tsdb
-  # The transmit pump re-arms the router's one bound Timer, and the
+  # The transmit pump re-arms the router's one bound Timer, the
   # simulated uplink lands each batch on a pooled in-flight record's
-  # Timer: neither allocates per arming or per batch.
+  # Timer, and the radio medium settles each frame on its pooled
+  # transmission's Timer, reading path loss from link tables: none
+  # allocates per arming, per batch or per steady-state frame.
   go test -count=1 -run 'PumpRearmAllocationFree' ./internal/mesh
   go test -count=1 -run 'SimSendAllocationFree' ./internal/uplink
+  go test -count=1 -run 'TransmitAllocationFree' ./internal/radio
 }
 
 stage_recover() {
@@ -173,14 +176,17 @@ stage_federate() {
 
 stage_scale() {
   echo "== spatial-index suite =="
-  # The grid-medium guarantees run again by name: bit-exact equivalence
-  # against the all-pairs reference (stats, per-radio logs, BusyAt,
-  # Transmit errors — including mid-run SetPosition moves), the 10k-node
-  # delivery-event reduction floor, and the mobility-pause accounting
-  # that the index's reindex-on-move depends on. A refactor that renames
-  # these out of the suite fails here instead of silently passing
-  # stage_test.
-  go test -race -count=1 -run 'GridEquivalentToAllPairs|GridReindexOnMove|GridReductionAt10k' \
+  # The grid-medium guarantees run again by name: the grid and the
+  # per-radio link tables against the in-test all-pairs oracle (every
+  # Stats field, per-radio counters and logs, BusyAt, Transmit errors —
+  # across SF/BW mixes, fading, capture, deterministic delivery, a
+  # multi-SF gateway, SetDown toggles, late attaches and moves during a
+  # frame's airtime), a receive handler moving the sender mid-delivery,
+  # the 10k-node delivery-event reduction floor, and the mobility-pause
+  # accounting that the index's reindex-on-move depends on. A refactor
+  # that renames these out of the suite fails here instead of silently
+  # passing stage_test.
+  go test -race -count=1 -run 'LinkTablesMatchAllPairs|HandlerMoveDuringDelivery|GridReindexOnMove|GridReductionAt10k' \
     ./internal/radio
   go test -race -count=1 -run 'MobilityPauseExactDwell|CampusPlacement' \
     ./internal/scenario
@@ -306,6 +312,12 @@ stage_fuzz() {
   # sequence must leave the state the map-based reference holds.
   go test -fuzz='^FuzzRouteDiff$' -fuzztime=20s -run '^FuzzRouteDiff$' \
     ./internal/collector
+  echo "== bounded fuzz: radio medium vs all-pairs =="
+  # Same budget for the radio medium: any random schedule, under any mix
+  # of the model switches, must give the all-pairs oracle's stats,
+  # counters, reception logs, Transmit errors and BusyAt verdicts.
+  go test -fuzz='^FuzzMediumMatchesAllPairs$' -fuzztime=20s -run '^FuzzMediumMatchesAllPairs$' \
+    ./internal/radio
 }
 
 stage_perfsmoke() {
