@@ -133,14 +133,9 @@ func main() {
 
 	mux := http.NewServeMux()
 	mux.Handle("/api/", coll.APIHandler())
-	// /metrics serves the self-observability registry plus the
-	// mesh-domain exposition — the same payload as /api/v1/metrics, at
-	// the path Prometheus scrapers expect.
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		reg.WriteText(w)                             //nolint:errcheck // client gone
-		w.Write([]byte(coll.PrometheusExposition())) //nolint:errcheck
-	})
+	// /metrics serves the /api/v1/metrics payload at the path Prometheus
+	// scrapers expect.
+	mux.HandleFunc("GET /metrics", coll.ServeMetrics)
 	if *enablePprof {
 		// Sample lock contention too, so residual contention in the
 		// sharded ingest path shows up under /debug/pprof/mutex and

@@ -63,10 +63,7 @@ func main() {
 
 	mux := http.NewServeMux()
 	mux.Handle("/api/", router.Handler())
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		reg.WriteText(w) //nolint:errcheck // client gone
-	})
+	mux.Handle("GET /metrics", reg.Handler())
 
 	srv := &http.Server{Addr: *addr, Handler: mux}
 	errCh := make(chan error, 1)

@@ -108,7 +108,6 @@ func (n *Network) Start() {
 	}
 	n.running = true
 	for _, d := range n.devices {
-		d := d
 		first := time.Duration(n.sim.Rand().Float64() * float64(d.cfg.Interval))
 		n.sim.Do(first, func() { n.fire(d) })
 	}

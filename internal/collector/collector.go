@@ -762,7 +762,6 @@ func (s *shard) ingest(b wire.Batch, persist bool) (bool, error) {
 		s.ingestRoutes(st, r)
 	}
 	for _, st2 := range b.Stats {
-		st2 := st2
 		s.ingestStats(st, st2)
 	}
 	for _, h := range b.Heartbeats {

@@ -36,7 +36,7 @@ func (c *Collector) APIHandler() http.Handler {
 	handle("GET /api/v1/recent", "recent", c.handleRecent)
 	handle("GET /api/v1/stats", "stats", c.handleStats)
 	handle("GET /api/v1/query", "query", c.handleQuery)
-	handle("GET /api/v1/metrics", "metrics", c.prometheusHandler)
+	handle("GET /api/v1/metrics", "metrics", c.ServeMetrics)
 	handle("GET /api/v1/export", "export", c.handleExport)
 	return mux
 }

@@ -13,11 +13,11 @@ import (
 // the built-in dashboard. Counter totals come from the node registry's
 // newest summaries; gauges reflect the latest reported values.
 
-// prometheusHandler serves GET /metrics: the self-observability
-// registry (ingest/HTTP/tsdb/alert families) followed by the
-// mesh-domain exposition, so one scrape covers the monitor and the
-// monitored network alike.
-func (c *Collector) prometheusHandler(w http.ResponseWriter, _ *http.Request) {
+// ServeMetrics serves GET /api/v1/metrics (and a server's /metrics):
+// the self-observability registry (ingest/HTTP/tsdb/alert families)
+// followed by the mesh-domain exposition, so one scrape covers the
+// monitor and the monitored network alike.
+func (c *Collector) ServeMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	c.reg.WriteText(w)                      //nolint:errcheck // client gone
 	fmt.Fprint(w, c.PrometheusExposition()) //nolint:errcheck // client gone

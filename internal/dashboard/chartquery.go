@@ -153,7 +153,7 @@ type chartSeriesOut struct {
 // handleChartJSON serves `/chart/{metric}.json` — the machine-readable
 // twin of the SVG chart, for external dashboards and the read-mode
 // load generator. `?reduce=<agg>` skips the series entirely and pushes
-// a whole-range scalar down to tsdb.AggregateRange (tier-aware, no
+// a whole-range scalar down to tsdb.AggregateRange (raw tier only, no
 // point materialisation).
 func (s *Server) handleChartJSON(w http.ResponseWriter, r *http.Request, metric string) {
 	cq, err := parseChartQuery(r.URL.Query(), metric, s.coll.MaxTS())

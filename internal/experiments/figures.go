@@ -390,7 +390,6 @@ func F7bTieredQuery() Table {
 		{"24 h", 0, 10},
 	}
 	for _, q := range queries {
-		q := q
 		tier := db.PickTier(q.from, q.step)
 		points := 0
 		lat := timeIt(func() {

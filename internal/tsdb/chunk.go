@@ -535,5 +535,5 @@ func resumeAt(v *chunkView, m mark) Encoder {
 // bucket returns the current sample of a rollup chunk.
 func (it *ChunkIter) bucket() RollupSample {
 	v := &it.vals
-	return RollupSample{TS: it.ts, Count: v[0], Sum: v[1], Min: v[2], Max: v[3], Last: v[4]}
+	return RollupSample{TS: it.ts, Count: v[0], Sum: v[1], Min: v[2], Max: v[3], Last: v[4], lastTS: it.ts}
 }

@@ -100,7 +100,8 @@ func (d *storeDigest) dump(db *DB) {
 		d.s(name)
 		d.u(uint64(len(sds)))
 		for _, sd := range sds {
-			if err := sd.decodeV3(); err != nil {
+			sd, err := decodeSeries(sd)
+			if err != nil {
 				panic(err)
 			}
 			d.s(sd.Labels.String())
@@ -119,6 +120,49 @@ func (d *storeDigest) dump(db *DB) {
 			}
 		}
 	}
+}
+
+// recordedDumpString is dumpString as the digests were recorded: the
+// dump rendered in the field layout it had while Load still read v1 and
+// v2 dumps, whose fields a v3 dump left zero.
+func recordedDumpString(db *DB) string {
+	type bucket struct{ TS, Count, Sum, Min, Max, Last float64 }
+	type rollupDump struct {
+		Step       float64
+		Blocks     []Chunk
+		Head       []bucket
+		Open       bucket
+		HasOpen    bool
+		OpenLastTS float64
+		Buckets    Chunk
+		OpenBits   [7]uint64
+	}
+	type seriesDump struct {
+		Labels   Labels
+		Points   []Point
+		Blocks   []Chunk
+		Last     Point
+		HasLast  bool
+		Rollups  []rollupDump
+		Head     Chunk
+		LastBits [2]uint64
+	}
+	dump := db.Dump()
+	out := struct {
+		Version int
+		Metrics map[string][]seriesDump
+	}{dump.Version, map[string][]seriesDump{}}
+	for name, sds := range dump.Metrics {
+		sort.Slice(sds, func(i, j int) bool { return sds[i].Labels.canonical() < sds[j].Labels.canonical() })
+		for _, sd := range sds {
+			var rs []rollupDump
+			for _, rd := range sd.Rollups {
+				rs = append(rs, rollupDump{Step: rd.Step, Blocks: rd.Blocks, HasOpen: rd.HasOpen, Buckets: rd.Buckets, OpenBits: rd.OpenBits})
+			}
+			out.Metrics[name] = append(out.Metrics[name], seriesDump{Labels: sd.Labels, Blocks: sd.Blocks, HasLast: sd.HasLast, Rollups: rs, Head: sd.Head, LastBits: sd.LastBits})
+		}
+	}
+	return fmt.Sprintf("%+v", out)
 }
 
 // reads hashes every read the store offers over a grid of metrics,
@@ -296,7 +340,7 @@ func TestStoreMatchesParentDigest(t *testing.T) {
 				d.reads(db, now)
 			}
 		}
-		d.s(dumpString(db))
+		d.s(recordedDumpString(db))
 		if got, want := hex.EncodeToString(d.h.Sum(nil)), storeMatchesParentDigests[seed-1]; got != want {
 			t.Errorf("seed %d: digest %s, want %s", seed, got, want)
 		}

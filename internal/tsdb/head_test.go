@@ -226,28 +226,41 @@ func (r *refRoll) buckets() []RollupSample {
 }
 
 // rebucket re-buckets rollup buckets onto a from-aligned grid of width
-// step, as QueryRange does on a rollup tier.
+// step, as QueryRange does on a rollup tier: each output bucket starts
+// at its first bucket and takes its last one's Last.
 func rebucket(bs []RollupSample, from, to, step float64, agg Agg) []Point {
 	var out []Point
 	var acc RollupSample
 	have, cur := false, 0.0
+	emit := func() {
+		v := map[Agg]float64{AggCount: acc.Count, AggSum: acc.Sum, AggAvg: acc.Sum / acc.Count, AggMin: acc.Min, AggMax: acc.Max, AggLast: acc.Last}
+		out = append(out, Point{from + cur*step, v[agg]})
+	}
 	for _, b := range bs {
 		if b.TS < from || b.TS > to {
 			continue
 		}
 		idx := math.Floor((b.TS - from) / step)
 		if have && idx != cur {
-			out = append(out, Point{from + cur*step, acc.value(agg)})
+			emit()
 			have = false
 		}
 		if !have {
 			acc, cur, have = b, idx, true
 			continue
 		}
-		acc.fold(b)
+		acc.Count += b.Count
+		acc.Sum += b.Sum
+		if b.Min < acc.Min {
+			acc.Min = b.Min
+		}
+		if b.Max > acc.Max {
+			acc.Max = b.Max
+		}
+		acc.Last = b.Last
 	}
 	if have {
-		out = append(out, Point{from + cur*step, acc.value(agg)})
+		emit()
 	}
 	return out
 }
@@ -305,7 +318,8 @@ func (ps *pointStore) check(t *testing.T, db *DB, where string) {
 	for name, sds := range dump.Metrics {
 		for _, sd := range sds {
 			n++
-			if err := sd.decodeV3(); err != nil {
+			sd, err := decodeSeries(sd)
+			if err != nil {
 				t.Fatalf("%s: %s%v: %v", where, name, sd.Labels, err)
 			}
 			s := ps.series[name+"|"+sd.Labels.canonical()]

@@ -1,7 +1,6 @@
 package tsdb
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -19,39 +18,34 @@ import (
 // gob omits a float field equal to zero, so a -0 in one came back as +0.
 
 // snapshotVersion guards format evolution. v1 held raw []Point per
-// series; v2 adds compressed blocks, last-sample tracking and rollup
+// series; v2 added compressed blocks, last-sample tracking and rollup
 // tiers; v3 dumps heads as chunks and bare floats as bits. Load accepts
-// all three.
+// v3 only.
 const snapshotVersion = 3
 
 // RollupDump is one rollup tier of one series in a snapshot (exported
 // for encoding only).
 type RollupDump struct {
-	Step       float64 // bucket width, matches a tierSteps entry
-	Blocks     []Chunk
-	Head       []RollupSample // v2
-	Open       RollupSample   // v2
-	HasOpen    bool
-	OpenLastTS float64 // v2
-	// Since v3: the head buckets as one chunk, and the open bucket's
-	// TS, Count, Sum, Min, Max and Last, then OpenLastTS, as bits.
+	Step    float64 // bucket width, matches a tierSteps entry
+	Blocks  []Chunk
+	HasOpen bool
+	// The head buckets as one chunk, and the open bucket's TS, Count,
+	// Sum, Min, Max and Last, then the timestamp of its newest sample,
+	// as bits.
 	Buckets  Chunk
 	OpenBits [7]uint64
 }
 
 // SeriesDump is one series in a snapshot (exported for encoding only).
-// Blocks hold the sealed chunks still compressed; the head is the
-// mutable rest of the series (in a v1 dump, Points is the entire
-// series).
+// Blocks hold the sealed chunks still compressed; Head is the mutable
+// rest of the series as one chunk.
 type SeriesDump struct {
 	Labels  Labels
-	Points  []Point // v1, v2: the head
 	Blocks  []Chunk
-	Last    Point // v2
 	HasLast bool
 	Rollups []RollupDump
-	// Since v3: the head as one chunk, and Last's TS and Value as bits.
-	Head     Chunk
+	Head    Chunk
+	// The newest sample's TS and Value as bits.
 	LastBits [2]uint64
 }
 
@@ -106,7 +100,7 @@ func (db *DB) Dump() SnapshotDump {
 					HasOpen: rs.hasOpen,
 					Buckets: head.chunk(),
 					OpenBits: [7]uint64{math.Float64bits(o.TS), math.Float64bits(o.Count), math.Float64bits(o.Sum),
-						math.Float64bits(o.Min), math.Float64bits(o.Max), math.Float64bits(o.Last), math.Float64bits(rs.openLastTS)},
+						math.Float64bits(o.Min), math.Float64bits(o.Max), math.Float64bits(o.Last), math.Float64bits(o.lastTS)},
 				})
 			}
 			dump.Metrics[name] = append(dump.Metrics[name], sd)
@@ -116,16 +110,16 @@ func (db *DB) Dump() SnapshotDump {
 	return dump
 }
 
-// Load replaces the store's contents with the dump. The current (v3)
-// and legacy (v2, float fields; v1, raw points) formats load;
+// Load replaces the store's contents with the dump, which must be v3;
 // retention/tier configuration is not part of a dump and is preserved
-// as configured on db. Head points are appended to the open head chunks
-// as Append would, in time order, and those with a NaN timestamp, which
-// dumps taken before Append refused them may hold, are dropped.
+// as configured on db. Head samples are appended to the open head
+// chunks as Append would, in time order, and those with a NaN
+// timestamp, which a dump read from disk may hold, are dropped.
 func (db *DB) Load(dump SnapshotDump) error {
-	if dump.Version < 1 || dump.Version > snapshotVersion {
+	if dump.Version != snapshotVersion {
 		return fmt.Errorf("tsdb: restore: unsupported snapshot version %d", dump.Version)
 	}
+	f := math.Float64frombits
 	metrics := make(map[string]map[string]*series, len(dump.Metrics))
 	points := 0
 	var raw, roll chunkKind
@@ -133,46 +127,34 @@ func (db *DB) Load(dump SnapshotDump) error {
 	for name, dumps := range dump.Metrics {
 		byLabels := make(map[string]*series, len(dumps))
 		for _, sd := range dumps {
-			if dump.Version >= 3 {
-				if err := sd.decodeV3(); err != nil {
-					return fmt.Errorf("tsdb: restore: series %s%v: %w", name, sd.Labels, err)
-				}
+			fail := func(what string, err error) error {
+				return fmt.Errorf("tsdb: restore: series %s%v: %s%w", name, sd.Labels, what, err)
 			}
 			key := sd.Labels.canonical()
 			if _, dup := byLabels[key]; dup {
 				return fmt.Errorf("tsdb: restore: duplicate series %s%v", name, sd.Labels)
 			}
 			s := &series{labels: compactLabels(sd.Labels), key: key}
-			head := slices.DeleteFunc(append([]Point(nil), sd.Points...), func(p Point) bool { return p.TS != p.TS })
-			slices.SortStableFunc(head, func(a, b Point) int { return cmp.Compare(a.TS, b.TS) })
-			for _, p := range head {
-				s.head.add(p.TS, p.Value)
+			if err := sd.Head.samples(1, func(it *ChunkIter) {
+				if ts, v := it.At(); ts == ts {
+					s.head.add(ts, v)
+				}
+			}); err != nil {
+				return fail("head: ", err)
 			}
+			s.head.compact()
 			for _, c := range sd.Blocks {
 				c.restoreBounds()
 				if err := s.sealed.attach(&raw, c); err != nil {
-					return fmt.Errorf("tsdb: restore: series %s%v: raw %w", name, sd.Labels, err)
+					return fail("raw ", err)
 				}
 			}
 			points += s.rawCount()
 			if sd.HasLast {
-				s.lastTS, s.lastVal, s.hasLast = sd.Last.TS, sd.Last.Value, true
-			} else {
-				// v1 dump, whose points are all in the head: recover the
-				// newest sample by scanning.
-				for _, p := range head {
-					if !s.hasLast || p.TS >= s.lastTS {
-						s.lastTS, s.lastVal, s.hasLast = p.TS, p.Value, true
-					}
-				}
+				s.lastTS, s.lastVal, s.hasLast = f(sd.LastBits[0]), f(sd.LastBits[1]), true
 			}
 			for _, rd := range sd.Rollups {
-				t := -1
-				for i, step := range tierSteps {
-					if rd.Step == step {
-						t = i
-					}
-				}
+				t := slices.Index(tierSteps[:], rd.Step)
 				if t < 0 {
 					return fmt.Errorf("tsdb: restore: series %s%v: unknown rollup step %g", name, sd.Labels, rd.Step)
 				}
@@ -180,14 +162,16 @@ func (db *DB) Load(dump SnapshotDump) error {
 					s.rolls = new([tierCount]rollState)
 				}
 				rs := &s.rolls[t]
-				for _, b := range rd.Head {
-					rs.push(b)
+				if err := rd.Buckets.samples(rollupCols, func(it *ChunkIter) { rs.push(it.bucket()) }); err != nil {
+					return fail("rollup head: ", err)
 				}
-				rs.open, rs.hasOpen, rs.openLastTS = rd.Open, rd.HasOpen, rd.OpenLastTS
+				b := &rd.OpenBits
+				rs.open = RollupSample{TS: f(b[0]), Count: f(b[1]), Sum: f(b[2]), Min: f(b[3]), Max: f(b[4]), Last: f(b[5]), lastTS: f(b[6])}
+				rs.hasOpen = rd.HasOpen
 				for _, c := range rd.Blocks {
 					c.restoreBounds()
 					if err := rs.sealed.attach(&roll, c); err != nil {
-						return fmt.Errorf("tsdb: restore: series %s%v: rollup %w", name, sd.Labels, err)
+						return fail("rollup ", err)
 					}
 				}
 			}
@@ -221,43 +205,16 @@ func (db *DB) Load(dump SnapshotDump) error {
 	return nil
 }
 
-// decodeV3 decodes a v3 series dump's heads and bit-encoded floats into
-// the v2 fields the rest of Load reads. The rollups are copied first, so
-// the caller's dump is left as it was.
-func (sd *SeriesDump) decodeV3() error {
-	f := math.Float64frombits
-	sd.Points = nil
-	if err := sd.Head.samples(1, func(it *ChunkIter) {
-		ts, v := it.At()
-		sd.Points = append(sd.Points, Point{TS: ts, Value: v})
-	}); err != nil {
-		return fmt.Errorf("head: %w", err)
-	}
-	sd.Last = Point{TS: f(sd.LastBits[0]), Value: f(sd.LastBits[1])}
-	sd.Rollups = slices.Clone(sd.Rollups)
-	for i := range sd.Rollups {
-		rd := &sd.Rollups[i]
-		rd.Head = nil
-		if err := rd.Buckets.samples(rollupCols, func(it *ChunkIter) {
-			rd.Head = append(rd.Head, it.bucket())
-		}); err != nil {
-			return fmt.Errorf("rollup head: %w", err)
-		}
-		b := &rd.OpenBits
-		rd.Open = RollupSample{TS: f(b[0]), Count: f(b[1]), Sum: f(b[2]), Min: f(b[3]), Max: f(b[4]), Last: f(b[5])}
-		rd.OpenLastTS = f(b[6])
-	}
-	return nil
-}
-
 // samples calls fn on each sample of a dumped head chunk of cols value
 // columns, and fails if the stream ends before Count samples.
 func (c *Chunk) samples(cols int, fn func(*ChunkIter)) error {
 	if c.Count > 0 && c.Cols != cols {
 		return fmt.Errorf("chunk with %d columns, want %d", c.Cols, cols)
 	}
-	n := 0
-	for it := c.Iter(); it.Next(); n++ {
+	// it is declared outside the loop: a loop variable whose address is
+	// taken is copied into a fresh one every iteration.
+	it, n := c.Iter(), 0
+	for ; it.Next(); n++ {
 		fn(&it)
 	}
 	if n != c.Count {

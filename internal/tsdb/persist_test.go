@@ -3,6 +3,7 @@ package tsdb
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -67,6 +68,47 @@ func gobDump(t *testing.T, db *DB) SnapshotDump {
 	return dump
 }
 
+// decodedSeries is a v3 series dump with its head chunks and the floats
+// it holds as bits decoded.
+type decodedSeries struct {
+	SeriesDump
+	Points  []Point // the head
+	Last    Point
+	Rollups []decodedRollup
+}
+
+// decodedRollup is a v3 rollup dump with its head chunk and open bucket
+// decoded.
+type decodedRollup struct {
+	RollupDump
+	Head       []RollupSample
+	Open       RollupSample
+	OpenLastTS float64
+}
+
+// decodeSeries decodes a v3 series dump.
+func decodeSeries(sd SeriesDump) (decodedSeries, error) {
+	f := math.Float64frombits
+	d := decodedSeries{SeriesDump: sd, Last: Point{f(sd.LastBits[0]), f(sd.LastBits[1])}}
+	if err := sd.Head.samples(1, func(it *ChunkIter) {
+		ts, v := it.At()
+		d.Points = append(d.Points, Point{ts, v})
+	}); err != nil {
+		return d, fmt.Errorf("head: %w", err)
+	}
+	for _, rd := range sd.Rollups {
+		r := decodedRollup{RollupDump: rd}
+		if err := rd.Buckets.samples(rollupCols, func(it *ChunkIter) { r.Head = append(r.Head, it.bucket()) }); err != nil {
+			return d, fmt.Errorf("rollup head: %w", err)
+		}
+		b := &rd.OpenBits
+		r.Open = RollupSample{TS: f(b[0]), Count: f(b[1]), Sum: f(b[2]), Min: f(b[3]), Max: f(b[4]), Last: f(b[5])}
+		r.OpenLastTS = f(b[6])
+		d.Rollups = append(d.Rollups, r)
+	}
+	return d, nil
+}
+
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	orig := populated()
 	restored := New()
@@ -94,7 +136,7 @@ func TestRestoreReplacesExistingContents(t *testing.T) {
 }
 
 // TestRestoreGarbageFails: bytes that are not a gob SnapshotDump fail to
-// decode, and a decoded dump Load cannot trust — unknown version,
+// decode, and a decoded dump Load cannot trust — any version but 3,
 // duplicate series, a raw chunk with the wrong column count — is
 // refused without touching the store.
 func TestRestoreGarbageFails(t *testing.T) {
@@ -104,7 +146,9 @@ func TestRestoreGarbageFails(t *testing.T) {
 	}
 	bad := map[string]SnapshotDump{
 		"version 0": {Version: 0},
-		"version 3": {Version: snapshotVersion + 1},
+		"version 1": {Version: 1},
+		"version 2": {Version: 2},
+		"version 4": {Version: snapshotVersion + 1},
 		"duplicate series": {Version: snapshotVersion, Metrics: map[string][]SeriesDump{
 			"m": {{Labels: Labels{"a": "1"}}, {Labels: Labels{"a": "1"}}},
 		}},
@@ -185,10 +229,10 @@ func TestSnapshotKeepsNegativeZero(t *testing.T) {
 	neg("last value", p.Value)
 
 	dumped := restored.Dump()
-	sd := func(name string) SeriesDump {
+	sd := func(name string) decodedSeries {
 		t.Helper()
-		sd := dumped.Metrics[name][0]
-		if err := sd.decodeV3(); err != nil {
+		sd, err := decodeSeries(dumped.Metrics[name][0])
+		if err != nil {
 			t.Fatal(err)
 		}
 		return sd
@@ -200,46 +244,4 @@ func TestSnapshotKeepsNegativeZero(t *testing.T) {
 	neg("rollup head last", h.Rollups[0].Head[0].Last)
 	neg("rollup open last", l.Rollups[0].Open.Last)
 	neg("rollup open last TS", l.Rollups[0].OpenLastTS)
-}
-
-// TestSnapshotLoadsV2: a v2 dump, which holds heads, the last sample
-// and open rollup buckets in float fields, still loads into the store
-// it was taken from.
-func TestSnapshotLoadsV2(t *testing.T) {
-	db := New()
-	db.SetSealEvery(16)
-	db.ConfigureTiers(Retention{})
-	for i := 0; i < 500; i++ {
-		db.Append("m", Labels{"node": string(rune('a' + i%3))}, float64(i*7), float64(i%11))
-	}
-	dump := db.Dump()
-	dump.Version = 2
-	for _, sds := range dump.Metrics {
-		for i := range sds {
-			sd := &sds[i]
-			if err := sd.decodeV3(); err != nil {
-				t.Fatal(err)
-			}
-			sd.Head, sd.LastBits = Chunk{}, [2]uint64{}
-			for j := range sd.Rollups {
-				sd.Rollups[j].Buckets, sd.Rollups[j].OpenBits = Chunk{}, [7]uint64{}
-			}
-		}
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(dump); err != nil {
-		t.Fatal(err)
-	}
-	var v2 SnapshotDump
-	if err := gob.NewDecoder(&buf).Decode(&v2); err != nil {
-		t.Fatal(err)
-	}
-	restored := New()
-	restored.ConfigureTiers(Retention{})
-	if err := restored.Load(v2); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := dumpString(restored), dumpString(db); got != want {
-		t.Fatalf("v2 dump restored as\n%s\nwant\n%s", got, want)
-	}
 }

@@ -17,10 +17,16 @@ type Querier interface {
 	// QueryOne returns the single series matching exactly (name, labels).
 	QueryOne(name string, labels Labels, from, to float64) (Result, bool)
 	// QueryRange answers a resolution-aware range query bucketed onto a
-	// grid of width step aligned to from and reduced with agg.
+	// grid of width step aligned to from and reduced with agg. A raw-tier
+	// bucket's min and max are NaN when its first value is NaN (a later
+	// NaN is passed over), and its sum starts from +0, so a lone -0 sums
+	// to +0; a rollup-tier bucket starts at its first rollup bucket, so a
+	// lone -0 sums to -0.
 	QueryRange(name string, matcher Labels, from, to, step float64, agg Agg) []Result
 	// AggregateRange folds every matched point in [from, to] into one
-	// value (NaN when nothing matches; count returns 0).
+	// value (NaN when nothing matches; count returns 0). NaN values are
+	// skipped: min and max are +Inf and -Inf when every value is NaN. The
+	// sum starts from +0.
 	AggregateRange(name string, matcher Labels, from, to float64, agg Agg) float64
 	// IterOne streams the exact series' raw points in [from, to].
 	IterOne(name string, labels Labels, from, to float64) (Iter, bool)

@@ -309,7 +309,7 @@ func TestRetainRaceOutOfOrderAppends(t *testing.T) {
 // place in time order, so Append refuses it — every read then agrees
 // on the samples that are stored, retention drops exactly those below
 // its cutoff, and no count or metric sees the refused sample. Load
-// drops NaN-timestamp head points that older dumps may hold.
+// drops NaN-timestamp head samples a checkpoint read from disk may hold.
 func TestNaNTimestampNeverStored(t *testing.T) {
 	nan := math.NaN()
 	db := New()
@@ -367,8 +367,15 @@ func TestNaNTimestampNeverStored(t *testing.T) {
 		t.Fatalf("after Prune(2.5): metrics %v, %d points; want [m n] and 1", names, db.PointCount())
 	}
 
-	dump := SnapshotDump{Version: 2, Metrics: map[string][]SeriesDump{
-		"m": {{Labels: lbl, Points: []Point{{1, 1}, {nan, 9}, {2, 2}}, Last: Point{2, 2}, HasLast: true}},
+	// A checkpoint is read from disk: its head chunk may encode a NaN
+	// timestamp, which Load drops.
+	var head Encoder
+	head.Reset(1)
+	for _, p := range []Point{{1, 1}, {nan, 9}, {2, 2}} {
+		head.Append(p.TS, p.Value)
+	}
+	dump := SnapshotDump{Version: snapshotVersion, Metrics: map[string][]SeriesDump{
+		"m": {{Labels: lbl, Head: *head.Chunk(), LastBits: [2]uint64{math.Float64bits(2), math.Float64bits(2)}, HasLast: true}},
 	}}
 	if err := db.Load(dump); err != nil {
 		t.Fatal(err)

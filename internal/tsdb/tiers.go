@@ -36,65 +36,15 @@ var tierSteps = [tierCount]float64{60, 3600}
 // is the raw tier, index t+1 is rollup tier t.
 var tierNames = [1 + tierCount]string{"raw", "1m", "1h"}
 
-// RollupSample is one downsampled bucket: every aggregation the store
-// supports is answerable from these five numbers, so re-bucketing to a
-// coarser, caller-aligned grid loses nothing. Exported for gob snapshot
-// encoding.
-type RollupSample struct {
-	TS    float64 // bucket start (inclusive)
-	Count float64
-	Sum   float64
-	Min   float64
-	Max   float64
-	Last  float64 // value of the newest sample in the bucket
-}
-
-// fold merges b into acc (acc's TS is kept). Buckets arrive in time
-// order, so b's Last supersedes acc's.
-func (acc *RollupSample) fold(b RollupSample) {
-	acc.Count += b.Count
-	acc.Sum += b.Sum
-	if b.Min < acc.Min {
-		acc.Min = b.Min
-	}
-	if b.Max > acc.Max {
-		acc.Max = b.Max
-	}
-	acc.Last = b.Last
-}
-
-// value answers agg from the bucket's five columns.
-func (acc RollupSample) value(agg Agg) float64 {
-	switch agg {
-	case AggCount:
-		return acc.Count
-	case AggSum:
-		return acc.Sum
-	case AggAvg:
-		return acc.Sum / acc.Count
-	case AggMin:
-		return acc.Min
-	case AggMax:
-		return acc.Max
-	case AggLast:
-		return acc.Last
-	default:
-		panic("tsdb: unknown aggregation " + string(agg))
-	}
-}
-
 // rollState is one rollup tier of one series: sealed chunks, the open
 // chunk its closed buckets are encoded into (buckets close in time
 // order), and the single open bucket that the append path folds into.
 // Guarded by the owning series' mutex.
 type rollState struct {
-	sealed chunkList
-	head   Encoder
-	// open is the in-progress bucket; openLastTS is the timestamp of
-	// the newest sample folded into it (tracks which value is Last).
-	open       RollupSample
-	openLastTS float64
-	hasOpen    bool
+	sealed  chunkList
+	head    Encoder
+	open    RollupSample
+	hasOpen bool
 }
 
 // feed folds one sample into the tier. A sample whose bucket is older
@@ -107,35 +57,19 @@ func (rs *rollState) feed(db *DB, step, ts, value float64) {
 		// Hot path: the sample lands in the open bucket (no Floor).
 		// Equivalent to bucket == open.TS since open.TS is always a
 		// multiple of step.
-		rs.open.Count++
-		rs.open.Sum += value
-		if value < rs.open.Min {
-			rs.open.Min = value
-		}
-		if value > rs.open.Max {
-			rs.open.Max = value
-		}
-		if ts >= rs.openLastTS {
-			rs.open.Last = value
-			rs.openLastTS = ts
-		}
+		rs.open.add(ts, value)
 		return
 	}
-	bucket := math.Floor(ts/step) * step
-	if !rs.hasOpen {
-		rs.open = RollupSample{TS: bucket, Count: 1, Sum: value, Min: value, Max: value, Last: value}
-		rs.openLastTS = ts
-		rs.hasOpen = true
-		return
-	}
+	b := RollupSample{TS: math.Floor(ts/step) * step, Count: 1, Sum: value, Min: value, Max: value, Last: value, lastTS: ts}
 	switch {
-	case bucket > rs.open.TS:
+	case !rs.hasOpen:
+		rs.open, rs.hasOpen = b, true
+	case b.TS > rs.open.TS:
 		rs.push(rs.open)
 		if rs.head.count >= rollupSealEvery {
 			rs.sealed.seal(db, &db.roll, &rs.head)
 		}
-		rs.open = RollupSample{TS: bucket, Count: 1, Sum: value, Min: value, Max: value, Last: value}
-		rs.openLastTS = ts
+		rs.open = b
 	default:
 		// Too old for the open bucket.
 		if m := db.inst.Load(); m != nil {
@@ -196,12 +130,13 @@ func (rs *rollState) snapshot() rollSnap {
 	return rollSnap{chunks: seriesSnap{blocks: rs.sealed.chunks, open: rs.head.view()}, open: rs.open, hasOpen: rs.hasOpen}
 }
 
-// visitRange streams the tier's buckets with from <= TS <= to, in time
-// order, to fn.
-func (sn rollSnap) visitRange(from, to float64, fn func(RollupSample)) {
-	emit := func(b RollupSample) {
+// rebucket buckets the tier's buckets with from <= TS <= to onto the
+// grid — the rollup tiers of QueryRange.
+func (sn *rollSnap) rebucket(from, to, step float64, agg Agg) []Point {
+	g := grid{from: from, step: step, agg: agg}
+	add := func(b RollupSample) {
 		if b.TS >= from && b.TS <= to {
-			fn(b)
+			g.add(b.TS, b.Count, b.Sum, b.Min, b.Max, b.Last, b.lastTS)
 		}
 	}
 	for i := 0; ; i++ {
@@ -214,44 +149,14 @@ func (sn rollSnap) visitRange(from, to float64, fn func(RollupSample)) {
 		}
 		it := c.iter(tail)
 		for it.Next() {
-			emit(it.bucket())
+			add(it.bucket())
 		}
 	}
 	if sn.hasOpen {
-		emit(sn.open)
+		add(sn.open)
 	}
-}
-
-// downsample re-buckets the tier's native buckets onto a grid of width
-// step aligned to from, and reduces each output bucket with agg. Tier
-// buckets are attributed to the output bucket containing their start;
-// empty output buckets are omitted — the rollup-tier analogue of
-// Downsample.
-func (sn rollSnap) downsample(from, to, step float64, agg Agg) []Point {
-	var out []Point
-	var acc RollupSample
-	have := false
-	curIdx := 0.0
-	flush := func() {
-		if !have {
-			return
-		}
-		out = append(out, Point{TS: from + curIdx*step, Value: acc.value(agg)})
-		have = false
-	}
-	sn.visitRange(from, to, func(b RollupSample) {
-		idx := math.Floor((b.TS - from) / step)
-		if have && idx != curIdx {
-			flush()
-		}
-		if !have {
-			acc, curIdx, have = b, idx, true
-			return
-		}
-		acc.fold(b)
-	})
-	flush()
-	return out
+	g.flush()
+	return g.out
 }
 
 // Retention configures the per-tier horizons, in seconds before the
@@ -270,9 +175,6 @@ func (db *DB) ConfigureTiers(r Retention) {
 	db.retain = [1 + tierCount]float64{r.RawS, r.Rollup1mS, r.Rollup1hS}
 	db.wm.Store(negInfBits) // the tiers that can evict changed: sweep next time
 }
-
-// TiersEnabled reports whether rollup tiers are being maintained.
-func (db *DB) TiersEnabled() bool { return db.tiersOn }
 
 // tierCounts returns how many series have data in rollup tier t and the
 // total bucket count across them.
@@ -322,36 +224,6 @@ func (db *DB) PickTier(from, step float64) string {
 	return tierNames[db.pickTier(from, step)]
 }
 
-// downsampleIter streams raw points into from-aligned buckets of width
-// step — Downsample without materialising the input.
-func downsampleIter(it Iter, from, step float64, agg Agg) []Point {
-	var out []Point
-	var bucket []Point
-	have := false
-	curIdx := 0.0
-	flush := func() {
-		if !have {
-			return
-		}
-		out = append(out, Point{TS: from + curIdx*step, Value: Aggregate(bucket, agg)})
-		bucket = bucket[:0]
-		have = false
-	}
-	for it.Next() {
-		ts, v := it.At()
-		idx := math.Floor((ts - from) / step)
-		if have && idx != curIdx {
-			flush()
-		}
-		if !have {
-			curIdx, have = idx, true
-		}
-		bucket = append(bucket, Point{TS: ts, Value: v})
-	}
-	flush()
-	return out
-}
-
 // QueryRange answers a resolution-aware range query: every series of
 // the metric whose labels contain matcher, bucketed onto a grid of
 // width step aligned to from and reduced with agg. The store reads the
@@ -370,7 +242,7 @@ func (db *DB) QueryRange(name string, matcher Labels, from, to, step float64, ag
 	for _, s := range matched {
 		var pts []Point
 		if tier == 0 {
-			pts = downsampleIter(snap(s).Iter(from, to), from, step, agg)
+			pts = rawGrid(snap(s).Iter(from, to), from, step, agg)
 		} else {
 			var sn rollSnap
 			s.mu.Lock()
@@ -378,7 +250,7 @@ func (db *DB) QueryRange(name string, matcher Labels, from, to, step float64, ag
 				sn = s.rolls[tier-1].snapshot()
 			}
 			s.mu.Unlock()
-			pts = sn.downsample(from, to, step, agg)
+			pts = sn.rebucket(from, to, step, agg)
 		}
 		out = append(out, Result{Labels: exportLabels(s.labels), Points: pts})
 	}

@@ -883,44 +883,14 @@ func (db *DB) AggregateRange(name string, matcher Labels, from, to float64, agg 
 		return float64(n)
 	}
 
-	n := 0
-	sum := 0.0
-	min, max := math.Inf(1), math.Inf(-1)
-	last, lastTS := 0.0, math.Inf(-1)
+	acc := RollupSample{Min: math.Inf(1), Max: math.Inf(-1), lastTS: math.Inf(-1)}
 	for _, s := range matched {
 		it := snap(s).Iter(from, to)
 		for it.Next() {
-			ts, v := it.At()
-			sum += v
-			if v < min {
-				min = v
-			}
-			if v > max {
-				max = v
-			}
-			if ts >= lastTS {
-				last, lastTS = v, ts
-			}
-			n++
+			acc.add(it.At())
 		}
 	}
-	if n == 0 {
-		return math.NaN()
-	}
-	switch agg {
-	case AggSum:
-		return sum
-	case AggAvg:
-		return sum / float64(n)
-	case AggMin:
-		return min
-	case AggMax:
-		return max
-	case AggLast:
-		return last
-	default:
-		panic(fmt.Sprintf("tsdb: unknown aggregation %q", agg))
-	}
+	return acc.value(agg)
 }
 
 // MetricNames returns all metric names, sorted.
@@ -1006,98 +976,4 @@ func (s *series) hasRollupData() bool {
 		}
 	}
 	return false
-}
-
-// Agg selects an aggregation function.
-type Agg string
-
-// Aggregations understood by Aggregate and Downsample.
-const (
-	AggSum   Agg = "sum"
-	AggAvg   Agg = "avg"
-	AggMin   Agg = "min"
-	AggMax   Agg = "max"
-	AggCount Agg = "count"
-	AggLast  Agg = "last"
-)
-
-// Valid reports whether a is one of the aggregations above.
-func (a Agg) Valid() bool {
-	switch a {
-	case AggSum, AggAvg, AggMin, AggMax, AggCount, AggLast:
-		return true
-	}
-	return false
-}
-
-// Aggregate reduces points to a single value. NaN is returned for an
-// empty input (except count, which is 0).
-func Aggregate(points []Point, agg Agg) float64 {
-	if agg == AggCount {
-		return float64(len(points))
-	}
-	if len(points) == 0 {
-		return math.NaN()
-	}
-	switch agg {
-	case AggSum, AggAvg:
-		sum := 0.0
-		for _, p := range points {
-			sum += p.Value
-		}
-		if agg == AggAvg {
-			return sum / float64(len(points))
-		}
-		return sum
-	case AggMin:
-		min := points[0].Value
-		for _, p := range points[1:] {
-			if p.Value < min {
-				min = p.Value
-			}
-		}
-		return min
-	case AggMax:
-		max := points[0].Value
-		for _, p := range points[1:] {
-			if p.Value > max {
-				max = p.Value
-			}
-		}
-		return max
-	case AggLast:
-		return points[len(points)-1].Value
-	default:
-		panic(fmt.Sprintf("tsdb: unknown aggregation %q", agg))
-	}
-}
-
-// Rate computes the per-second increase of a monotone counter series,
-// tolerating resets (a drop restarts accumulation from the new value).
-func Rate(points []Point) float64 {
-	if len(points) < 2 {
-		return 0
-	}
-	span := points[len(points)-1].TS - points[0].TS
-	if span <= 0 {
-		return 0
-	}
-	inc := 0.0
-	for i := 1; i < len(points); i++ {
-		d := points[i].Value - points[i-1].Value
-		if d < 0 { // counter reset
-			d = points[i].Value
-		}
-		inc += d
-	}
-	return inc / span
-}
-
-// Downsample buckets points into fixed step windows aligned to from and
-// aggregates each bucket. Empty buckets are omitted.
-func Downsample(points []Point, from, step float64, agg Agg) []Point {
-	if step <= 0 {
-		return nil
-	}
-	return downsampleIter(PointsIter(points), from, step, agg)
 }

@@ -160,25 +160,6 @@ func TestAggregate(t *testing.T) {
 	}
 }
 
-func TestRate(t *testing.T) {
-	// Counter rising 10 per second for 10 seconds.
-	var pts []Point
-	for i := 0; i <= 10; i++ {
-		pts = append(pts, Point{TS: float64(i), Value: float64(i * 10)})
-	}
-	if got := Rate(pts); math.Abs(got-10) > 1e-9 {
-		t.Fatalf("rate = %v, want 10", got)
-	}
-	// Counter reset at t=5.
-	reset := []Point{{0, 0}, {1, 10}, {2, 20}, {3, 0}, {4, 10}}
-	if got := Rate(reset); math.Abs(got-7.5) > 1e-9 { // (10+10+0+10)/4
-		t.Fatalf("rate with reset = %v, want 7.5", got)
-	}
-	if Rate(nil) != 0 || Rate(pts[:1]) != 0 {
-		t.Fatal("degenerate rate not 0")
-	}
-}
-
 func TestDownsample(t *testing.T) {
 	var pts []Point
 	for i := 0; i < 10; i++ {
@@ -448,5 +429,54 @@ func TestHeadGrowsByAppend(t *testing.T) {
 	res, ok := db.QueryOne("m", Labels{"node": "N0001"}, 0, defaultSealEvery)
 	if !ok || len(res.Points) != defaultSealEvery-1 || res.Points[300].Value != 300 {
 		t.Fatalf("query after regrowth: ok=%v, %d points", ok, len(res.Points))
+	}
+}
+
+// TestAggregateSeeds pins where each fold through the one accumulator
+// starts: a raw bucket at its first sample with its sum from +0, an
+// AggregateRange empty, and a rollup bucket at its first input.
+func TestAggregateSeeds(t *testing.T) {
+	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
+	db := New()
+	db.ConfigureTiers(Retention{})
+	lead := []Point{{0, nan}, {1, 2}, {2, 1}}
+	for _, p := range lead {
+		db.Append("lead", nil, p.TS, p.Value)
+	}
+	db.Append("nan", nil, 0, nan)
+	db.Append("nan", nil, 1, nan)
+	db.Append("zero", nil, 0, negZero)
+	// bucket returns the one bucket QueryRange answers over [0, 10].
+	bucket := func(name string, step float64, agg Agg) float64 {
+		t.Helper()
+		r := db.QueryRange(name, nil, 0, 10, step, agg)
+		if len(r) != 1 || len(r[0].Points) != 1 {
+			t.Fatalf("QueryRange(%s, step %g, %s) = %v, want one bucket", name, step, agg, r)
+		}
+		return r[0].Points[0].Value
+	}
+	if raw, roll := db.PickTier(0, 10), db.PickTier(0, 60); raw != "raw" || roll != "1m" {
+		t.Fatalf("tiers %s and %s, want raw and 1m", raw, roll)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"Aggregate min, leading NaN", Aggregate(lead, AggMin), nan},
+		{"Aggregate max, leading NaN", Aggregate(lead, AggMax), nan},
+		{"raw QueryRange min, leading NaN", bucket("lead", 10, AggMin), nan},
+		{"raw QueryRange max, leading NaN", bucket("lead", 10, AggMax), nan},
+		{"AggregateRange min skips NaN", db.AggregateRange("lead", nil, 0, 10, AggMin), 1},
+		{"AggregateRange max skips NaN", db.AggregateRange("lead", nil, 0, 10, AggMax), 2},
+		{"AggregateRange min, every value NaN", db.AggregateRange("nan", nil, 0, 10, AggMin), inf},
+		{"AggregateRange max, every value NaN", db.AggregateRange("nan", nil, 0, 10, AggMax), -inf},
+		{"Aggregate sum of a lone -0", Aggregate([]Point{{0, negZero}}, AggSum), 0},
+		{"raw QueryRange sum of a lone -0", bucket("zero", 10, AggSum), 0},
+		{"AggregateRange sum of a lone -0", db.AggregateRange("zero", nil, 0, 10, AggSum), 0},
+		{"rollup QueryRange sum of a lone -0", bucket("zero", 60, AggSum), negZero},
+	} {
+		if !sameFloat(c.got, c.want) {
+			t.Errorf("%s = %v (signbit %v), want %v (signbit %v)", c.name, c.got, math.Signbit(c.got), c.want, math.Signbit(c.want))
+		}
 	}
 }
