@@ -130,8 +130,13 @@ func CompareTopology(inferred, truth Topology) Accuracy {
 // latest per-node counter summaries: total delivered / total originated.
 // The second return is false when no node has reported data traffic yet.
 func NetworkPDRFromStats(c collector.View) (float64, bool) {
+	return NetworkPDR(c.Nodes())
+}
+
+// NetworkPDR is NetworkPDRFromStats over a registry already read.
+func NetworkPDR(nodes []collector.NodeInfo) (float64, bool) {
 	var sent, delivered uint64
-	for _, n := range c.Nodes() {
+	for _, n := range nodes {
 		if n.LastStats == nil {
 			continue
 		}

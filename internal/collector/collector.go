@@ -853,26 +853,25 @@ func (s *shard) mergeFresh() {
 
 // Links returns every observed direct link merged across shards, sorted
 // by (tx, rx). With from > 0, only links heard at or after that
-// timestamp are included.
+// timestamp are included. The merge reads the shards' sorted tables in
+// place, under every shard's read lock (taken in shard order, as
+// lockAll takes the write locks), so the table is copied once.
 func (c *Collector) Links(from float64) []LinkObs {
 	runs := make([][]LinkObs, 0, 2*len(c.shards))
 	for _, s := range c.shards {
 		s.mu.RLock()
-		runs = append(runs, heardSince(s.links, from), heardSince(s.fresh, from))
-		s.mu.RUnlock()
+		runs = append(runs, s.links, s.fresh)
 	}
-	return MergeLinks(runs)
-}
-
-// heardSince copies the links last heard at or after from.
-func heardSince(links []LinkObs, from float64) []LinkObs {
-	run := make([]LinkObs, 0, len(links))
-	for _, l := range links {
-		if l.LastTS >= from {
-			run = append(run, l)
-		}
+	// A link lives on one shard only, so filtering the merged table drops
+	// what filtering each run would.
+	out := MergeLinks(runs)
+	for i := len(c.shards) - 1; i >= 0; i-- {
+		c.shards[i].mu.RUnlock()
 	}
-	return run
+	if out = slices.DeleteFunc(out, func(l LinkObs) bool { return !(l.LastTS >= from) }); len(out) == 0 {
+		return nil // as a merge of empty runs answers
+	}
+	return out
 }
 
 func (s *shard) ingestStats(st *nodeState, v wire.NodeStats) {

@@ -56,7 +56,14 @@ func parseChartQuery(q url.Values, metric string, maxTS float64) (chartQuery, er
 		if err != nil {
 			return cq, err
 		}
-		cq.Matcher["node"] = id.String()
+		// The id as the store labels it: the parameter itself when it is
+		// already in that form.
+		var buf [8]byte
+		if node := id.Append(buf[:0]); string(node) == nodeParam {
+			cq.Matcher["node"] = nodeParam
+		} else {
+			cq.Matcher["node"] = string(node)
+		}
 	}
 	from, err := parseTS(q, "from", 0)
 	if err != nil {
@@ -143,6 +150,9 @@ type chartJSON struct {
 	Series []chartSeriesOut `json:"series"`
 	// Reduced carries the scalar answer when ?reduce= asked for one.
 	Reduced *float64 `json:"reduced,omitempty"`
+	// results, when not nil, are written as the series in place of
+	// Series, each point straight from the store's answer.
+	results []tsdb.Result
 }
 
 type chartSeriesOut struct {
@@ -156,7 +166,8 @@ type chartSeriesOut struct {
 // a whole-range scalar down to tsdb.AggregateRange (raw tier only, no
 // point materialisation).
 func (s *Server) handleChartJSON(w http.ResponseWriter, r *http.Request, metric string) {
-	cq, err := parseChartQuery(r.URL.Query(), metric, s.coll.MaxTS())
+	q := r.URL.Query()
+	cq, err := parseChartQuery(q, metric, s.coll.MaxTS())
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -164,7 +175,8 @@ func (s *Server) handleChartJSON(w http.ResponseWriter, r *http.Request, metric 
 	out := chartJSON{
 		Metric: cq.Metric, From: cq.From, To: cq.To, Step: cq.Step, Agg: cq.Agg,
 	}
-	if v := r.URL.Query().Get("reduce"); v != "" {
+	size := 128
+	if v := q.Get("reduce"); v != "" {
 		agg := tsdb.Agg(v)
 		if !agg.Valid() {
 			http.Error(w, fmt.Sprintf("dashboard: unknown reduce %q", v), http.StatusBadRequest)
@@ -176,28 +188,24 @@ func (s *Server) handleChartJSON(w http.ResponseWriter, r *http.Request, metric 
 		}
 		out.Series = []chartSeriesOut{}
 	} else {
-		out.Series = make([]chartSeriesOut, 0, 4)
-		for _, res := range cq.results(s.coll.DB()) {
-			so := chartSeriesOut{Labels: res.Labels, Points: make([][2]float64, 0, len(res.Points))}
-			for _, p := range res.Points {
-				so.Points = append(so.Points, [2]float64{p.TS, p.Value})
-			}
-			out.Series = append(out.Series, so)
+		out.results = cq.results(s.coll.DB())
+		if out.results == nil {
+			out.results = []tsdb.Result{}
+		}
+		for _, res := range out.results {
+			size += 64 + 40*len(res.Points)
 		}
 	}
 	// Encode before answering: a non-finite sample cannot be JSON, and
 	// that is a 500 (never cached), not a 200 with an empty body.
-	size := 128
-	for _, so := range out.Series {
-		size += 64 + 40*len(so.Points)
-	}
-	body, err := appendChartJSON(make([]byte, 0, size), &out)
+	buf, b := getBuffer(size)
+	b, err = appendChartJSON(b, &out)
 	if err != nil {
+		buffers.Put(buf)
 		http.Error(w, "dashboard: encode chart: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(append(body, '\n')) //nolint:errcheck // client went away
+	writeBuffer(w, jsonType, buf, append(b, '\n'))
 }
 
 // handleChart dispatches `/chart/{metric}.svg` and `.json` on suffix.

@@ -12,6 +12,8 @@ package dashboard
 import (
 	"math/bits"
 	"net/http"
+	"slices"
+	"sync"
 	"time"
 
 	"lorameshmon/internal/alert"
@@ -168,13 +170,13 @@ func (s *Server) handleOverview(w http.ResponseWriter, _ *http.Request) {
 	now := s.coll.MaxTS()
 	nodes := s.coll.Nodes()
 	st := s.coll.Stats()
-	b := s.page(1024 + rowBytes*len(nodes))
+	buf, b := s.page(1024 + rowBytes*len(nodes))
 	b = append(b, "\n<p class=\"meta\">record time "...)
 	b = appendFloat(b, now, 0)
 	b = appendUint(b, "s · ", st.BatchesIngested)
 	b = appendUint(b, " batches · ", st.RecordsIngested)
 	b = append(b, " records ingested"...)
-	if pdr, ok := analysis.NetworkPDRFromStats(s.coll); ok {
+	if pdr, ok := analysis.NetworkPDR(nodes); ok {
 		b = append(b, " · network PDR "...)
 		b = appendFloat(b, 100*pdr, 1)
 		b = append(b, '%')
@@ -194,7 +196,7 @@ func (s *Server) handleOverview(w http.ResponseWriter, _ *http.Request) {
 	b = append(b, "\n<h2>Nodes</h2>\n<table><tr><th>Node</th><th>Status</th><th>Last beat</th><th>Uptime</th>"+
 		"<th>Routes</th><th>Queue</th><th>Duty</th><th>Battery</th><th>Batches</th><th>Lost</th><th>Firmware</th></tr>\n"...)
 	b = appendOverviewRows(b, nodes, now, s.cfg.DownAfterS)
-	writePage(w, append(b, "\n</table>\n"...))
+	writePage(w, buf, append(b, "\n</table>\n"...))
 }
 
 // nodeCharts are the node page's charts; battery nodes get all six,
@@ -217,7 +219,7 @@ func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
 	if info.LastRoutes != nil {
 		routes = info.LastRoutes.Routes
 	}
-	b := s.page(2048 + 100*len(routes) + 100*routeChangeRows)
+	buf, b := s.page(2048 + 100*len(routes) + 100*routeChangeRows)
 	b = append(b, "\n<h2>Node "...)
 	b = id.Append(b)
 	b = append(b, "</h2>\n<p class=\"meta\">first seen "...)
@@ -271,16 +273,16 @@ func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
 		b = id.Append(b)
 		b = append(b, `" alt="chart"></div>`...)
 	}
-	writePage(w, append(b, '\n'))
+	writePage(w, buf, append(b, '\n'))
 }
 
 func (s *Server) handleTraffic(w http.ResponseWriter, _ *http.Request) {
 	pkts := s.coll.Recent(100)
-	b := s.page(1024 + rowBytes*len(pkts))
+	buf, b := s.page(1024 + rowBytes*len(pkts))
 	b = append(b, "\n<h2>Recent LoRa packets</h2>\n<table><tr><th>t</th><th>Node</th><th>Event</th><th>Type</th>"+
 		"<th>Src</th><th>Dst</th><th>Via</th><th>Seq</th><th>TTL</th><th>Bytes</th><th>RSSI</th><th>SNR</th><th>Reason</th></tr>\n"...)
 	b = appendTrafficRows(b, pkts)
-	writePage(w, append(b, "\n</table>\n"...))
+	writePage(w, buf, append(b, "\n</table>\n"...))
 }
 
 func (s *Server) handleAlerts(w http.ResponseWriter, _ *http.Request) {
@@ -288,12 +290,12 @@ func (s *Server) handleAlerts(w http.ResponseWriter, _ *http.Request) {
 	if s.engine != nil {
 		active, history = s.engine.Active(), s.engine.History()
 	}
-	b := s.page(1024 + 200*(len(active)+len(history)))
+	buf, b := s.page(1024 + 200*(len(active)+len(history)))
 	b = append(b, "\n<h2>Active alerts</h2>\n"...)
 	b = appendAlertTable(b, "<th>Since</th>", active, false)
 	b = append(b, "\n<h2>Resolved</h2>\n"...)
 	b = appendAlertTable(b, "<th>Fired</th><th>Resolved</th>", history, true)
-	writePage(w, append(b, '\n'))
+	writePage(w, buf, append(b, '\n'))
 }
 
 // appendAlertTable appends the alerts page's table of alerts, whose
@@ -366,10 +368,10 @@ func (s *Server) handleTopology(w http.ResponseWriter, _ *http.Request) {
 		}
 		g.Edges = append(g.Edges, topoEdge{From: set.index(l.Tx), To: set.index(l.Rx), RSSI: l.MeanRSSI})
 	}
-	b := s.page(32 + g.renderBytes())
+	buf, b := s.page(32 + g.renderBytes())
 	b = append(b, "\n<h2>Topology</h2>\n"...)
 	b = g.Render(b)
-	writePage(w, append(b, '\n'))
+	writePage(w, buf, append(b, '\n'))
 }
 
 // nodeSet is a set over the 16-bit node address space that numbers its
@@ -450,13 +452,48 @@ h1{font-size:20px}h2{font-size:16px}
 	pageFoot = `</body></html>`
 )
 
-// page starts a page: the shared head, with room for n bytes of body.
-func (s *Server) page(n int) []byte {
-	return append(make([]byte, 0, len(s.head)+n+len(pageFoot)), s.head...)
+// Responses are rendered into pooled buffers: a ResponseWriter keeps
+// nothing of a Write once it returns, so the buffer is reused as soon as
+// the response is written. A buffer that grew past maxPooled (the
+// topology page of a large mesh) is dropped rather than kept: what the
+// pool holds at a collection stays live until the next one.
+var buffers = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooled = 64 << 10
+
+// getBuffer returns an empty pooled buffer with room for n bytes.
+func getBuffer(n int) (*[]byte, []byte) {
+	buf := buffers.Get().(*[]byte)
+	return buf, slices.Grow((*buf)[:0], n)
+}
+
+// Content-Type values, shared by every response: a ResponseWriter copies
+// its header values when it writes the status, and nothing modifies them.
+var (
+	htmlType = []string{"text/html; charset=utf-8"}
+	jsonType = []string{"application/json"}
+)
+
+// writeBuffer writes b, which was rendered in the pooled buffer buf, in
+// one call and hands buf back to the pool.
+func writeBuffer(w http.ResponseWriter, contentType []string, buf *[]byte, b []byte) {
+	w.Header()["Content-Type"] = contentType
+	w.Write(b) //nolint:errcheck // a failed write has no one to report to
+	if cap(b) > maxPooled {
+		b = nil
+	}
+	*buf = b[:0]
+	buffers.Put(buf)
+}
+
+// page starts a page in a pooled buffer: the shared head, with room for
+// n bytes of body.
+func (s *Server) page(n int) (*[]byte, []byte) {
+	buf, b := getBuffer(len(s.head) + n + len(pageFoot))
+	return buf, append(b, s.head...)
 }
 
 // writePage ends b with the shared foot and writes it in one call.
-func writePage(w http.ResponseWriter, b []byte) {
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	w.Write(append(b, pageFoot...)) //nolint:errcheck // a failed write has no one to report to
+func writePage(w http.ResponseWriter, buf *[]byte, b []byte) {
+	writeBuffer(w, htmlType, buf, append(b, pageFoot...))
 }

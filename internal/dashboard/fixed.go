@@ -6,7 +6,7 @@ import (
 )
 
 // pow10 holds the scales appendFixed's fast path can use: 10^prec must
-// be exact, and |v|·10^prec below 2^53 with |v| >= 1 leaves prec <= 15.
+// be an exact integer below 2^53, which leaves prec <= 15.
 var pow10 = [...]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
 
 // appendFixed appends v exactly as strconv.AppendFloat(dst, v, 'f',
@@ -15,40 +15,56 @@ var pow10 = [...]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1
 // strconv sends every 'f' format with an explicit precision (fmt's
 // %.1f, %.0f) to its multiprecision bigFtoa; only 'e' and 'g' reach the
 // Ryu fixed-precision algorithm. 'f' rounds the exact binary value of v
-// to prec decimals, half to even. For 1 <= |v| with t = |v|·10^prec
-// below 2^53 that is t rounded to an integer q, written with a point
-// before its last prec digits. The product p = |v|·10^prec is t rounded
-// to a double, so q = RoundToEven(p) is one off when rounding carried t
-// across a half; FMA gives the exact residual t−q (an integer multiple
-// of |v|'s ulp, fewer than 2^53 of them, so representable), and only
-// |t−q| > 1/2 needs a step. An exact tie is already even: p is then t
-// itself, or t's nearest double, an even integer where doubles are
-// integers. Every other value — |v| < 1, ±0, huge magnitudes or
+// to prec decimals, half to even: it writes q, the exact product
+// t = |v|·10^prec rounded half to even to an integer, with a point
+// before its last prec digits. For t below 2^53 and |v| >= 2^-500 (so
+// nothing underflows), q comes from doubles:
+//
+//   - p = |v|·10^prec is t rounded to a double, and the FMA residual
+//     e = t − p is exact (the error of a product is a double whenever
+//     the product does not underflow), so t = p + e, |e| <= ulp(p)/2;
+//   - q0 = RoundToEven(p), and f = p − q0 in [−1/2, 1/2] is exact (q0 is
+//     0, or within a factor 2 of p);
+//   - where ulp(p) <= 1/2 (p < 2^52), f and 1/2 are multiples of
+//     ulp(p), so |f| < 1/2 means |f| <= 1/2 − ulp(p) and |t − q0| < 1/2:
+//     q = q0. Rounding to nearest cannot carry t across a half-integer,
+//     which is a double there, only onto it: f = ±1/2, where the sign
+//     of e tells which side of the half t is (e = 0 is a tie, already
+//     broken to even by RoundToEven);
+//   - from 2^52 doubles are integers: f = 0, and q = p, since an exact
+//     tie t = p ± 1/2 rounded to the even neighbour, which is p.
+//
+// Every other value — ±0, subnormal-small or huge magnitudes, huge
 // precisions, NaN and ±Inf — keeps the strconv path.
 func appendFixed(dst []byte, v float64, prec int) []byte {
 	a := math.Abs(v)
-	if prec < 0 || prec >= len(pow10) || !(a >= 1 && a*pow10[prec] < 1<<53) {
+	if prec < 0 || prec >= len(pow10) || !(a >= 0x1p-500 && a*pow10[prec] < 1<<53) {
 		return strconv.AppendFloat(dst, v, 'f', prec, 64)
 	}
 	scale := pow10[prec]
-	q := math.RoundToEven(a * scale)
-	switch r := math.FMA(a, scale, -q); {
-	case r > 0.5:
-		q++
-	case r < -0.5:
-		q--
+	p := a * scale
+	q := math.RoundToEven(p)
+	switch e := math.FMA(a, scale, -p); p - q {
+	case 0.5:
+		if e > 0 {
+			q++
+		}
+	case -0.5:
+		if e < 0 {
+			q--
+		}
 	}
 	if v < 0 {
 		dst = append(dst, '-')
 	}
-	dst = strconv.AppendUint(dst, uint64(q), 10)
+	u, s := uint64(q), uint64(scale)
+	dst = strconv.AppendUint(dst, u/s, 10)
 	if prec == 0 {
 		return dst
 	}
-	// q >= 10^prec has more than prec digits: open a gap for the point.
-	dst = append(dst, 0)
-	end := len(dst)
-	copy(dst[end-prec:], dst[end-prec-1:end-1])
-	dst[end-prec-1] = '.'
+	// The fraction behind a leading 1 has exactly prec+1 digits; the 1
+	// becomes the point.
+	dst = strconv.AppendUint(dst, u%s+s, 10)
+	dst[len(dst)-prec-1] = '.'
 	return dst
 }

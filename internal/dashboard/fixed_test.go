@@ -20,6 +20,10 @@ var fixedEdges = []float64{
 	math.SmallestNonzeroFloat64, 2.2250738585072014e-308, 4.9e-324 * 3,
 	math.Nextafter(1, 0), math.Nextafter(1, 2), math.Nextafter(10, 0), math.Nextafter(10, 20),
 	520, 270, 35.9, 454.6, -97.5, -96.5, -0.5, 3.3, 0.0005,
+	// Below 1: decimal half-way ties at each precision, the carry into 1,
+	// and the fast path's lower bound.
+	0.05, 0.15, 0.45, 0.55, 0.005, 0.015, 0.025, 0.995, 0.9995, 0.9999, 0.0015, 0.0025, 0.0035,
+	0.001, 0.009, 0.000499, 1e-9, 0x1p-500, math.Nextafter(0x1p-500, 0), math.Nextafter(0x1p-500, 1),
 }
 
 func checkFixed(t *testing.T, v float64, prec int) {
@@ -66,6 +70,32 @@ func TestAppendFixedRandom(t *testing.T) {
 			v = -v
 		}
 		checkFixed(t, v, rng.Intn(4))
+	}
+}
+
+// TestAppendFixedBelowOne covers 0 < |v| < 1, where the product with
+// 10^prec carries less than |v|'s own precision: every decimal half-way
+// point k+1/2 over 10^prec below 1 at precisions 0–3 with its two
+// neighbouring doubles, then random values log-uniform down to 1e-12 at
+// precisions 0–15.
+func TestAppendFixedBelowOne(t *testing.T) {
+	for prec := 0; prec <= 3; prec++ {
+		scale := math.Pow(10, float64(prec))
+		for k := 0.0; k < scale; k++ {
+			v := (k + 0.5) / scale
+			for _, w := range []float64{math.Nextafter(v, 0), v, math.Nextafter(v, 1)} {
+				checkFixed(t, w, prec)
+				checkFixed(t, -w, prec)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(38))
+	for i := 0; i < 200_000; i++ {
+		v := math.Pow(10, -12*rng.Float64())
+		if rng.Intn(2) == 0 {
+			v = -v
+		}
+		checkFixed(t, v, rng.Intn(16))
 	}
 }
 

@@ -113,7 +113,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		count("delta bytes sent", v)
 	}
 
-	b := s.page(16<<10 + len(th) + len(td))
+	buf, b := s.page(16<<10 + len(th) + len(td))
 	b = append(b, "\n<h2>Server health</h2>\n"...)
 	if len(th) > 0 {
 		b = append(append(b, "<table><tr>"...), th...)
@@ -125,7 +125,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	b = appendRouteTable(append(b, '\n'), reg)
 	b = append(b, "\n<h2>All metric families</h2>\n<table><tr><th>Family</th><th>Kind</th><th>Labels</th><th>Value</th></tr>\n"...)
 	b = appendFamilyRows(b, reg)
-	writePage(w, append(b, "\n</table>\n"...))
+	writePage(w, buf, append(b, "\n</table>\n"...))
 }
 
 // appendRouteTable folds the per-route HTTP families into one table,

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"strconv"
 
+	"lorameshmon/internal/tsdb"
 	"lorameshmon/internal/wire"
 )
 
@@ -42,9 +43,19 @@ func appendChartJSON(dst []byte, c *chartJSON) ([]byte, error) {
 	j.raw(`,"agg":`)
 	j.str(string(c.Agg))
 	j.raw(`,"series":`)
-	if c.Series == nil {
+	switch {
+	case c.results != nil:
+		j.raw("[")
+		for i := range c.results {
+			if i > 0 {
+				j.raw(",")
+			}
+			j.result(&c.results[i])
+		}
+		j.raw("]")
+	case c.Series == nil:
 		j.raw("null")
-	} else {
+	default:
 		j.raw("[")
 		for i := range c.Series {
 			if i > 0 {
@@ -66,14 +77,39 @@ func appendChartJSON(dst []byte, c *chartJSON) ([]byte, error) {
 }
 
 func (j *jsonOut) series(s *chartSeriesOut) {
+	j.labels(s.Labels)
+	if s.Points == nil {
+		j.raw("null}")
+		return
+	}
+	j.raw("[")
+	for i, p := range s.Points {
+		j.point(i, p[0], p[1])
+	}
+	j.raw("]}")
+}
+
+// result writes a store answer as a series, its points as [ts, value]
+// pairs, as a chartSeriesOut holding them is written.
+func (j *jsonOut) result(r *tsdb.Result) {
+	j.labels(r.Labels)
+	j.raw("[")
+	for i, p := range r.Points {
+		j.point(i, p.TS, p.Value)
+	}
+	j.raw("]}")
+}
+
+// labels opens a series object up to its points' value.
+func (j *jsonOut) labels(l tsdb.Labels) {
 	j.raw(`{"labels":`)
-	if s.Labels == nil {
+	if l == nil {
 		j.raw("null")
 	} else {
 		// encoding/json writes map keys sorted.
 		var scratch [8]string
 		keys := scratch[:0]
-		for k := range s.Labels {
+		for k := range l {
 			keys = append(keys, k)
 		}
 		slices.Sort(keys)
@@ -84,28 +120,23 @@ func (j *jsonOut) series(s *chartSeriesOut) {
 			}
 			j.str(k)
 			j.raw(":")
-			j.str(s.Labels[k])
+			j.str(l[k])
 		}
 		j.raw("}")
 	}
 	j.raw(`,"points":`)
-	if s.Points == nil {
-		j.raw("null")
-	} else {
-		j.raw("[")
-		for i, p := range s.Points {
-			if i > 0 {
-				j.raw(",")
-			}
-			j.raw("[")
-			j.float(p[0])
-			j.raw(",")
-			j.float(p[1])
-			j.raw("]")
-		}
-		j.raw("]")
+}
+
+// point writes the i-th point of a series.
+func (j *jsonOut) point(i int, ts, v float64) {
+	if i > 0 {
+		j.raw(",")
 	}
-	j.raw("}")
+	j.raw("[")
+	j.float(ts)
+	j.raw(",")
+	j.float(v)
+	j.raw("]")
 }
 
 // appendDeltaJSON appends d as json.Marshal encodes it. On a non-finite

@@ -19,8 +19,8 @@
 package readcache
 
 import (
-	"bytes"
 	"net/http"
+	"strconv"
 	"sync"
 
 	"lorameshmon/internal/metrics"
@@ -91,24 +91,20 @@ type Config struct {
 	Inst *Instruments
 }
 
-// entry is one cached response: the status, content type and body a
-// panel rendered at a given epoch.
+// entry is one response a panel rendered at a given epoch: its status,
+// its body, copied once at its exact length, and the values of the
+// headers serve sets. It is also the flight that coalesces concurrent
+// misses on its key: the first request renders it, the rest wait on
+// rendered and replay it if its status is 200 (an uncacheable render is
+// replayed only to the client that made it).
 type entry struct {
-	epoch       uint64
-	status      int
-	contentType string
-	body        []byte
-}
-
-// flight coalesces concurrent misses on one key: the first request
-// renders, the rest wait on done and replay e (nil if the render was
-// not cacheable).
-type flight struct {
-	done chan struct{}
-	e    *entry
-	// recorded holds an uncacheable render (non-200) so the renderer can
-	// still replay it to its own client; waiters ignore it.
-	recorded *entry
+	epoch  uint64
+	status int
+	// header holds the Content-Type, epoch and Content-Length values;
+	// serve hands out one-element slices of it.
+	header   [3]string
+	body     []byte
+	rendered sync.WaitGroup
 }
 
 // Cache is the per-panel response cache. One instance fronts all of a
@@ -120,7 +116,7 @@ type Cache struct {
 
 	mu      sync.Mutex
 	entries map[string]*entry
-	flights map[string]*flight
+	flights map[string]*entry
 	bytes   int64
 }
 
@@ -140,7 +136,7 @@ func New(cfg Config) *Cache {
 		max:     cfg.MaxEntries,
 		inst:    cfg.Inst,
 		entries: make(map[string]*entry),
-		flights: make(map[string]*flight),
+		flights: make(map[string]*entry),
 	}
 }
 
@@ -148,12 +144,15 @@ func New(cfg Config) *Cache {
 // and clients use it to tell which epoch a panel reflects.
 const EpochHeader = "Meshmon-Epoch"
 
-// recorder captures a handler's response for caching.
+// recorder captures a handler's response for caching. Recorders are
+// reused: one keeps its header map, and hands its body to the entry.
 type recorder struct {
 	h      http.Header
 	status int
-	buf    bytes.Buffer
+	body   []byte
 }
+
+var recorders = sync.Pool{New: func() any { return &recorder{h: make(http.Header)} }}
 
 func (r *recorder) Header() http.Header { return r.h }
 
@@ -167,7 +166,9 @@ func (r *recorder) Write(p []byte) (int, error) {
 	if r.status == 0 {
 		r.status = http.StatusOK
 	}
-	return r.buf.Write(p)
+	// A handler writes its page once, so this is one copy at its length.
+	r.body = append(r.body, p...)
+	return len(p), nil
 }
 
 // Wrap fronts one panel handler with the cache. Only GET requests are
@@ -183,41 +184,49 @@ func (c *Cache) Wrap(panel string, next http.Handler) http.Handler {
 			next.ServeHTTP(w, r)
 			return
 		}
-		key := panel + "\x00" + r.URL.RequestURI()
+		// The key is built on the stack and looked up without a copy;
+		// it is allocated only for a render.
+		var buf [256]byte
+		k := append(append(buf[:0], panel...), 0)
+		if r.RequestURI != "" {
+			k = append(k, r.RequestURI...)
+		} else {
+			k = append(k, r.URL.RequestURI()...)
+		}
 		// Two coalescing rounds, then render directly: under continuous
 		// ingest a waiter could otherwise chase the epoch forever.
 		for attempt := 0; attempt < 2; attempt++ {
 			cur := c.epoch()
 			c.mu.Lock()
-			if e := c.entries[key]; e != nil && e.epoch == cur {
+			if e := c.entries[string(k)]; e != nil && e.epoch == cur {
 				c.mu.Unlock()
 				c.inst.Hits.Inc()
 				serve(w, e)
 				return
 			}
-			if f := c.flights[key]; f != nil {
+			if f := c.flights[string(k)]; f != nil {
 				c.mu.Unlock()
-				<-f.done
-				if e := f.e; e != nil && e.epoch == c.epoch() {
+				f.rendered.Wait()
+				if f.status == http.StatusOK && f.epoch == c.epoch() {
 					c.inst.Hits.Inc()
-					serve(w, e)
+					serve(w, f)
 					return
 				}
-				continue // epoch moved mid-render; try again
+				continue // epoch moved mid-render, or not cacheable; try again
 			}
-			f := &flight{done: make(chan struct{})}
-			c.flights[key] = f
+			key := string(k)
+			e := &entry{epoch: cur}
+			e.rendered.Add(1)
+			c.flights[key] = e
 			c.mu.Unlock()
 
-			e := c.render(key, f, cur, next, r)
-			if e != nil {
+			c.render(key, e, next, r)
+			if e.status == http.StatusOK {
 				c.inst.Misses.Inc()
-				serve(w, e)
 			} else {
-				c.inst.Bypass.Inc()
-				// Not cacheable: replay the recorded response as-is.
-				serve(w, f.recorded)
+				c.inst.Bypass.Inc() // not cacheable: replayed to this client only
 			}
+			serve(w, e)
 			return
 		}
 		// Coalescing lost the epoch race twice; render uncached.
@@ -226,35 +235,27 @@ func (c *Cache) Wrap(panel string, next http.Handler) http.Handler {
 	})
 }
 
-// render runs the panel handler, stores the response if cacheable and
-// releases the flight's waiters.
-func (c *Cache) render(key string, f *flight, epoch uint64, next http.Handler, r *http.Request) *entry {
-	rec := &recorder{h: make(http.Header)}
+// render runs the panel handler into e, stores e if its status is 200
+// and releases the requests waiting on it.
+func (c *Cache) render(key string, e *entry, next http.Handler, r *http.Request) {
+	rec := recorders.Get().(*recorder)
 	next.ServeHTTP(rec, r)
-	if rec.status == 0 {
-		rec.status = http.StatusOK // nothing written: 200, empty, as net/http answers
+	e.status = rec.status
+	if e.status == 0 {
+		e.status = http.StatusOK // nothing written: 200, empty, as net/http answers
 	}
-	e := &entry{
-		epoch:       epoch,
-		status:      rec.status,
-		contentType: rec.h.Get("Content-Type"),
-		body:        rec.buf.Bytes(),
-	}
-	cacheable := rec.status == http.StatusOK
+	e.body = rec.body
+	e.header = [3]string{rec.h.Get("Content-Type"), formatUint(e.epoch), strconv.Itoa(len(e.body))}
+	clear(rec.h)
+	*rec = recorder{h: rec.h}
+	recorders.Put(rec)
 	c.mu.Lock()
 	delete(c.flights, key)
-	if cacheable {
+	if e.status == http.StatusOK {
 		c.store(key, e)
-		f.e = e
-	} else {
-		f.recorded = e
 	}
 	c.mu.Unlock()
-	close(f.done)
-	if !cacheable {
-		return nil
-	}
-	return e
+	e.rendered.Done()
 }
 
 // store inserts e under key, evicting dead-epoch entries when full.
@@ -294,11 +295,15 @@ func (c *Cache) Len() int {
 	return len(c.entries)
 }
 
+// serve replays e. Its header values are e's own, never modified: a
+// ResponseWriter copies its header map when the status is written.
 func serve(w http.ResponseWriter, e *entry) {
-	if e.contentType != "" {
-		w.Header().Set("Content-Type", e.contentType)
+	h := w.Header()
+	if e.header[0] != "" {
+		h["Content-Type"] = e.header[0:1:1]
 	}
-	w.Header().Set(EpochHeader, formatUint(e.epoch))
+	h[EpochHeader] = e.header[1:2:2]
+	h["Content-Length"] = e.header[2:3:3]
 	w.WriteHeader(e.status)
 	w.Write(e.body) //nolint:errcheck // client went away
 }

@@ -114,6 +114,8 @@ func (acc *RollupSample) value(agg Agg) float64 {
 type grid struct {
 	from, step float64
 	agg        Agg
+	// hint bounds the output's length; the first flush allocates it.
+	hint int
 
 	out  []Point
 	acc  RollupSample
@@ -138,17 +140,20 @@ func (g *grid) add(ts, count, sum, min, max, last, lastTS float64) {
 // flush closes the open output bucket, if any.
 func (g *grid) flush() {
 	if g.open {
+		if g.out == nil {
+			g.out = make([]Point, 0, g.hint)
+		}
 		g.out = append(g.out, Point{TS: g.from + g.idx*g.step, Value: g.acc.value(g.agg)})
 		g.open = false
 	}
 }
 
 // rawGrid buckets the samples of it onto the grid — Downsample and the
-// raw tier of QueryRange. Each sample is a one-sample bucket whose sum is
-// taken from +0, as every raw-tier sum is: 0+v differs from v only for
-// v = -0.
-func rawGrid(it Iter, from, step float64, agg Agg) []Point {
-	g := grid{from: from, step: step, agg: agg}
+// raw tier of QueryRange — into an output of capacity hint. Each sample
+// is a one-sample bucket whose sum is taken from +0, as every raw-tier
+// sum is: 0+v differs from v only for v = -0.
+func rawGrid(it Iter, from, step float64, agg Agg, hint int) []Point {
+	g := grid{from: from, step: step, agg: agg, hint: hint}
 	for it.Next() {
 		ts, v := it.At()
 		g.add(ts, 1, 0+v, v, v, v, ts)
@@ -178,5 +183,5 @@ func Downsample(points []Point, from, step float64, agg Agg) []Point {
 	if step <= 0 {
 		return nil
 	}
-	return rawGrid(PointsIter(points), from, step, agg)
+	return rawGrid(PointsIter(points), from, step, agg, 0)
 }

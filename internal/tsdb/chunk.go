@@ -252,6 +252,23 @@ func (win *xorWindow) readXOR(r *bitReader) uint64 {
 	return 0
 }
 
+// peekXOR decodes the nonzero XOR delta at the front of the look-ahead
+// buf (which starts with a 1 bit), written with window win, as if buf
+// held all of it: the delta, the bits it takes and the window after it.
+// The caller uses them only if buf holds that many bits. It is small
+// enough to inline, so everything stays in registers.
+func peekXOR(win xorWindow, buf uint64) (x uint64, took uint, _ xorWindow) {
+	// A window reused (10) or a new one (11): header, then the payload.
+	head := uint(2)
+	if buf>>62 == 0b11 {
+		lead, sig := uint8(buf>>57&31), uint8(buf>>51&63)+1
+		win = xorWindow{lead, 64 - lead - sig, true}
+		head = 13
+	}
+	sig := uint(64 - win.leading - win.trailing)
+	return buf << head >> (64 - sig) << win.trailing, head + sig, win
+}
+
 // --- encoder ---
 
 // Encoder compresses a stream of (timestamp, values...) samples into a
@@ -452,6 +469,68 @@ func (it *ChunkIter) readVals(ts float64) bool {
 	it.ts = ts
 	it.i++
 	return true
+}
+
+// appendRange appends the samples of the single-column chunk c — its
+// bytes, then the bits p — with from <= TS <= to to out, in stream
+// order, and stops where Next would. It is Next without the loop over
+// columns, as one loop whose state, the look-ahead included, lives in
+// locals.
+func (c *Chunk) appendRange(out []Point, p pending, from, to float64) []Point {
+	it := c.iter(p)
+	if !it.Next() {
+		return out
+	}
+	data, buf, n, idx := it.r.b, it.r.buf, it.r.n, it.r.idx
+	t0, t1, prev, tsWin, vWin := it.t0, it.t1, it.prev[0], it.tsWin, it.vwin[0]
+	for i, count := 1, it.count; ; i++ {
+		if t1 >= from && t1 <= to {
+			out = append(out, Point{TS: t1, Value: math.Float64frombits(prev)})
+		}
+		if i == count {
+			return out
+		}
+		// Each field: one refill (refill's word load, inline), then the
+		// header and payload out of the look-ahead, or, when it does not
+		// hold them, through readXOR from the same position.
+		var tx, vx uint64
+		if n < 57 && idx+8 <= len(data) {
+			buf |= binary.BigEndian.Uint64(data[idx:]) >> n
+			k := (64 - n) >> 3
+			idx, n = idx+int(k), n+k<<3
+		}
+		if buf>>63 == 0 && n >= 1 {
+			buf, n = buf<<1, n-1
+		} else if x, took, w := peekXOR(tsWin, buf); took <= n {
+			tx, buf, n, tsWin = x, buf<<took, n-took, w
+		} else {
+			it.r.buf, it.r.n, it.r.idx = buf, n, idx
+			tx = tsWin.readXOR(&it.r)
+			buf, n, idx = it.r.buf, it.r.n, it.r.idx
+			if it.r.err {
+				return out
+			}
+		}
+		if n < 57 && idx+8 <= len(data) {
+			buf |= binary.BigEndian.Uint64(data[idx:]) >> n
+			k := (64 - n) >> 3
+			idx, n = idx+int(k), n+k<<3
+		}
+		if buf>>63 == 0 && n >= 1 {
+			buf, n = buf<<1, n-1
+		} else if x, took, w := peekXOR(vWin, buf); took <= n {
+			vx, buf, n, vWin = x, buf<<took, n-took, w
+		} else {
+			it.r.buf, it.r.n, it.r.idx = buf, n, idx
+			vx = vWin.readXOR(&it.r)
+			buf, n, idx = it.r.buf, it.r.n, it.r.idx
+			if it.r.err {
+				return out
+			}
+		}
+		t0, t1 = t1, math.Float64frombits(math.Float64bits(predictTS(i, t0, t1))^tx)
+		prev ^= vx
+	}
 }
 
 // TS returns the current sample's timestamp.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 )
 
 // Dump/Load persist the whole store: the collector's WAL checkpoints
@@ -73,8 +74,8 @@ func (db *DB) Dump() SnapshotDump {
 		Version: snapshotVersion,
 		Metrics: make(map[string][]SeriesDump, len(db.metrics)),
 	}
-	for name, byLabels := range db.metrics {
-		for _, s := range byLabels {
+	for name, mi := range db.metrics {
+		for _, s := range mi.all {
 			s.mu.Lock()
 			s.head.compact()
 			head := s.head.run.view()
@@ -120,20 +121,22 @@ func (db *DB) Load(dump SnapshotDump) error {
 		return fmt.Errorf("tsdb: restore: unsupported snapshot version %d", dump.Version)
 	}
 	f := math.Float64frombits
-	metrics := make(map[string]map[string]*series, len(dump.Metrics))
+	metrics := make(map[string]*metricIndex, len(dump.Metrics))
 	points := 0
 	var raw, roll chunkKind
 	raw.cols, roll.cols = db.raw.cols, db.roll.cols
 	for name, dumps := range dump.Metrics {
-		byLabels := make(map[string]*series, len(dumps))
+		all := make([]*series, 0, len(dumps))
+		seen := make(map[string]bool, len(dumps))
 		for _, sd := range dumps {
 			fail := func(what string, err error) error {
 				return fmt.Errorf("tsdb: restore: series %s%v: %s%w", name, sd.Labels, what, err)
 			}
 			key := sd.Labels.canonical()
-			if _, dup := byLabels[key]; dup {
+			if seen[key] {
 				return fmt.Errorf("tsdb: restore: duplicate series %s%v", name, sd.Labels)
 			}
+			seen[key] = true
 			s := &series{labels: compactLabels(sd.Labels), key: key}
 			if err := sd.Head.samples(1, func(it *ChunkIter) {
 				if ts, v := it.At(); ts == ts {
@@ -175,15 +178,16 @@ func (db *DB) Load(dump SnapshotDump) error {
 					}
 				}
 			}
-			byLabels[key] = s
+			all = append(all, s)
 		}
-		metrics[name] = byLabels
+		slices.SortFunc(all, func(a, b *series) int { return strings.Compare(a.key, b.key) })
+		metrics[name] = newIndex(all)
 	}
 	db.mu.Lock()
 	// Cached Series handles may still point into the replaced index; mark
 	// everything old dead so they re-resolve on their next Append.
-	for _, byLabels := range db.metrics {
-		for _, s := range byLabels {
+	for _, mi := range db.metrics {
+		for _, s := range mi.all {
 			s.mu.Lock()
 			s.dead = true
 			s.mu.Unlock()

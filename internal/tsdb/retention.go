@@ -111,8 +111,9 @@ func (db *DB) sweepLocked(req evictAt) int {
 	db.wm.Store(math.Float64bits(math.Inf(1)))
 	oldest := math.Inf(1)
 	dropped := 0
-	for name, byLabels := range db.metrics {
-		for key, s := range byLabels {
+	for name, mi := range db.metrics {
+		dead := false
+		for _, s := range mi.all {
 			s.mu.Lock()
 			s.armed = true
 			if req.on[0] {
@@ -124,14 +125,16 @@ func (db *DB) sweepLocked(req evictAt) int {
 				}
 			}
 			if s.rawCount() == 0 && !s.hasRollupData() {
-				s.dead = true // cached Series handles re-register on next Append
-				delete(byLabels, key)
+				s.dead, dead = true, true // cached Series handles re-register on next Append
 			} else if o := s.oldest(db); o < oldest {
 				oldest = o
 			}
 			s.mu.Unlock()
 		}
-		if len(byLabels) == 0 {
+		if dead {
+			mi.dropDead()
+		}
+		if len(mi.all) == 0 {
 			delete(db.metrics, name)
 		}
 	}

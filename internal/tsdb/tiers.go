@@ -133,7 +133,7 @@ func (rs *rollState) snapshot() rollSnap {
 // rebucket buckets the tier's buckets with from <= TS <= to onto the
 // grid — the rollup tiers of QueryRange.
 func (sn *rollSnap) rebucket(from, to, step float64, agg Agg) []Point {
-	g := grid{from: from, step: step, agg: agg}
+	g := grid{from: from, step: step, agg: agg, hint: gridHint(sn.chunks.estimate(from, to)+1, from, to, step)}
 	add := func(b RollupSample) {
 		if b.TS >= from && b.TS <= to {
 			g.add(b.TS, b.Count, b.Sum, b.Min, b.Max, b.Last, b.lastTS)
@@ -159,6 +159,15 @@ func (sn *rollSnap) rebucket(from, to, step float64, agg Agg) []Point {
 	return g.out
 }
 
+// gridHint bounds the buckets a grid of width step over [from, to]
+// makes of at most n input samples or buckets.
+func gridHint(n int, from, to, step float64) int {
+	if b := (to-from)/step + 1; b < float64(n) {
+		return max(int(b), 0)
+	}
+	return n
+}
+
 // Retention configures the per-tier horizons, in seconds before the
 // newest data; zero keeps a tier forever.
 type Retention struct {
@@ -181,8 +190,8 @@ func (db *DB) ConfigureTiers(r Retention) {
 func (db *DB) tierCounts(t int) (seriesN, points int) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	for _, byLabels := range db.metrics {
-		for _, s := range byLabels {
+	for _, mi := range db.metrics {
+		for _, s := range mi.all {
 			s.mu.Lock()
 			if s.rolls == nil {
 			} else if n := s.rolls[t].count(); n > 0 {
@@ -242,7 +251,8 @@ func (db *DB) QueryRange(name string, matcher Labels, from, to, step float64, ag
 	for _, s := range matched {
 		var pts []Point
 		if tier == 0 {
-			pts = rawGrid(snap(s).Iter(from, to), from, step, agg)
+			sn := snap(s)
+			pts = rawGrid(sn.Iter(from, to), from, step, agg, gridHint(sn.estimate(from, to), from, to, step))
 		} else {
 			var sn rollSnap
 			s.mu.Lock()

@@ -18,11 +18,12 @@
 // resolution and retention window (see tiers.go).
 //
 // The store is safe for concurrent use and locks at series granularity:
-// the index (metric name -> label set -> series) is guarded by one
-// RWMutex, while each series carries its own mutex around its blocks.
-// Appends to distinct series therefore never contend — which is what
-// lets the collector's node-sharded ingest path scale instead of
-// serialising every shard on one store-wide write lock. Reads are
+// the index (per metric, its series in label order and their postings;
+// see index.go) is guarded by one RWMutex, while each series carries
+// its own mutex around its blocks. Appends to distinct series therefore
+// never contend — which is what lets the collector's node-sharded
+// ingest path scale instead of serialising every shard on one
+// store-wide write lock. Reads are
 // per-series atomic; a cut that is consistent across series comes from
 // the caller holding its own write exclusion (the collector's snapshot
 // path stops ingest on all shards before calling Dump).
@@ -101,24 +102,6 @@ func exportLabels(pairs []labelPair) Labels {
 		out[p.name] = p.value
 	}
 	return out
-}
-
-// matchLabels reports whether pairs hold every pair in m, an absent
-// label reading as "" (so {"k": ""} matches a series without k).
-func matchLabels(pairs []labelPair, m Labels) bool {
-	for k, v := range m {
-		got := ""
-		for _, p := range pairs {
-			if p.name == k {
-				got = p.value
-				break
-			}
-		}
-		if got != v {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders labels like {a=1,b=2}.
@@ -378,20 +361,25 @@ func (sn seriesSnap) Iter(from, to float64) Iter {
 	return Iter{sn: sn, from: from, to: to}
 }
 
-// materialize decodes the snapshot's points within [from, to] into a
-// fresh slice (chunk order, not globally sorted when overlap is set).
-func (sn seriesSnap) materialize(from, to float64) []Point {
+// estimate bounds the snapshot's points within [from, to]: the samples
+// of the chunks overlapping it.
+func (sn seriesSnap) estimate(from, to float64) int {
 	est := 0
 	for i := 0; ; i++ {
 		c, _ := sn.chunk(i)
 		if c == nil {
-			break
+			return est
 		}
 		if c.MaxTS >= from && c.MinTS <= to {
 			est += c.Count
 		}
 	}
-	out := make([]Point, 0, est)
+}
+
+// materialize decodes the snapshot's points within [from, to] into a
+// fresh slice (chunk order, not globally sorted when overlap is set).
+func (sn seriesSnap) materialize(from, to float64) []Point {
+	out := make([]Point, 0, sn.estimate(from, to))
 	for i := 0; ; i++ {
 		c, tail := sn.chunk(i)
 		if c == nil {
@@ -400,13 +388,7 @@ func (sn seriesSnap) materialize(from, to float64) []Point {
 		if c.MaxTS < from || c.MinTS > to {
 			continue
 		}
-		it := c.iter(tail)
-		for it.Next() {
-			ts, v := it.At()
-			if ts >= from && ts <= to {
-				out = append(out, Point{TS: ts, Value: v})
-			}
-		}
+		out = c.appendRange(out, tail, from, to)
 	}
 	return out
 }
@@ -498,7 +480,7 @@ type DB struct {
 	// mutex. Lock order is always db.mu before series.mu; nothing
 	// acquires db.mu while holding a series lock.
 	mu      sync.RWMutex
-	metrics map[string]map[string]*series // name -> canonical labels -> series
+	metrics map[string]*metricIndex // see index.go
 	points  atomic.Int64
 
 	// sealEvery is the head size that triggers chunk sealing.
@@ -605,7 +587,7 @@ func (db *DB) Instrument(reg *metrics.Registry) {
 // New returns an empty store with rollup tiers disabled.
 func New() *DB {
 	db := &DB{
-		metrics:   make(map[string]map[string]*series),
+		metrics:   make(map[string]*metricIndex),
 		sealEvery: defaultSealEvery,
 	}
 	db.raw.cols, db.roll.cols = 1, rollupCols
@@ -638,15 +620,15 @@ func (db *DB) CompressionStats() (compressedBytes, sealedSamples int64, bytesPer
 // with the stored labels if missing. Callers must hold the index write
 // lock.
 func (db *DB) getOrCreateLocked(name, key string, labels []labelPair) *series {
-	byLabels, ok := db.metrics[name]
-	if !ok {
-		byLabels = make(map[string]*series)
-		db.metrics[name] = byLabels
+	mi := db.metrics[name]
+	if mi == nil {
+		mi = newIndex(nil)
+		db.metrics[name] = mi
 	}
-	s, ok := byLabels[key]
-	if !ok {
+	s := mi.get(key)
+	if s == nil {
 		s = &series{labels: labels, key: key, fresh: true, armed: db.armed}
-		byLabels[key] = s
+		mi.add(s)
 		db.fresh.Add(1)
 	}
 	return s
@@ -662,9 +644,11 @@ func (db *DB) getOrCreate(name string, labels Labels) *series {
 // lookup returns the live series for (name, labels) or nil.
 func (db *DB) lookup(name, key string) *series {
 	db.mu.RLock()
-	s := db.metrics[name][key]
-	db.mu.RUnlock()
-	return s
+	defer db.mu.RUnlock()
+	if mi := db.metrics[name]; mi != nil {
+		return mi.get(key)
+	}
+	return nil
 }
 
 // lockLive locks s if it is still in the index, otherwise re-registers
@@ -750,26 +734,6 @@ func (h *Series) Append(ts, value float64) {
 
 // Labels returns the handle's label set (a copy).
 func (h *Series) Labels() Labels { return exportLabels(h.s.Load().labels) }
-
-// match collects the metric's series whose labels contain matcher, in
-// canonical label order.
-func (db *DB) match(name string, matcher Labels) []*series {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	byLabels := db.metrics[name]
-	keys := make([]string, 0, len(byLabels))
-	for k, s := range byLabels {
-		if matchLabels(s.labels, matcher) {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	out := make([]*series, len(keys))
-	for i, k := range keys {
-		out[i] = byLabels[k]
-	}
-	return out
-}
 
 // Result is one matched series with its points in time order.
 type Result struct {
@@ -910,8 +874,8 @@ func (db *DB) SeriesCount() int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	n := 0
-	for _, byLabels := range db.metrics {
-		n += len(byLabels)
+	for _, mi := range db.metrics {
+		n += len(mi.all)
 	}
 	return n
 }
@@ -927,8 +891,8 @@ func (db *DB) headBytes() int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	n := 0
-	for _, byLabels := range db.metrics {
-		for _, s := range byLabels {
+	for _, mi := range db.metrics {
+		for _, s := range mi.all {
 			s.mu.Lock()
 			n += s.head.bytes()
 			if s.rolls != nil {

@@ -64,8 +64,14 @@ stage_test() {
   # its points while the writer appends, compacts, seals and prunes.
   # Every aggregation folds through one accumulator; where each fold
   # starts (leading NaN, all-NaN and lone -0 answers) is pinned by name.
-  go test -race -count=1 -run 'ChunkRoundTrip|ChunkTruncated|DBOutOfOrder|FuzzChunkRoundTrip|RetainMatchesFullSweep|RetainRaceOutOfOrderAppends|NaNTimestampNeverStored|NaNCutoffEvictsNothing|StoreMatchesParentDigest|HeadMatchesPointHead|HeadSnapshotIsolation|HeadCompactionOrder|AggregateSeeds' \
+  # Label matching intersects postings: it must answer every random
+  # matcher (empty values too) as a scan-and-sort of the live series
+  # would, through creates, Retain/Prune deletes and Load.
+  go test -race -count=1 -run 'ChunkRoundTrip|ChunkTruncated|DBOutOfOrder|FuzzChunkRoundTrip|RetainMatchesFullSweep|RetainRaceOutOfOrderAppends|NaNTimestampNeverStored|NaNCutoffEvictsNothing|StoreMatchesParentDigest|HeadMatchesPointHead|HeadSnapshotIsolation|HeadCompactionOrder|AggregateSeeds|MatchPostingsMatchesScan' \
     ./internal/tsdb
+  # Readers use postings lists after the index lock is released while
+  # writers insert into them and sweeps rebuild them.
+  go test -race -count=10 -run 'MatchConcurrentWithCreatesAndSweeps' ./internal/tsdb
   # Non-finite timestamps are refused at the wire (every record type and
   # sent_at, and over HTTP ingest), yet logs holding them still replay.
   go test -race -count=1 -run 'PacketRecordValidate|LoggedBatchKeepsNonFiniteTimestamps|HTTPIngestRejectsNonFiniteTimestamp|ReplayKeepsNonFiniteTimestamps' \
@@ -128,14 +134,19 @@ stage_test() {
   # allocate nothing; a flush allocates at most one slice per record
   # kind. Store budgets: an in-order append
   # amortises to under 0.1 allocations, a read of an open head allocates
-  # as often at 500 samples as at 10, and dash_read-shaped heads hold at
-  # most 8 bytes per sample.
+  # as often at 500 samples as at 10, dash_read-shaped heads hold at
+  # most 8 bytes per sample, and matching one node's series allocates
+  # nothing, at 1 000 series as at 10 000, and takes at most twice as
+  # long at 10 000 (BenchmarkMatch). Every page dash_read requests stays
+  # within its allocations per cache miss and per hit.
   go test -count=1 -run 'DoRecyclesEventObjects|TickerTickAllocationFree|TimerResetAllocationFree' ./internal/simkit
   go test -count=1 -run 'CaptureAllocationFree|FlushAllocationBound' ./internal/agent
   go test -count=1 -run 'EncodedSizeAllocationFree' ./internal/wire
   go test -count=1 -run 'ShardLinksStaySorted|BumpEpochAllocationFree' ./internal/collector
   go test -count=1 -run 'FederateCounterReadsAllocationFree' ./internal/federate
-  go test -count=1 -run 'HeadAppendAllocations|HeadQueryAllocations|HeadBytesBudget' ./internal/tsdb
+  go test -count=1 -run 'HeadAppendAllocations|HeadQueryAllocations|HeadBytesBudget|MatchAllocsIndependentOfSeriesCount' ./internal/tsdb
+  go test -count=1 -run '^$' -bench '^BenchmarkMatch$' -benchtime 20000x ./internal/tsdb
+  go test -count=1 -run 'PageAllocBudgets' ./internal/dashboard
   # The transmit pump re-arms the router's one bound Timer, the
   # simulated uplink lands each batch on a pooled in-flight record's
   # Timer, and the radio medium settles each frame on its pooled
